@@ -52,11 +52,9 @@ from gridfort.decomposition import (
     InfeasibleDesignError,
     SbdState,
     Verdict,
-    VnsConfig,
     evaluate_design,
     sbd_design,
     separate_cycles,
-    vns_solve,
 )
 from gridfort.validate import (
     AuditReport,
@@ -95,7 +93,6 @@ __all__ = [
     "UnitSystem",
     "Verdict",
     "Violation",
-    "VnsConfig",
     "aggregate_parallel_edges",
     "audit",
     "build_master",
@@ -117,6 +114,5 @@ __all__ = [
     "separate_cycles",
     "solve",
     "solve_lp_relaxation",
-    "vns_solve",
     "write_model",
 ]

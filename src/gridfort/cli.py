@@ -20,7 +20,6 @@ from pathlib import Path
 
 from gridfort.decomposition import (
     InfeasibleDesignError,
-    VnsConfig,
     evaluate_design,
     sbd_design,
 )
@@ -58,7 +57,6 @@ class RunConfig:
     fragility: FragilityParams = field(default_factory=FragilityParams)
     design: DesignParams = field(default_factory=DesignParams)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    vns: VnsConfig | None = None
     scenarios_file: Path | None = None
     sweep_total_fractions: list[float] = field(default_factory=list)
     sweep_mg_rates: list[float] = field(default_factory=list)
@@ -97,7 +95,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         fragility = FragilityParams(**frag_raw)
         design = _pick(doc, DesignParams, "design")
         solver = _pick(doc, SolverOptions, "solver")
-        vns = _pick(doc, VnsConfig, "vns") if doc.get("vns") is not None else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -110,7 +107,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         fragility=fragility,
         design=design,
         solver=solver,
-        vns=vns,
         scenarios_file=(base / doc["scenarios_file"]) if doc.get("scenarios_file") else None,
         sweep_total_fractions=[float(x) for x in sweep.get("total_fractions", [])],
         sweep_mg_rates=[float(x) for x in sweep.get("mg_variable_cost_rates", [])],
@@ -220,7 +216,7 @@ def cmd_design(cfg: RunConfig) -> int:
     scens = _load_scenarios(cfg, network)
     try:
         design, state = sbd_design(
-            network, scens, cfg.design, cfg.solver, cfg.vns, jobs=cfg.jobs
+            network, scens, cfg.design, cfg.solver, jobs=cfg.jobs
         )
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc} (scenario {exc.scenario_id})", file=sys.stderr)
@@ -277,23 +273,22 @@ def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
 
 
 def _sweep_cell(args: tuple) -> dict:
-    (network_path, scenario_path, design_kwargs, solver_kwargs, vns_kwargs,
+    (network_path, scenario_path, design_kwargs, solver_kwargs,
      gamma, rate, jobs) = args
     network = load_network_file(network_path)
     scens = load_scenarios_file(scenario_path, network)
     params = DesignParams(**{**design_kwargs,
                              "total_fraction": gamma, "mg_rate_override": rate})
     options = SolverOptions(**solver_kwargs)
-    vns = VnsConfig(**vns_kwargs) if vns_kwargs is not None else None
     t0 = time.monotonic()
     row = {"gamma": gamma, "mg_cost_per_kw": rate}
     try:
-        design, state = sbd_design(network, scens, params, options, vns, jobs=jobs)
+        design, state = sbd_design(network, scens, params, options, jobs=jobs)
         # canonical tie-break: among cost-optimal designs, the one with the
         # least installed microgrid capacity; warm-started from the scenarios
         # the cost pass already found binding
         budget = design.cost.total / 1000.0 + 1e-6
-        design, _ = sbd_design(network, scens, params, options, vns, jobs=jobs,
+        design, _ = sbd_design(network, scens, params, options, jobs=jobs,
                                objective="microgrid_kw", cost_budget=budget,
                                initial_active=state.active)
         row.update(
@@ -340,10 +335,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     solver_kwargs = {
         f: getattr(cfg.solver, f) for f in SolverOptions.__dataclass_fields__
     }
-    vns_kwargs = (
-        {f: getattr(cfg.vns, f) for f in VnsConfig.__dataclass_fields__}
-        if cfg.vns is not None else None
-    )
 
     tasks = []
     for gi, gamma in enumerate(cfg.sweep_total_fractions):
@@ -354,7 +345,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     pending = [t for t in tasks if not t[4].exists()]
     args = [
         (str(cfg.network), str(scenario_path), design_kwargs, solver_kwargs,
-         vns_kwargs, gamma, rate, 1)
+         gamma, rate, 1)
         for _, _, gamma, rate, _ in pending
     ]
     if cfg.jobs > 1 and len(pending) > 1:

@@ -1,43 +1,33 @@
-"""Design algorithms: scenario-based decomposition with lazy radiality cuts,
-design evaluation against held-out scenarios, and an LP-relaxation-guided
-neighborhood search that shrinks large masters by fixing near-integral
-binaries.
+"""Design algorithms: scenario-based decomposition with lazy radiality cuts
+and design evaluation against held-out scenarios.
 
 The decomposition designs against a growing active scenario subset and
 verifies the candidate design on all remaining scenarios; because the subset
 optimum is a lower bound on the full optimum, a design feasible everywhere is
-exactly optimal for the full scenario set.
+exactly optimal for the full scenario set. That argument needs every master
+solve proven optimal and every verification decisive, so a solver limit or
+failure raises ``SolverError`` instead of counting as "infeasible".
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import networkx as nx
 
-from gridfort.formulation import (
-    Design,
-    DesignParams,
-    MasterProblem,
-    build_master,
-    make_design,
-)
+from gridfort.formulation import Design, DesignParams, MasterProblem, build_master
 from gridfort.fragility import DamageScenario
-from gridfort.milp import MilpModel, Solution, SolverOptions, solve, solve_lp_relaxation
+from gridfort.milp import Solution, SolverError, SolverOptions, solve
 
 __all__ = [
-    "VnsConfig",
     "Verdict",
     "IterationRecord",
     "SbdState",
     "InfeasibleDesignError",
     "separate_cycles",
     "solve_with_cycle_cuts",
-    "vns_solve",
     "evaluate_design",
     "sbd_design",
 ]
@@ -51,27 +41,6 @@ class InfeasibleDesignError(RuntimeError):
     def __init__(self, scenario_id: int, message: str) -> None:
         super().__init__(message)
         self.scenario_id = scenario_id
-
-
-@dataclass(frozen=True)
-class VnsConfig:
-    """Neighborhood search: fix LP-near-integral binaries, release in rounds.
-
-    The release schedule is relative to the initially fixed set and must end
-    at 1.0 (the unrestricted problem), which keeps the search exact when run
-    to completion.
-    """
-
-    threshold: float = 1e-6
-    schedule: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5, 1.0)
-    round_time_limit: float | None = None
-    min_binaries: int = 500  # masters with more free binaries go through VNS
-
-    def __post_init__(self) -> None:
-        if not self.schedule or self.schedule[-1] != 1.0:
-            raise ValueError("release schedule must end at 1.0")
-        if self.threshold < 0:
-            raise ValueError("integrality fixing threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,237 +123,47 @@ def separate_cycles(solution: Solution, master: MasterProblem,
     return sorted(cycles)
 
 
-def _count_free_binaries(model: MilpModel) -> int:
-    return sum(1 for ix in model.binaries() if model.lb[ix] != model.ub[ix])
+def _not_proven(what: str, sol: Solution) -> SolverError:
+    detail = f" ({sol.message})" if sol.message else ""
+    return SolverError(f"{what} ended {sol.status}, not optimal{detail}")
 
 
-def _solve_one(master: MasterProblem, options: SolverOptions,
-               vns: VnsConfig | None) -> Solution:
-    if vns is not None and _count_free_binaries(master.model) > vns.min_binaries:
-        return vns_solve(master.model, vns, options)
-    return solve(master.model, options)
-
-
-# ---------------------------------------------------------------------------
-# design search over the first stage
-# ---------------------------------------------------------------------------
-
-# joint extensive solves stay exact and fast up to roughly this many free
-# binaries; beyond it the design search below exploits that scenario
-# operations decouple once the first stage is fixed
-JOINT_SOLVE_BINARY_LIMIT = 220
-
-
-class _ScenarioChecker:
-    """Reusable single-scenario feasibility model: the first stage is re-pinned
-    per candidate design instead of rebuilding the block, and discovered cycle
-    cuts stay on the model across checks."""
-
-    def __init__(self, network, scenario, params, options, cuts):
-        self.master = build_master(network, [scenario], params)
-        self.options = options
-        self.scenario = scenario
-        self.cuts = cuts
-        self._applied: set[frozenset] = set()
-
-    def feasible(self, design: Design) -> bool:
-        model = self.master.model
-        fs = self.master.first_stage
-        network = self.master.network
-        built = set(design.built_lines)
-        hardened = set(design.hardened_lines)
-        steps = dict(design.microgrid_steps)
-        for lid, ix in fs.build.items():
-            model.lb[ix] = model.ub[ix] = 1.0 if lid in built else 0.0
-        for lid, ix in fs.harden.items():
-            model.lb[ix] = model.ub[ix] = 1.0 if lid in hardened else 0.0
-        for gid, ixs in fs.steps.items():
-            if network.microgrids[gid].is_existing:
-                continue  # existing units stay fully committed
-            n = steps.get(gid, 0)
-            for m, ix in enumerate(ixs, start=1):
-                model.lb[ix] = model.ub[ix] = 1.0 if m <= n else 0.0
-        sid = self.scenario.id
-        pending = self.cuts.setdefault(sid, set()) - self._applied
-        for cyc in sorted(pending, key=sorted):
-            self.master.add_cycle_cut(tuple(sorted(cyc)), sid)
-        sol, _ = solve_with_cycle_cuts(
-            self.master, self.options,
-            known_cuts={sid: self.cuts[sid]}, apply_known=False,
-        )
-        self._applied = set(self.cuts[sid])
-        return sol.status == "optimal"
-
-
-def _estimate_free_binaries(network, scenarios) -> int:
-    """Free binary count of the joint extensive model, without building it."""
-    lines = network.lines.values()
-    n_cand = sum(1 for l in lines if l.is_candidate)
-    n_hard = sum(1 for l in lines
-                 if l.hardenable and l.damageable and not l.is_candidate)
-    n_switch = sum(1 for l in lines if not l.is_candidate and l.has_switch)
-    n_steps = sum(g.max_steps for g in network.microgrids.values()
-                  if not g.is_existing)
-    per_scen = 3 * len(network.lines) + n_cand + n_switch + n_hard + len(network.loads)
-    return n_cand + n_hard + n_steps + len(scenarios) * per_scen
-
-
-def _solve_master_design(network, scenarios, params, options, vns, cuts,
+def _solve_master_design(network, scenarios, params, options, cuts,
                          objective="cost", cost_budget=None):
-    """Optimal design over the given scenarios: a joint extensive solve while
-    small, the decomposed first-stage search beyond that. Returns
-    (Design, objective value) or (None, None) when targets are unattainable."""
-    if _estimate_free_binaries(network, scenarios) <= JOINT_SOLVE_BINARY_LIMIT:
-        master = build_master(network, scenarios, params,
-                              objective=objective, cost_budget=cost_budget)
-        sol, _ = solve_with_cycle_cuts(master, options, vns, known_cuts=cuts)
-        if sol.status == "infeasible":
-            return None, None
-        if sol.values is None:
-            raise RuntimeError(f"master solve returned {sol.status} with no design")
-        return master.design_from_solution(sol), sol.objective
-    return _design_by_branch_search(network, scenarios, params, options, cuts,
-                                    objective, cost_budget)
-
-
-class _SearchNode:
-    __slots__ = ("fixes", "bound")
-
-    def __init__(self, fixes: dict, bound: float) -> None:
-        self.fixes = fixes
-        self.bound = bound
-
-
-def _design_by_branch_search(network, scenarios, params, options, cuts,
-                             objective="cost", cost_budget=None):
-    """Exact master solve that branches on first-stage decisions only.
-
-    Node bounds come from the joint LP relaxation (scenario blocks included,
-    all operational binaries relaxed), so useless cheap designs are pruned
-    with scenario awareness. A node with an integral first stage is decided
-    exactly by independent per-scenario feasibility solves: the scenario
-    blocks share nothing but the (now fixed) first stage, so the leaf is
-    either completed or refuted in one decomposed pass.
-    """
-    from gridfort.milp import _CompiledLp
-
+    """Proven-optimal design over the given scenarios: one joint extensive
+    solve under the lazy cycle-cut loop. Returns None when the targets are
+    unattainable."""
     master = build_master(network, scenarios, params,
                           objective=objective, cost_budget=cost_budget)
-    for sid, blk_cuts in cuts.items():  # known cycles tighten the relaxation
-        if sid in master.blocks:
-            for cyc in sorted(blk_cuts, key=sorted):
-                master.add_cycle_cut(tuple(sorted(cyc)), sid)
-    model = master.model
-    fs = master.first_stage
-    lp = _CompiledLp(model)
-
-    decision = [
-        ix for ix in (
-            sorted(fs.build.values()) + sorted(fs.harden.values())
-            + [ix for g in sorted(fs.steps) for ix in fs.steps[g]]
-        )
-        if model.lb[ix] != model.ub[ix]
-    ]
-    checkers = {
-        scen.id: _ScenarioChecker(network, scen, params, options, cuts)
-        for scen in scenarios
-    }
-
-    def node_bounds(fixes):
-        lb, ub = lp.lb.copy(), lp.ub.copy()
-        for ix, val in fixes.items():
-            lb[ix] = ub[ix] = val
-        return lb, ub
-
-    def leaf_design(x):
-        built = [lid for lid, ix in sorted(fs.build.items()) if x[ix] > 0.5]
-        hardened = [lid for lid, ix in sorted(fs.harden.items()) if x[ix] > 0.5]
-        steps = {
-            gid: int(sum(x[ix] > 0.5 for ix in ixs))
-            for gid, ixs in fs.steps.items()
-            if not network.microgrids[gid].is_existing
-        }
-        return make_design(network, params, built, hardened, steps)
-
-    def leaf_value(design: Design) -> float:
-        cost_k = design.cost.total / 1000.0
-        if objective == "cost":
-            return cost_k
-        return design.microgrid_kw(network) + 1e-4 * cost_k
-
-    best_design: Design | None = None
-    best_value = math.inf
-
-    heap: list[tuple[float, int, _SearchNode]] = []
-    seq = 0
-    status, x, obj = lp.solve_lp(lp.lb, lp.ub)
-    if status != "optimal":
-        return None, None
-    heapq.heappush(heap, (obj, seq, _SearchNode({}, obj)))
-
-    while heap:
-        bound, _, node = heapq.heappop(heap)
-        if bound >= best_value - 1e-9:
-            break  # best-first: every remaining node is at least as bad
-        lb, ub = node_bounds(node.fixes)
-        status, x, obj = lp.solve_lp(lb, ub)
-        if status != "optimal" or obj >= best_value - 1e-9:
-            continue
-        unfixed = [ix for ix in decision if ix not in node.fixes]
-        if not unfixed:
-            # a single fully pinned design: decide it exactly, scenario by
-            # scenario, and prune the node either way
-            design = leaf_design(x)
-            if cost_budget is not None and design.cost.total / 1000.0 > cost_budget + 1e-6:
-                continue
-            value = leaf_value(design)
-            if value >= best_value - 1e-9:
-                continue
-            if all(checkers[s.id].feasible(design) for s in scenarios):
-                best_design, best_value = design, value
-            continue
-        # branch on the most fractional unfixed decision; integral-but-free
-        # variables still get split sharply so no sibling design is skipped
-        frac_ix = max(
-            unfixed,
-            key=lambda ix: (min(x[ix] - math.floor(x[ix]),
-                                math.ceil(x[ix]) - x[ix]), -ix),
-        )
-        prefer_one = x[frac_ix] >= 0.5
-        for val in ((1.0, 0.0) if prefer_one else (0.0, 1.0)):
-            fixes = dict(node.fixes)
-            fixes[frac_ix] = val
-            seq += 1
-            heapq.heappush(heap, (obj, seq, _SearchNode(fixes, obj)))
-
-    if best_design is None:
-        return None, None
-    return best_design, best_value
+    sol, _ = solve_with_cycle_cuts(master, options, known_cuts=cuts)
+    if sol.status == "infeasible":
+        return None
+    if sol.status != "optimal":
+        raise _not_proven(
+            f"master solve over scenarios {[s.id for s in scenarios]}", sol)
+    return master.design_from_solution(sol)
 
 
 def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None = None,
-                          vns: VnsConfig | None = None,
-                          known_cuts: dict[int, set[frozenset]] | None = None,
-                          apply_known: bool = True):
+                          known_cuts: dict[int, set[frozenset]] | None = None):
     """Solve, separate violated cycles per scenario, cut, and re-solve until
-    every scenario operates as a forest. Returns (solution, cuts added).
+    every scenario operates as a forest. Returns (solution, cuts added); a
+    solution that is not optimal is returned as is, without separation.
 
     ``known_cuts`` (scenario id -> sets of reduced-edge frozensets) is applied
     up front and updated in place, so cuts accumulate across re-solves and
-    master rebuilds within one decomposition run; callers that keep a live
-    model pass ``apply_known=False`` and manage application themselves.
+    master rebuilds within one decomposition run.
     """
     options = options or SolverOptions()
     cuts = known_cuts if known_cuts is not None else {}
-    if apply_known:
-        for sid, blk_cuts in cuts.items():
-            if sid in master.blocks:
-                for cyc in sorted(blk_cuts, key=sorted):
-                    master.add_cycle_cut(tuple(sorted(cyc)), sid)
+    for sid, blk_cuts in cuts.items():
+        if sid in master.blocks:
+            for cyc in sorted(blk_cuts, key=sorted):
+                master.add_cycle_cut(tuple(sorted(cyc)), sid)
     added: list[tuple[int, tuple]] = []
     for _ in range(_MAX_CUT_ROUNDS):
-        sol = _solve_one(master, options, vns)
-        if sol.values is None:
+        sol = solve(master.model, options)
+        if sol.status != "optimal":
             return sol, added
         new = []
         for sid in sorted(master.blocks):
@@ -398,100 +177,8 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
         if not new:
             return sol, added
         added.extend(new)
-    raise RuntimeError("cycle cut separation failed to converge")
-
-
-# ---------------------------------------------------------------------------
-# LP-guided neighborhood search
-# ---------------------------------------------------------------------------
-
-
-class _FixedBinaries:
-    """Temporarily pin a set of binaries to rounded LP values."""
-
-    def __init__(self, model: MilpModel, fixes: list[tuple[int, float]]) -> None:
-        self.model = model
-        self.fixes = fixes
-        self.saved: list[tuple[int, float, float]] = []
-
-    def __enter__(self):
-        for ix, val in self.fixes:
-            self.saved.append((ix, self.model.lb[ix], self.model.ub[ix]))
-            self.model.lb[ix] = self.model.ub[ix] = val
-        return self
-
-    def __exit__(self, *exc):
-        for ix, lo, hi in reversed(self.saved):
-            self.model.lb[ix] = lo
-            self.model.ub[ix] = hi
-        return False
-
-
-def vns_solve(model: MilpModel, cfg: VnsConfig | None = None,
-              options: SolverOptions | None = None) -> Solution:
-    """Fix binaries whose LP relaxation value is integral within the threshold,
-    solve the restriction, and release growing fractions of the fixed set (most
-    fractional first) until the result is proven or the full problem is solved.
-    Every returned solution is feasible for the original model."""
-    cfg = cfg or VnsConfig()
-    options = options or SolverOptions()
-    lp = solve_lp_relaxation(model)
-    if lp.status != "optimal":
-        return lp
-    binaries = model.binaries()
-    vals = lp.values
-
-    def frac(ix: int) -> float:
-        return min(vals[ix] - math.floor(vals[ix]), math.ceil(vals[ix]) - vals[ix])
-
-    fixed0 = [
-        ix for ix in binaries
-        if model.lb[ix] != model.ub[ix] and frac(ix) < cfg.threshold
-    ]
-    release_order = sorted(fixed0, key=lambda ix: (-frac(ix), ix))
-    round_opts = options
-    if cfg.round_time_limit is not None:
-        round_opts = replace(options, time_limit=cfg.round_time_limit)
-
-    best: Solution | None = None
-
-    def gap_ok() -> bool:
-        if best is None:
-            return False
-        tol = max(options.rel_gap * max(1.0, abs(best.objective)), 1e-9)
-        return best.objective - lp.objective <= tol
-
-    last = lp
-    for fraction in cfg.schedule:
-        released = set(release_order[: int(fraction * len(fixed0))])
-        fixes = [
-            (ix, float(round(vals[ix]))) for ix in fixed0 if ix not in released
-        ]
-        opts = round_opts if fraction < 1.0 else options
-        with _FixedBinaries(model, fixes):
-            cutoff = best.objective if best is not None else None
-            sol = solve(model, opts, cutoff=cutoff)
-        last = sol
-        if sol.values is not None and (
-            best is None or sol.objective < best.objective - 1e-12
-        ):
-            best = sol
-        if gap_ok():
-            return Solution("optimal", best.values, best.objective,
-                            max(lp.objective, best.bound if best.bound is not None
-                                else -math.inf),
-                            nodes=best.nodes, solve_time=best.solve_time)
-        if fraction >= 1.0:
-            break
-    if best is not None:
-        # final schedule entry solved the unrestricted problem: a cutoff-pruned
-        # "infeasible" there certifies optimality of the stored incumbent
-        status = "optimal" if last.status in ("optimal", "infeasible") else last.status
-        return Solution(status, best.values, best.objective,
-                        lp.objective if last.status == "infeasible" else
-                        (last.bound if last.bound is not None else lp.objective),
-                        nodes=best.nodes, solve_time=best.solve_time)
-    return last
+    raise SolverError(
+        f"cycle cut separation did not converge in {_MAX_CUT_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +195,8 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     The base solve is a pure feasibility check of the scenario operation
     problem (``maximize_served`` additionally maximizes the served fractions);
     when the resilience targets are unattainable, a served-load maximization
-    without them reports the best-effort shortfalls.
+    without them reports the best-effort shortfalls. Any outcome other than
+    optimal or infeasible raises ``SolverError``.
     """
     options = options or SolverOptions()
     master = build_master(network, [scenario], params, fixed_design=design,
@@ -520,13 +208,13 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
         if return_state:
             return verdict, master.operation_state(sol, scenario.id)
         return verdict
+    if sol.status != "infeasible":
+        raise _not_proven(f"evaluation of scenario {scenario.id}", sol)
     relaxed = build_master(network, [scenario], params, fixed_design=design,
                            objective="served", enforce_resilience=False)
     sol2, _ = solve_with_cycle_cuts(relaxed, options, known_cuts=known_cuts)
     if sol2.status != "optimal":
-        raise RuntimeError(
-            f"best-effort evaluation failed on scenario {scenario.id}: {sol2.status}"
-        )
+        raise _not_proven(f"best-effort evaluation of scenario {scenario.id}", sol2)
     crit, tot = relaxed.served_fractions(sol2, scenario.id)
     verdict = Verdict(
         scenario.id, False, crit, tot,
@@ -552,7 +240,7 @@ def _evaluate_many(design, network, scenarios, params, options, cuts, jobs):
 
 
 def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
-               options: SolverOptions | None = None, vns: VnsConfig | None = None,
+               options: SolverOptions | None = None,
                select: str = "lowest_index", jobs: int = 1, *,
                objective: str = "cost", cost_budget: float | None = None,
                initial_active: list[int] | None = None):
@@ -560,7 +248,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     verify on the rest, add one infeasible scenario per iteration.
 
     Returns (Design, SbdState); raises InfeasibleDesignError naming the first
-    scenario whose requirements are unattainable with every upgrade applied.
+    scenario whose requirements are unattainable with every upgrade applied,
+    and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
     if select not in ("lowest_index", "max_violation"):
@@ -589,9 +278,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     last_added = active[-1]
     for _ in range(len(scenarios)):
         t0 = time.monotonic()
-        design, _value = _solve_master_design(
-            network, [by_id[i] for i in active], params, options, vns,
-            state.cuts, objective=objective, cost_budget=cost_budget,
+        design = _solve_master_design(
+            network, [by_id[i] for i in active], params, options, state.cuts, objective=objective, cost_budget=cost_budget,
         )
         if design is None:
             raise InfeasibleDesignError(

@@ -1,14 +1,10 @@
 """Solver-agnostic MILP representation plus a built-in exact solver.
 
-The built-in backend is a deterministic branch-and-bound over the model's
-binary variables: a depth-first dive finds a first incumbent quickly, after
-which the search switches to best-bound node selection, always branching on
-the most fractional binary. Node relaxations are bounded-variable LPs solved
-with HiGHS through scipy, which keeps the test suite hermetic (no third-party
-MILP solver process needed). Intended for desk-scale models (up to a few
-thousand variables); larger instances should route to the external adapter,
-which exchanges MPS model files and a plain solution file with any solver
-wrapped behind a subprocess command template.
+The built-in backend compiles the model once into a sparse row-bounded
+matrix and hands it to HiGHS branch-and-cut through ``scipy.optimize.milp``,
+in process, which keeps the test suite hermetic (no third-party MILP solver
+process needed). The external adapter exchanges MPS model files and a plain
+solution file with any solver wrapped behind a subprocess command template.
 
 Cuts are injected by adding constraints and re-solving; there is no callback
 API, so the builtin and file-based external backends behave identically.
@@ -16,7 +12,7 @@ API, so the builtin and file-based external backends behave identically.
 
 from __future__ import annotations
 
-import heapq
+import hashlib
 import math
 import os
 import re
@@ -28,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import milp as scipy_milp
 
 __all__ = [
     "CONTINUOUS",
@@ -61,14 +58,13 @@ class SolverError(RuntimeError):
 class SolverOptions:
     time_limit: float | None = None
     rel_gap: float = 1e-4
-    feas_tol: float = 1e-6
     int_tol: float = 1e-6
     backend: str = "builtin"  # or "external"
     external_command: str | None = None
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_gap < 0 or self.feas_tol <= 0 or self.int_tol <= 0:
+        if self.rel_gap < 0 or self.int_tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -206,9 +202,10 @@ class MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# builtin branch and bound
+# builtin engine: HiGHS through scipy
 # ---------------------------------------------------------------------------
 
+_FEAS_EPS = 1e-9
 _LINPROG_OPTS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
@@ -216,351 +213,139 @@ _LINPROG_OPTS = {
 }
 
 
-class _CompiledLp:
-    """Constraint matrices built once per solve; nodes only change bounds.
+@dataclass(frozen=True)
+class _Compiled:
+    """The model as arrays: ``row_lo <= A @ x <= row_hi``, ``lb <= x <= ub``."""
 
-    Variables fixed by the model's own bounds (lb == ub) are substituted into
-    the right-hand sides at compile time, so node LPs only carry the free
-    columns; rows left with no free support are checked once and dropped.
-    """
-
-    FEAS_EPS = 1e-9
-
-    def __init__(self, model: MilpModel) -> None:
-        n = model.num_variables
-        self.n = n
-        self.lb = np.array(model.lb, dtype=float)
-        self.ub = np.array(model.ub, dtype=float)
-        self.always_infeasible = False
-
-        fixed_mask = self.lb == self.ub
-        self.free = np.where(~fixed_mask)[0]
-        self.fixed = np.where(fixed_mask)[0]
-        self.x_fixed = self.lb[self.fixed]
-        pos = {int(ix): j for j, ix in enumerate(self.free)}
-
-        c_full = np.zeros(n)
-        for ix, coef in model.objective.items():
-            c_full[ix] = coef
-        self.obj_offset = float(c_full[self.fixed] @ self.x_fixed)
-        self.c = c_full[self.free]
-
-        rows_ub, cols_ub, data_ub, b_ub = [], [], [], []
-        rows_eq, cols_eq, data_eq, b_eq = [], [], [], []
-        for con in model.constraints:
-            entries = []
-            shift = 0.0
-            for ix, coef in con.coeffs.items():
-                j = pos.get(ix)
-                if j is None:
-                    shift += coef * self.lb[ix]
-                else:
-                    entries.append((j, coef))
-            if con.sense == EQUAL:
-                rhs = con.rhs - shift
-                if not entries:
-                    if abs(rhs) > self.FEAS_EPS:
-                        self.always_infeasible = True
-                    continue
-                r = len(b_eq)
-                for j, coef in entries:
-                    rows_eq.append(r)
-                    cols_eq.append(j)
-                    data_eq.append(coef)
-                b_eq.append(rhs)
-            else:
-                sign = 1.0 if con.sense == LESS else -1.0
-                rhs = sign * (con.rhs - shift)
-                if not entries:
-                    if rhs < -self.FEAS_EPS:
-                        self.always_infeasible = True
-                    continue
-                r = len(b_ub)
-                for j, coef in entries:
-                    rows_ub.append(r)
-                    cols_ub.append(j)
-                    data_ub.append(sign * coef)
-                b_ub.append(rhs)
-
-        m = len(self.free)
-        self.A_ub = (
-            sp.csr_matrix((data_ub, (rows_ub, cols_ub)), shape=(len(b_ub), m))
-            if b_ub
-            else None
-        )
-        self.b_ub = np.array(b_ub) if b_ub else None
-        self.A_eq = (
-            sp.csr_matrix((data_eq, (rows_eq, cols_eq)), shape=(len(b_eq), m))
-            if b_eq
-            else None
-        )
-        self.b_eq = np.array(b_eq) if b_eq else None
-
-    def solve_lp(self, lb: np.ndarray, ub: np.ndarray):
-        """Returns (status, x, objective); bounds given over all variables."""
-        if self.always_infeasible:
-            return "infeasible", None, None
-        if len(self.free) == 0:
-            return "optimal", self.lb.copy(), self.obj_offset
-        res = linprog(
-            self.c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
-            bounds=np.column_stack([lb[self.free], ub[self.free]]),
-            method="highs",
-            options=_LINPROG_OPTS,
-        )
-        if res.status == 0:
-            x = self.lb.copy()
-            x[self.free] = res.x
-            return "optimal", x, float(res.fun) + self.obj_offset
-        if res.status == 2:
-            return "infeasible", None, None
-        if res.status == 3:
-            return "unbounded", None, None
-        return "error", None, None
+    c: np.ndarray
+    A: sp.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray
 
 
-class _Node:
-    __slots__ = ("parent", "var", "val", "depth", "bound", "x", "closed")
-
-    def __init__(self, parent, var, val):
-        self.parent = parent
-        self.var = var
-        self.val = val
-        self.depth = 0 if parent is None else parent.depth + 1
-        self.bound = -math.inf
-        self.x = None
-        self.closed = False
-
-    def bounds(self, root_lb: np.ndarray, root_ub: np.ndarray):
-        lb, ub = root_lb.copy(), root_ub.copy()
-        node, seen = self, set()
-        while node is not None and node.var is not None:
-            if node.var not in seen:  # deepest fix wins
-                seen.add(node.var)
-                lb[node.var] = ub[node.var] = node.val
-            node = node.parent
-        return lb, ub
-
-
-def _fractionality(x: np.ndarray, ix: int) -> float:
-    return min(x[ix] - math.floor(x[ix]), math.ceil(x[ix]) - x[ix])
+def _compile(model: MilpModel) -> _Compiled:
+    n, cons = model.num_variables, model.constraints
+    c = np.zeros(n)
+    c[list(model.objective)] = list(model.objective.values())
+    indptr = np.zeros(len(cons) + 1, dtype=np.int64)
+    np.cumsum([len(con.coeffs) for con in cons], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(
+        (ix for con in cons for ix in con.coeffs), dtype=np.int64, count=nnz)
+    data = np.fromiter(
+        (v for con in cons for v in con.coeffs.values()), dtype=float, count=nnz)
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(cons), n))
+    A.sort_indices()
+    return _Compiled(
+        c=c,
+        A=A,
+        row_lo=np.array([-math.inf if con.sense == LESS else con.rhs for con in cons]),
+        row_hi=np.array([math.inf if con.sense == GREATER else con.rhs for con in cons]),
+        lb=np.array(model.lb, dtype=float),
+        ub=np.array(model.ub, dtype=float),
+        binary=np.array([k == BINARY for k in model.kinds], dtype=bool),
+    )
 
 
-def _most_fractional(x: np.ndarray, binaries, lb, ub, int_tol: float,
-                     priority=()):
-    """Index of the free binary farthest from integrality, or None.
-
-    Fractional binaries carrying objective weight are branched before the
-    rest: they are the only ones that move the relaxation bound, so deciding
-    them first keeps the search tree close to an enumeration of decision
-    vectors with cheap feasibility subtrees underneath.
-    """
-    best_ix, best_frac = None, int_tol
-    prio_ix, prio_frac = None, int_tol
-    for ix in binaries:
-        if lb[ix] == ub[ix]:
-            continue
-        f = _fractionality(x, ix)
-        if f > best_frac:
-            best_ix, best_frac = ix, f
-        if ix in priority and f > prio_frac:
-            prio_ix, prio_frac = ix, f
-    return prio_ix if prio_ix is not None else best_ix
-
-
-def solve(model: MilpModel, options: SolverOptions | None = None, *,
-          cutoff: float | None = None) -> Solution:
-    """Minimize the model. ``cutoff`` prunes all solutions with objective
-    >= cutoff (used when chaining heuristic rounds with a known incumbent)."""
+def solve(model: MilpModel, options: SolverOptions | None = None) -> Solution:
+    """Minimize the model with the configured backend."""
     options = options or SolverOptions()
     if options.backend == "external":
         return _solve_external(model, options)
     if options.backend != "builtin":
         raise SolverError(f"unknown solver backend {options.backend!r}")
-    return _branch_and_bound(model, options, cutoff)
+    return _solve_highs(model, options)
+
+
+def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
+    """HiGHS branch-and-cut on the whole model, in process."""
+    t0 = time.monotonic()
+    lp = _compile(model)
+    highs_opts = {"disp": False, "presolve": True, "mip_rel_gap": options.rel_gap}
+    if options.time_limit is not None:
+        highs_opts["time_limit"] = options.time_limit
+    if options.node_limit is not None:
+        highs_opts["node_limit"] = options.node_limit
+    res = scipy_milp(
+        lp.c,
+        integrality=lp.binary.astype(np.uint8),
+        bounds=Bounds(lp.lb, lp.ub),
+        constraints=LinearConstraint(lp.A, lp.row_lo, lp.row_hi),
+        options=highs_opts,
+    )
+    nodes = int(res.mip_node_count or 0)
+    if res.status == 0:
+        status = "optimal"
+    # scipy reports HiGHS's node limit ("solution limit reached") under its
+    # catch-all status 4, and time and iteration limits as status 1
+    elif res.status == 1 or (res.status == 4 and "limit reached" in res.message):
+        status = "feasible_limit"
+    else:
+        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+    values = objective = None
+    if res.x is not None and status in ("optimal", "feasible_limit"):
+        values = np.asarray(res.x, dtype=float)
+        values[lp.binary] = np.round(values[lp.binary])
+        objective = float(res.fun)
+    bound = res.mip_dual_bound
+    if bound is None or not math.isfinite(bound):
+        bound = objective if status == "optimal" else None
+    if bound is None and status == "feasible_limit":
+        relaxed = solve_lp_relaxation(model)
+        if relaxed.status == "optimal":
+            bound = relaxed.objective
+    return Solution(status, values, objective,
+                    None if bound is None else float(bound), nodes=nodes,
+                    solve_time=time.monotonic() - t0, message=res.message)
 
 
 def solve_lp_relaxation(model: MilpModel, options: SolverOptions | None = None) -> Solution:
-    """Relax binaries to [0, 1]; the optimum is a valid MILP lower bound."""
-    t0 = time.monotonic()
-    lp = _CompiledLp(model)
-    status, x, obj = lp.solve_lp(lp.lb, lp.ub)
-    dt = time.monotonic() - t0
-    if status == "optimal":
-        return Solution("optimal", x, obj, obj, nodes=1, solve_time=dt)
-    return Solution(status, solve_time=dt)
+    """Relax binaries to [0, 1]; the optimum is a valid MILP lower bound.
 
-
-def _branch_and_bound(model: MilpModel, options: SolverOptions,
-                      cutoff: float | None) -> Solution:
-    """Best-first search with a depth-first dive to the first incumbent.
-
-    Nodes carry their parent's LP value as an optimistic bound until popped;
-    the LP is solved lazily on pop, so pruned siblings never cost a solve.
-    Branching picks the most fractional binary; the dive explores the
-    rounding-direction child first.
+    Variables fixed by their bounds are substituted into the row bounds, so
+    the LP only carries the free columns; rows left without free support are
+    checked here and dropped.
     """
     t0 = time.monotonic()
-    lp = _CompiledLp(model)
-    binaries = model.binaries()
-    int_tol = options.int_tol
-    priority = frozenset(
-        ix for ix in binaries if model.objective.get(ix, 0.0) != 0.0
+    lp = _compile(model)
+    free = lp.lb != lp.ub
+    x = lp.lb.copy()
+    shift = lp.A[:, ~free] @ x[~free]
+    offset = float(lp.c[~free] @ x[~free])
+    A = lp.A[:, free].tocsr()
+    lo, hi = lp.row_lo - shift, lp.row_hi - shift
+    empty = np.diff(A.indptr) == 0
+    if np.any(lo[empty] > _FEAS_EPS) or np.any(hi[empty] < -_FEAS_EPS):
+        return Solution("infeasible", solve_time=time.monotonic() - t0)
+    if not free.any():
+        return Solution("optimal", x, offset, offset, nodes=1,
+                        solve_time=time.monotonic() - t0)
+    A, lo, hi = A[~empty], lo[~empty], hi[~empty]
+    eq = lo == hi
+    le = np.isfinite(hi) & ~eq
+    ge = np.isfinite(lo) & ~eq
+    A_ub = sp.vstack([A[le], -A[ge]], format="csr")
+    b_ub = np.concatenate([hi[le], -lo[ge]])
+    res = linprog(
+        lp.c[free],
+        A_ub=A_ub if A_ub.shape[0] else None,
+        b_ub=b_ub if A_ub.shape[0] else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=lo[eq] if eq.any() else None,
+        bounds=np.column_stack([lp.lb[free], lp.ub[free]]),
+        method="highs",
+        options=_LINPROG_OPTS,
     )
-
-    def elapsed() -> float:
-        return time.monotonic() - t0
-
-    root = _Node(None, None, 0.0)
-    status, x, obj = lp.solve_lp(lp.lb, lp.ub)
-    nodes_evaluated = 1
-    if status != "optimal":
-        return Solution(status, solve_time=elapsed(), nodes=1)
-    root.bound, root.x = obj, x
-    if not binaries:
-        return Solution("optimal", x, obj, obj, nodes=1, solve_time=elapsed())
-
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = math.inf if cutoff is None else cutoff
-    have_incumbent = False
-
-    heap: list[tuple[float, int, _Node]] = []
-    stack: list[_Node] = []
-    seq = 0
-
-    def hit_limit() -> bool:
-        if options.time_limit is not None and elapsed() > options.time_limit:
-            return True
-        return options.node_limit is not None and nodes_evaluated >= options.node_limit
-
-    def accept(x_int: np.ndarray, obj_int: float) -> None:
-        nonlocal incumbent_x, incumbent_obj, have_incumbent
-        if obj_int < incumbent_obj - 1e-12:
-            incumbent_x, incumbent_obj, have_incumbent = x_int.copy(), obj_int, True
-
-    def polish(lb, ub, x_node):
-        """Fix binaries at their rounded values and re-solve the LP so the
-        continuous part is exactly consistent with the integral assignment."""
-        plb, pub = lb.copy(), ub.copy()
-        for ix in binaries:
-            plb[ix] = pub[ix] = round(x_node[ix])
-        st, px, pobj = lp.solve_lp(plb, pub)
-        if st != "optimal":
-            return None, None
-        for ix in binaries:
-            px[ix] = round(px[ix])
-        return px, pobj
-
-    def try_completion(node: _Node, node_lb, node_ub) -> bool:
-        """With every objective-bearing binary integral, the subtree objective
-        is already decided; try rounding the rest in one shot (gates-open ceil
-        first, then nearest). Success at the node's own bound solves the
-        subtree exactly."""
-        nonlocal nodes_evaluated
-        for rounding in (
-            lambda v: 1.0 if v > int_tol else 0.0,
-            lambda v: float(round(v)),
-        ):
-            plb, pub = node_lb.copy(), node_ub.copy()
-            changed = False
-            for ix in binaries:
-                if plb[ix] != pub[ix]:
-                    val = rounding(node.x[ix])
-                    plb[ix] = pub[ix] = val
-                    changed = True
-            st, px, pobj = lp.solve_lp(plb, pub)
-            nodes_evaluated += 1
-            if st == "optimal":
-                for ix in binaries:
-                    px[ix] = round(px[ix])
-                accept(px, pobj)
-                return pobj <= node.bound + 1e-9
-            if not changed:
-                break
-        return False
-
-    def branch(node: _Node, node_lb, node_ub) -> None:
-        nonlocal seq
-        branch_ix = _most_fractional(node.x, binaries, node_lb, node_ub, int_tol,
-                                     priority)
-        if branch_ix is None:
-            px, pobj = polish(node_lb, node_ub, node.x)
-            if px is not None:
-                accept(px, pobj)
-                return
-            # rounding at tolerance was infeasible: branch on the least
-            # integral free binary so both children fix it sharply
-            free = [ix for ix in binaries if node_lb[ix] != node_ub[ix]]
-            if not free:
-                return  # fully fixed yet infeasible when re-solved: dead node
-            branch_ix = max(free, key=lambda ix: (_fractionality(node.x, ix), -ix))
-        elif priority and branch_ix not in priority:
-            if try_completion(node, node_lb, node_ub):
-                return
-        prefer_one = node.x[branch_ix] >= 0.5
-        for val in ((0.0, 1.0) if prefer_one else (1.0, 0.0)):
-            child = _Node(node, branch_ix, val)
-            child.bound = node.bound  # parent relaxation: valid optimistic bound
-            seq += 1
-            heapq.heappush(heap, (child.bound, seq, child))
-            # preferred (rounding-direction) child pushed last: top of the dive
-            stack.append(child)
-
-    def best_open_bound() -> float:
-        while heap and heap[0][2].closed:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else math.inf
-
-    def gap_tol() -> float:
-        return max(options.rel_gap * max(1.0, abs(incumbent_obj)), 1e-9)
-
-    def finish(status: str) -> Solution:
-        bound = min(best_open_bound(), incumbent_obj)
-        if have_incumbent:
-            return Solution(status, incumbent_x, incumbent_obj, bound,
-                            nodes=nodes_evaluated, solve_time=elapsed())
-        return Solution(status, None, None,
-                        bound if math.isfinite(bound) else None,
-                        nodes=nodes_evaluated, solve_time=elapsed())
-
-    branch(root, lp.lb, lp.ub)
-    while True:
-        if hit_limit():
-            return finish("feasible_limit")
-        if have_incumbent and incumbent_obj - best_open_bound() <= gap_tol():
-            return finish("optimal")
-        # node selection: dive (LIFO) until an incumbent exists, then best bound
-        nxt = None
-        if not have_incumbent:
-            while stack:
-                cand = stack.pop()
-                if not cand.closed:
-                    nxt = cand
-                    break
-        if nxt is None:
-            while heap:
-                _, _, cand = heapq.heappop(heap)
-                if not cand.closed:
-                    nxt = cand
-                    break
-        if nxt is None:
-            if have_incumbent:
-                return finish("optimal")
-            return Solution("infeasible", nodes=nodes_evaluated, solve_time=elapsed())
-        nxt.closed = True
-        if nxt.bound >= incumbent_obj - 1e-9:
-            continue
-        node_lb, node_ub = nxt.bounds(lp.lb, lp.ub)
-        st, cx, cobj = lp.solve_lp(node_lb, node_ub)
-        nodes_evaluated += 1
-        if st != "optimal" or cobj >= incumbent_obj - 1e-9:
-            continue
-        nxt.bound, nxt.x = cobj, cx
-        branch(nxt, node_lb, node_ub)
+    dt = time.monotonic() - t0
+    if res.status == 0:
+        x[free] = res.x
+        obj = float(res.fun) + offset
+        return Solution("optimal", x, obj, obj, nodes=1, solve_time=dt)
+    status = {2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+    return Solution(status, solve_time=dt, message=res.message)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +358,8 @@ _NAME_RE = re.compile(r"\s+")
 def _mps_name(name: str) -> str:
     clean = _NAME_RE.sub("_", name.strip())
     if len(clean) > 255:
-        clean = clean[:243] + f"~{abs(hash(name)) % 10**11}"
+        digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:11]
+        clean = clean[:243] + f"~{digest}"
     return clean
 
 

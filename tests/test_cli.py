@@ -116,6 +116,25 @@ class TestDesignCommand:
         assert (tmp_path / "out" / "design.json").read_bytes() == first
 
 
+class TestSolverFailures:
+    def test_time_limit_exits_4_without_traceback(self, tmp_path, capsys):
+        shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
+        cfg = write_config(
+            tmp_path, network="case30.json",
+            fragility={"line_failure_prob_override": 0.2, "scenario_count": 3},
+            design={"critical_fraction": 0.98, "total_fraction": 0.3},
+            solver={"rel_gap": 1e-6, "time_limit": 0},
+        )
+        assert main(["design", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("solver failure:") for line in err)
+        assert not (tmp_path / "out" / "design.json").exists()
+
+    def test_removed_feasibility_tolerance_is_an_input_error(self, tmp_path):
+        cfg = write_config(tmp_path, solver={"feas_tol": 1e-6})
+        assert main(["design", "--config", str(cfg)]) == 2
+
+
 class TestEvaluateAndValidate:
     def _designed(self, tmp_path):
         cfg = write_config(tmp_path)

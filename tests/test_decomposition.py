@@ -11,11 +11,10 @@ from gridfort import (
     evaluate_design,
     sbd_design,
     separate_cycles,
-    vns_solve,
 )
-from gridfort.decomposition import VnsConfig, solve_with_cycle_cuts
+from gridfort.decomposition import solve_with_cycle_cuts
 from gridfort.formulation import make_design
-from gridfort.milp import BINARY, GREATER, LESS, MilpModel, solve, solve_lp_relaxation
+from gridfort.milp import SolverError, solve
 
 from conftest import c, load_doc, two_bus_doc, z1
 from netgen import enumerate_optimum, random_instance
@@ -261,103 +260,63 @@ class TestSeparateCycles:
         assert separate_cycles(sol, master, 0) == []
 
 
-class TestVns:
-    def _integral_lp_model(self):
-        m = MilpModel()
-        x = m.add_variable("x", kind=BINARY)
-        y = m.add_variable("y", kind=BINARY)
-        m.add_constraint({x: 1.0}, GREATER, 1.0)
-        m.add_constraint({y: 1.0}, LESS, 0.0)
-        m.set_objective({x: 2.0, y: 1.0})
-        return m
-
-    def test_integral_relaxation_returns_at_round_zero(self):
-        m = self._integral_lp_model()
-        sol = vns_solve(m, VnsConfig(), EXACT)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0)
-        assert sol.objective == pytest.approx(sol.bound)
-
-    def test_infeasible_round_zero_recovers(self):
-        # LP steers b toward 0, but feasibility requires b = 1
-        m = MilpModel()
-        b = m.add_variable("b", kind=BINARY)
-        u = m.add_variable("u", 0.0, 10.0)
-        m.add_constraint({u: 1.0, b: 10.0}, GREATER, 10.0)  # u >= 10(1-b)
-        m.add_constraint({u: 1.0}, LESS, 9.0)
-        m.add_constraint({u: 1.0, b: -9.0}, GREATER, 0.0)   # u >= 9b
-        m.set_objective({u: 1.0, b: 0.0})
-        lp = solve_lp_relaxation(m)
-        sol = vns_solve(m, VnsConfig(schedule=(0.0, 1.0)), EXACT)
-        exact = solve(m, EXACT)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(exact.objective)
-
-    def test_zero_threshold_equals_plain_solve(self):
-        m = self._integral_lp_model()
-        sol = vns_solve(m, VnsConfig(threshold=0.0), EXACT)
-        plain = solve(m, EXACT)
-        assert sol.objective == pytest.approx(plain.objective)
-
-    def test_output_satisfies_all_constraints(self):
-        import random as _random
-
-        from test_milp import _random_model
-
-        rng = _random.Random(99)
-        checked = 0
-        for _ in range(25):
-            m = _random_model(rng, n_bin=6, n_cont=2, n_rows=6)
-            sol = vns_solve(m, VnsConfig(), EXACT)
-            if sol.values is None:
-                continue
-            assert m.constraint_violations(sol.values, tol=1e-6) == []
-            exact = solve(m, EXACT)
-            assert sol.objective == pytest.approx(exact.objective, abs=1e-6)
-            checked += 1
-        assert checked >= 6
-
-    def test_schedule_must_end_at_one(self):
-        with pytest.raises(ValueError):
-            VnsConfig(schedule=(0.0, 0.5))
-
-
 class TestDesignSearchEquivalence:
-    def test_branch_search_matches_joint_solve_on_case30(self, case30):
-        """The decomposed first-stage search used for large masters must price
-        identically to the joint extensive model."""
-        from gridfort import FragilityParams, sample_scenarios
-        from gridfort.decomposition import (
-            _design_by_branch_search,
-            _estimate_free_binaries,
-            JOINT_SOLVE_BINARY_LIMIT,
-        )
-
-        scens = sample_scenarios(case30, FragilityParams(
-            line_failure_prob_override=0.2, scenario_count=2, seed=3))[:2]
-        params = DesignParams(critical_fraction=0.98, total_fraction=0.35,
-                              mg_rate_override=400.0)
-        assert _estimate_free_binaries(case30, scens) > JOINT_SOLVE_BINARY_LIMIT
-        opts = SolverOptions(rel_gap=1e-6)
-        searched, value = _design_by_branch_search(
-            case30, scens, params, opts, {})
-        master = build_master(case30, scens, params)
-        sol, _ = solve_with_cycle_cuts(master, opts)
-        joint = master.design_from_solution(sol)
-        assert searched.cost.total == pytest.approx(joint.cost.total, rel=1e-9)
-        assert value == pytest.approx(sol.objective, rel=1e-6)
-
     def test_branch_search_detects_infeasibility(self):
         doc = two_bus_doc()
         doc["loads"][0]["is_critical"] = True
         doc["lines"][0]["damageable"] = True
         net = load_doc(doc)
-        from gridfort.decomposition import _design_by_branch_search
-
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
-        design, value = _design_by_branch_search(
-            net, [DamageScenario(1, frozenset({"l1"}))], params, EXACT, {})
-        assert design is None and value is None
+        with pytest.raises(InfeasibleDesignError) as err:
+            sbd_design(net, [DamageScenario(1, frozenset({"l1"}))], params, EXACT)
+        assert err.value.scenario_id == 1
+
+
+def _limit_hits(monkeypatch, first=math.inf):
+    """The first ``first`` solves keep their values but report that a limit
+    stopped them."""
+    import dataclasses
+
+    import gridfort.decomposition as dec
+
+    real = dec.solve
+    calls = []
+
+    def limited(model, options=None):
+        sol = real(model, options)
+        calls.append(sol.status)
+        if len(calls) > first:
+            return sol
+        return dataclasses.replace(sol, status="feasible_limit")
+
+    monkeypatch.setattr(dec, "solve", limited)
+
+
+class TestSolverLimits:
+    """A limit hit is never a proof: neither a design nor an infeasible verdict."""
+
+    def test_master_time_limit_raises_solver_error(self, case5):
+        scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        with pytest.raises(SolverError, match="master solve"):
+            sbd_design(case5, scens, params, SolverOptions(time_limit=0.0))
+
+    def test_master_limit_with_incumbent_raises_solver_error(self, case5, monkeypatch):
+        _limit_hits(monkeypatch)
+        scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        with pytest.raises(SolverError, match="feasible_limit"):
+            sbd_design(case5, scens, params, EXACT)
+
+    def test_evaluation_limit_is_not_a_shortfall(self, case5, monkeypatch):
+        # only the feasibility solve hits the limit; a best-effort solve
+        # after it would report a shortfall the design may not have
+        _limit_hits(monkeypatch, first=1)
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        design = make_design(case5, params, [], ["L1"], {})
+        with pytest.raises(SolverError, match="^evaluation of scenario 1"):
+            evaluate_design(design, case5, DamageScenario(1, frozenset({"L1"})),
+                            params, EXACT)
 
 
 class TestOracleAgreement:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +86,18 @@ class TestSolve:
         assert sol.status == "feasible_limit"
         assert sol.bound is not None
 
+    def test_node_limit_reports_feasible_limit(self):
+        m = MilpModel()
+        n = 14
+        for i in range(n):
+            m.add_variable(f"b{i}", kind=BINARY)
+        for i in range(0, n - 1):
+            m.add_constraint({i: 1.0, i + 1: 1.0}, GREATER, 0.5, f"pair{i}")
+        m.set_objective({i: 1.0 + 0.01 * i for i in range(n)})
+        sol = solve(m, SolverOptions(node_limit=0))
+        assert sol.status == "feasible_limit"
+        assert sol.bound is not None
+
     def test_optimal_solution_satisfies_all_constraints(self):
         rng = random.Random(11)
         for _ in range(5):
@@ -94,13 +108,6 @@ class TestSolve:
             assert m.constraint_violations(sol.values, tol=1e-6) == []
             for ix in m.binaries():
                 assert sol.values[ix] in (0.0, 1.0)
-
-    def test_cutoff_prunes_equal_or_worse(self):
-        m = binary_pair_model()
-        assert solve(m, EXACT, cutoff=2.0).status == "infeasible"
-        sol = solve(m, EXACT, cutoff=2.5)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0)
 
 
 class TestLpRelaxation:
@@ -185,6 +192,8 @@ class TestEnumerationEquivalence:
             else:
                 assert sol.status == "optimal", f"trial {trial}"
                 assert sol.objective == pytest.approx(expected, abs=1e-7), f"trial {trial}"
+                assert sol.bound <= sol.objective, f"trial {trial}"
+                assert sol.gap <= EXACT.rel_gap, f"trial {trial}"
                 checked += 1
         assert checked >= 12
 
@@ -199,6 +208,8 @@ class TestEnumerationEquivalence:
         else:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(expected, abs=1e-7)
+            assert sol.bound <= sol.objective
+            assert sol.gap <= EXACT.rel_gap
 
     def test_lp_bound_never_exceeds_milp(self):
         rng = random.Random(7)
@@ -255,6 +266,32 @@ class TestMpsWriter:
         assert " L  le" in text
         assert " G  ge" in text
         assert " E  eq" in text
+
+
+    def test_long_names_stable_across_hash_seeds(self):
+        import gridfort
+
+        script = (
+            "import sys\n"
+            "from gridfort.milp import MilpModel, write_model\n"
+            "m = MilpModel('n' * 300)\n"
+            "x = m.add_variable('v' * 300, 0.0, 1.0)\n"
+            "m.add_constraint({x: 1.0}, '<=', 1.0, 'c' * 300)\n"
+            "m.set_objective({x: 1.0})\n"
+            "sys.stdout.write(write_model(m))\n"
+        )
+        src = str(Path(gridfort.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                check=True).stdout)
+        assert outputs[0] == outputs[1]
+        names = outputs[0].decode().split()
+        assert any(len(n) == 255 and "~" in n for n in names)
 
 
 class TestExternalAdapter:
