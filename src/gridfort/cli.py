@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -62,12 +63,22 @@ class RunConfig:
     sweep_mg_rates: list[float] = field(default_factory=list)
 
 
+CONFIG_KEYS = ("network", "output_dir", "seed", "jobs", "fragility", "design",
+               "solver", "scenarios_file", "sweep")
+SWEEP_KEYS = ("total_fractions", "mg_variable_cost_rates")
+
+
+def _check_keys(raw: dict, allowed, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {unknown}")
+
+
 def _pick(doc: dict, cls, section: str):
     raw = doc.get(section) or {}
-    allowed = set(cls.__dataclass_fields__)
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"config section {section!r} has unknown keys: {unknown}")
+    _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
     return cls(**raw)
 
 
@@ -79,6 +90,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    _check_keys(doc, CONFIG_KEYS, "config")
     if "network" not in doc:
         raise ConfigError("config must name a network file")
     base = path.parent
@@ -99,6 +111,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         raise ConfigError(str(exc)) from None
 
     sweep = doc.get("sweep") or {}
+    _check_keys(sweep, SWEEP_KEYS, "config section 'sweep'")
     cfg = RunConfig(
         network=base / doc["network"],
         output_dir=base / doc.get("output_dir", "out"),
@@ -118,6 +131,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
             cfg.jobs = overrides.jobs
         if overrides.solver is not None:
             cfg.solver = replace(cfg.solver, backend=overrides.solver)
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     if not cfg.network.exists():
         raise ConfigError(f"network file not found: {cfg.network}")
     return cfg
@@ -273,22 +288,20 @@ def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
 
 
 def _sweep_cell(args: tuple) -> dict:
-    (network_path, scenario_path, design_kwargs, solver_kwargs,
-     gamma, rate, jobs) = args
+    """One sweep cell: (network path, scenario path, DesignParams carrying the
+    cell's gamma and microgrid rate, SolverOptions) -> its row."""
+    network_path, scenario_path, params, options = args
     network = load_network_file(network_path)
     scens = load_scenarios_file(scenario_path, network)
-    params = DesignParams(**{**design_kwargs,
-                             "total_fraction": gamma, "mg_rate_override": rate})
-    options = SolverOptions(**solver_kwargs)
     t0 = time.monotonic()
-    row = {"gamma": gamma, "mg_cost_per_kw": rate}
+    row = {"gamma": params.total_fraction, "mg_cost_per_kw": params.mg_rate_override}
     try:
-        design, state = sbd_design(network, scens, params, options, jobs=jobs)
+        design, state = sbd_design(network, scens, params, options)
         # canonical tie-break: among cost-optimal designs, the one with the
         # least installed microgrid capacity; warm-started from the scenarios
         # the cost pass already found binding
         budget = design.cost.total / 1000.0 + 1e-6
-        design, _ = sbd_design(network, scens, params, options, jobs=jobs,
+        design, _ = sbd_design(network, scens, params, options,
                                objective="microgrid_kw", cost_budget=budget,
                                initial_active=state.active)
         row.update(
@@ -329,36 +342,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cells_dir = cfg.output_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    design_kwargs = {
-        f: getattr(cfg.design, f) for f in DesignParams.__dataclass_fields__
-    }
-    solver_kwargs = {
-        f: getattr(cfg.solver, f) for f in SolverOptions.__dataclass_fields__
-    }
-
-    tasks = []
-    for gi, gamma in enumerate(cfg.sweep_total_fractions):
-        for ri, rate in enumerate(cfg.sweep_mg_rates):
-            cell_path = cells_dir / f"cell_g{gi}_r{ri}.json"
-            tasks.append((gi, ri, gamma, rate, cell_path))
-
-    pending = [t for t in tasks if not t[4].exists()]
-    args = [
-        (str(cfg.network), str(scenario_path), design_kwargs, solver_kwargs,
-         gamma, rate, 1)
-        for _, _, gamma, rate, _ in pending
+    tasks = [
+        (gamma, rate, cells_dir / f"cell_g{gi}_r{ri}.json")
+        for gi, gamma in enumerate(cfg.sweep_total_fractions)
+        for ri, rate in enumerate(cfg.sweep_mg_rates)
     ]
-    if cfg.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, args))
-    else:
-        rows = [_sweep_cell(a) for a in args]
-    for (gi, ri, gamma, rate, cell_path), row in zip(pending, rows):
-        _dump_json(row, cell_path)
+    pending = [t for t in tasks if not t[2].exists()]
+    args = [
+        (str(cfg.network), str(scenario_path),
+         replace(cfg.design, total_fraction=gamma, mg_rate_override=rate), cfg.solver)
+        for gamma, rate, _ in pending
+    ]
+    # each cell lands on disk as soon as it (and every cell before it) is
+    # done, so a crash or kill keeps the finished cells for the next run
+    parallel = cfg.jobs > 1 and len(pending) > 1
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if parallel else nullcontext() as pool:
+        results = pool.map(_sweep_cell, args) if parallel else map(_sweep_cell, args)
+        for (_, _, cell_path), row in zip(pending, results):
+            _dump_json(row, cell_path)
 
-    out_rows = []
-    for gi, ri, gamma, rate, cell_path in tasks:
-        out_rows.append(json.loads(cell_path.read_text()))
+    out_rows = [json.loads(cell_path.read_text()) for _, _, cell_path in tasks]
     csv_lines = [",".join(SWEEP_COLUMNS)]
     for row in out_rows:
         csv_lines.append(",".join(_csv_cell(row.get(c)) for c in SWEEP_COLUMNS))

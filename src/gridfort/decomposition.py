@@ -52,9 +52,6 @@ class Verdict:
     shortfall_critical: float = 0.0
     shortfall_total: float = 0.0
 
-    def violation(self) -> float:
-        return max(self.shortfall_critical, self.shortfall_total)
-
     def to_dict(self) -> dict:
         return {
             "scenario_id": self.scenario_id,
@@ -71,7 +68,6 @@ class IterationRecord:
     index: int
     active: tuple[int, ...]
     cost: float
-    design: Design
     verdicts: dict[int, Verdict]
     wall_time: float
 
@@ -188,20 +184,20 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
 
 def evaluate_design(design: Design, network, scenario: DamageScenario,
                     params: DesignParams, options: SolverOptions | None = None,
-                    known_cuts: dict[int, set[frozenset]] | None = None,
-                    return_state: bool = False, maximize_served: bool = False):
+                    return_state: bool = False):
     """Feasibility verdict of a fixed design under one damage scenario.
 
     The base solve is a pure feasibility check of the scenario operation
-    problem (``maximize_served`` additionally maximizes the served fractions);
-    when the resilience targets are unattainable, a served-load maximization
-    without them reports the best-effort shortfalls. Any outcome other than
-    optimal or infeasible raises ``SolverError``.
+    problem; when the resilience targets are unattainable, a served-load
+    maximization without them reports the best-effort shortfalls, starting
+    from the cycle cuts the feasibility check found. Any outcome other than
+    optimal or infeasible raises ``SolverError``. The verdict depends on the
+    arguments only: no cut or model outlives the call.
     """
     options = options or SolverOptions()
-    master = build_master(network, [scenario], params, fixed_design=design,
-                          objective="served" if maximize_served else "cost")
-    sol, _ = solve_with_cycle_cuts(master, options, known_cuts=known_cuts)
+    cuts: dict[int, set[frozenset]] = {}
+    master = build_master(network, [scenario], params, fixed_design=design)
+    sol, _ = solve_with_cycle_cuts(master, options, known_cuts=cuts)
     if sol.status == "optimal":
         crit, tot = master.served_fractions(sol, scenario.id)
         verdict = Verdict(scenario.id, True, crit, tot)
@@ -212,7 +208,7 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
         raise _not_proven(f"evaluation of scenario {scenario.id}", sol)
     relaxed = build_master(network, [scenario], params, fixed_design=design,
                            objective="served", enforce_resilience=False)
-    sol2, _ = solve_with_cycle_cuts(relaxed, options, known_cuts=known_cuts)
+    sol2, _ = solve_with_cycle_cuts(relaxed, options, known_cuts=cuts)
     if sol2.status != "optimal":
         raise _not_proven(f"best-effort evaluation of scenario {scenario.id}", sol2)
     crit, tot = relaxed.served_fractions(sol2, scenario.id)
@@ -226,10 +222,9 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     return verdict
 
 
-def _evaluate_many(design, network, scenarios, params, options, cuts, jobs):
+def _evaluate_many(design, network, scenarios, params, options, jobs):
     def run(scen):
-        return evaluate_design(design, network, scen, params, options,
-                               known_cuts={scen.id: set(cuts.get(scen.id, set()))})
+        return evaluate_design(design, network, scen, params, options)
 
     if jobs > 1 and len(scenarios) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -240,20 +235,18 @@ def _evaluate_many(design, network, scenarios, params, options, cuts, jobs):
 
 
 def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
-               options: SolverOptions | None = None,
-               select: str = "lowest_index", jobs: int = 1, *,
+               options: SolverOptions | None = None, jobs: int = 1, *,
                objective: str = "cost", cost_budget: float | None = None,
                initial_active: list[int] | None = None):
     """Scenario-based decomposition: design against a growing active subset,
-    verify on the rest, add one infeasible scenario per iteration.
+    verify on the rest, and add the lowest-id infeasible scenario to the
+    subset each iteration.
 
     Returns (Design, SbdState); raises InfeasibleDesignError naming the first
     scenario whose requirements are unattainable with every upgrade applied,
     and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
-    if select not in ("lowest_index", "max_violation"):
-        raise ValueError(f"unknown selection policy {select!r}")
     by_id = {s.id: s for s in scenarios}
     if len(by_id) != len(scenarios):
         raise ValueError("duplicate scenario ids")
@@ -288,25 +281,18 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                 f"be served even with all upgrades applied",
             )
         remaining = [s for s in scenarios if s.id not in active]
-        verdicts = _evaluate_many(design, network, remaining, params, options,
-                                  state.cuts, jobs)
+        verdicts = _evaluate_many(design, network, remaining, params, options, jobs)
         state.iterations.append(IterationRecord(
             index=len(state.iterations) + 1,
             active=tuple(active),
             cost=design.cost.total,
-            design=design,
             verdicts=verdicts,
             wall_time=time.monotonic() - t0,
         ))
-        infeasible = sorted(
-            sid for sid, v in verdicts.items() if not v.feasible
-        )
+        infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
         if not infeasible:
             return design, state
-        if select == "max_violation":
-            nxt = max(infeasible, key=lambda sid: (verdicts[sid].violation(), -sid))
-        else:
-            nxt = infeasible[0]
+        nxt = min(infeasible)
         active.append(nxt)
         last_added = nxt
         state.active = active

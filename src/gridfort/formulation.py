@@ -199,9 +199,6 @@ class Design:
     microgrid_steps: tuple[tuple[str, int], ...]  # (microgrid id, committed steps)
     cost: CostBreakdown
 
-    def steps_of(self, mg_id: str) -> int:
-        return dict(self.microgrid_steps).get(mg_id, 0)
-
     def microgrid_kw(self, network: Network) -> float:
         """Total installed capacity across phases, kW."""
         total = 0.0
@@ -209,10 +206,6 @@ class Design:
             mg = network.microgrids[gid]
             total += steps * mg.step_capacity_kva * len(network.buses[mg.bus].phases)
         return total
-
-    @staticmethod
-    def empty() -> "Design":
-        return Design((), (), (), CostBreakdown(0.0, 0.0, 0.0, 0.0))
 
 
 def design_cost(network: Network, params: DesignParams, built, hardened,
@@ -262,11 +255,10 @@ class FirstStage:
     build: dict[str, int] = field(default_factory=dict)    # candidate line -> var
     harden: dict[str, int] = field(default_factory=dict)   # hardenable line -> var
     steps: dict[str, list[int]] = field(default_factory=dict)  # mg -> step vars
-    ordering_rows: list[int] = field(default_factory=list)
 
 
-def microgrid_step_encoding(model: MilpModel, mg: MicrogridCandidate,
-                            scenario_suffix: str = "") -> tuple[list[int], list[int]]:
+def microgrid_step_encoding(model: MilpModel,
+                            mg: MicrogridCandidate) -> tuple[list[int], list[int]]:
     """Ordered incremental sizing binaries u_1 >= u_2 >= ... for one unit.
 
     Existing units are fully committed (every step fixed on). Returns the
@@ -274,13 +266,13 @@ def microgrid_step_encoding(model: MilpModel, mg: MicrogridCandidate,
     """
     vs: list[int] = []
     for m in range(1, mg.max_steps + 1):
-        ix = model.add_variable(f"mgstep:{mg.id}:{m}{scenario_suffix}", 0.0, 1.0, BINARY)
+        ix = model.add_variable(f"mgstep:{mg.id}:{m}", 0.0, 1.0, BINARY)
         if mg.is_existing:
             model.fix_variable(ix, 1.0)
         vs.append(ix)
     rows = [
         model.add_constraint({vs[m]: 1.0, vs[m + 1]: -1.0}, GREATER, 0.0,
-                             name=f"mgorder:{mg.id}:{m + 1}{scenario_suffix}")
+                             name=f"mgorder:{mg.id}:{m + 1}")
         for m in range(mg.max_steps - 1)
     ]
     return vs, rows
@@ -297,9 +289,7 @@ def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
         if line.hardenable and line.damageable and not line.is_candidate:
             fs.harden[lid] = model.add_variable(f"harden:{lid}", 0.0, 1.0, BINARY)
     for gid in sorted(network.microgrids):
-        vs, rows = microgrid_step_encoding(model, network.microgrids[gid])
-        fs.steps[gid] = vs
-        fs.ordering_rows.extend(rows)
+        fs.steps[gid], _ = microgrid_step_encoding(model, network.microgrids[gid])
     return fs
 
 
@@ -566,7 +556,7 @@ class ScenarioFormulation:
         total_demand = 0.0
         for lid in sorted(net.loads):
             load = net.loads[lid]
-            d = sum(v.real for v in load.demand_pu.values())
+            d = load.total_real_pu()
             total[self.vars.y[lid]] = d
             total_demand += d
             if load.is_critical:
@@ -719,11 +709,9 @@ class MasterProblem:
     model: MilpModel
     network: Network
     params: DesignParams
-    scenarios: list[DamageScenario]
     reduced: ReducedGraph
     first_stage: FirstStage
     blocks: dict[int, ScenarioFormulation]
-    objective_kind: str
 
     def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
         return self.blocks[scenario_id].add_cycle_cut(cycle_edges)
@@ -745,7 +733,7 @@ class MasterProblem:
         crit_served = crit_total = served = total = 0.0
         for lid, yix in blk.vars.y.items():
             load = self.network.loads[lid]
-            d = sum(v.real for v in load.demand_pu.values())
+            d = load.total_real_pu()
             on = vals[yix] > 0.5
             total += d
             served += d if on else 0.0
@@ -873,24 +861,20 @@ def build_master(network: Network, scenarios: list[DamageScenario],
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    return MasterProblem(model, network, params, list(scenarios), reduced, fs,
-                         blocks, objective)
+    return MasterProblem(model, network, params, reduced, fs, blocks)
 
 
 def _served_objective(network: Network, blocks) -> dict[int, float]:
     """Maximize served power: critical fraction dominates, total breaks ties."""
     crit_total = sum(
-        sum(v.real for v in l.demand_pu.values())
-        for l in network.loads.values() if l.is_critical
+        l.total_real_pu() for l in network.loads.values() if l.is_critical
     )
-    total = sum(
-        sum(v.real for v in l.demand_pu.values()) for l in network.loads.values()
-    )
+    total = sum(l.total_real_pu() for l in network.loads.values())
     obj: dict[int, float] = {}
     for blk in blocks.values():
         for lid, yix in blk.vars.y.items():
             load = network.loads[lid]
-            d = sum(v.real for v in load.demand_pu.values())
+            d = load.total_real_pu()
             w = d / total if total > 0 else 0.0
             if load.is_critical and crit_total > 0:
                 w += 1000.0 * d / crit_total

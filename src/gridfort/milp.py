@@ -168,19 +168,8 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def var_index(self, name: str) -> int:
-        return self._index[name]
-
     def binaries(self) -> list[int]:
         return [i for i, k in enumerate(self.kinds) if k == BINARY]
-
-    def value(self, solution: Solution, name: str) -> float:
-        if solution.values is None:
-            raise ValueError("solution carries no variable values")
-        return float(solution.values[self._index[name]])
-
-    def objective_value(self, values: np.ndarray) -> float:
-        return float(sum(c * values[ix] for ix, c in self.objective.items()))
 
     def constraint_violations(self, values: np.ndarray, tol: float = 1e-6):
         """All (constraint name, violation) pairs exceeding ``tol``."""

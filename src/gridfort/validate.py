@@ -201,7 +201,7 @@ def recompute_voltages(state: OperationState, network: Network, params: DesignPa
 def _served_fractions(state: OperationState, network: Network):
     crit_served = crit_total = served = total = 0.0
     for load in network.loads.values():
-        d = sum(v.real for v in load.demand_pu.values())
+        d = load.total_real_pu()
         on = load.id in state.served_loads
         total += d
         served += d if on else 0.0

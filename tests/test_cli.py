@@ -1,12 +1,19 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import gridfort.cli
 from gridfort.cli import main
 
 from conftest import FIXTURES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -56,6 +63,34 @@ class TestScenariosCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["scenarios", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_object_config_exits_2(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('["network"]')
+        assert main(["scenarios", "--config", str(path)]) == 2
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("overrides,key", [
+        ({"solvr": {"time_limit": 0}}, "solvr"),
+        ({"vns": {"max_iterations": 5}}, "vns"),
+        ({"sweep": {"total_fraction": [0.1], "mg_variable_cost_rates": [100.0]}},
+         "total_fraction"),
+        ({"jobs": 0}, "jobs"),
+        ({"sweep": ["total_fractions"]}, "sweep"),
+    ], ids=["misspelled-section", "removed-vns-section", "misspelled-sweep-key",
+            "zero-jobs", "sweep-not-an-object"])
+    def test_bad_key_is_an_input_error(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_jobs_flag_is_an_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDesignCommand:
@@ -219,6 +254,30 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert "123456" in (tmp_path / "out" / "sweep.csv").read_text()
 
+    def test_finished_cells_survive_a_crashing_cell(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path,
+            fragility={"line_failure_prob_override": 0.0, "scenario_count": 1},
+            sweep={"total_fractions": [0.0, 0.25],
+                   "mg_variable_cost_rates": [100.0, 500.0]},
+        )
+        real_cell = gridfort.cli._sweep_cell
+        calls = []
+
+        def crash_on_third(args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("cell crashed")
+            return real_cell(args)
+
+        monkeypatch.setattr(gridfort.cli, "_sweep_cell", crash_on_third)
+        with pytest.raises(RuntimeError, match="cell crashed"):
+            main(["sweep", "--config", str(cfg)])
+        cells = tmp_path / "out" / "cells"
+        assert sorted(p.name for p in cells.iterdir()) == [
+            "cell_g0_r0.json", "cell_g0_r1.json"]
+        assert json.loads((cells / "cell_g0_r1.json").read_text())["status"] == "ok"
+
     def test_sweep_without_axes_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg)]) == 2
@@ -291,3 +350,31 @@ class TestSweepCommand:
             return [",".join(r.split(",")[:-1]) for r in text.splitlines()]
 
         assert strip_time(serial) == strip_time(parallel)
+
+
+class TestBenchmarkTracerHooks:
+    """The benchmark's tracer (perfbench/spans.py) wraps gridfort functions by
+    module attribute; a rename must fail here, not silently zero its metrics."""
+
+    def test_traced_design_run_sees_verification_and_audit(self, tmp_path):
+        cfg = write_config(tmp_path)
+        script = textwrap.dedent("""
+            import json, sys
+            from spans import Recorder, install, layer_metrics
+            import gridfort.cli
+
+            rec = Recorder()
+            install(rec)
+            code = gridfort.cli.main(sys.argv[1:])
+            print(json.dumps({"code": code, "metrics": layer_metrics(rec.to_dict())}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), str(REPO / "perfbench")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "design", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0
+        assert result["metrics"]["decomposition.verify_calls"] > 0
+        assert result["metrics"]["cli.audit_resolve_calls"] > 0

@@ -119,25 +119,12 @@ class TestSbd:
         assert design.built_lines == ()
         assert design.hardened_lines == ()
 
-    def test_max_violation_selection(self, case5):
-        scens = [
-            BASELINE,
-            DamageScenario(1, frozenset({"L3"})),
-            DamageScenario(2, frozenset({"L1"})),
-        ]
-        params = DesignParams(critical_fraction=0.98, total_fraction=0.9)
-        design, state = sbd_design(case5, scens, params, EXACT,
-                                   select="max_violation")
-        for scen in scens:
-            assert evaluate_design(design, case5, scen, params, EXACT).feasible
-
 
 class TestEvaluateDesign:
     def test_baseline_always_feasible(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.5)
         verdict = evaluate_design(make_design(case5, params, [], [], {}),
-                                  case5, BASELINE, params, EXACT,
-                                  maximize_served=True)
+                                  case5, BASELINE, params, EXACT)
         assert verdict.feasible
         assert verdict.critical_fraction >= 0.98
         assert verdict.total_fraction >= 0.5
