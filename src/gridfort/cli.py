@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from gridfort.decomposition import (
     InfeasibleDesignError,
+    Verdict,
     evaluate_design,
     sbd_design,
 )
@@ -53,7 +55,6 @@ class ConfigError(ValueError):
 class RunConfig:
     network: Path
     output_dir: Path
-    seed: int = 0
     jobs: int = 1
     fragility: FragilityParams = field(default_factory=FragilityParams)
     design: DesignParams = field(default_factory=DesignParams)
@@ -94,15 +95,12 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     if "network" not in doc:
         raise ConfigError("config must name a network file")
     base = path.parent
-    seed = int(doc.get("seed", 0))
-    if overrides is not None and overrides.seed is not None:
-        seed = overrides.seed
+    flags = vars(overrides) if overrides is not None else {}  # this subcommand's flags
 
     frag_raw = dict(doc.get("fragility") or {})
-    if overrides is not None and overrides.seed is not None:
-        frag_raw["seed"] = seed  # explicit flag beats any configured seed
-    else:
-        frag_raw.setdefault("seed", seed)
+    frag_raw.setdefault("seed", int(doc.get("seed", 0)))
+    if flags.get("seed") is not None:
+        frag_raw["seed"] = flags["seed"]  # explicit flag beats any configured seed
     try:
         fragility = FragilityParams(**frag_raw)
         design = _pick(doc, DesignParams, "design")
@@ -115,7 +113,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     cfg = RunConfig(
         network=base / doc["network"],
         output_dir=base / doc.get("output_dir", "out"),
-        seed=seed,
         jobs=int(doc.get("jobs", 1)),
         fragility=fragility,
         design=design,
@@ -124,13 +121,12 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         sweep_total_fractions=[float(x) for x in sweep.get("total_fractions", [])],
         sweep_mg_rates=[float(x) for x in sweep.get("mg_variable_cost_rates", [])],
     )
-    if overrides is not None:
-        if overrides.out is not None:
-            cfg.output_dir = Path(overrides.out)
-        if overrides.jobs is not None:
-            cfg.jobs = overrides.jobs
-        if overrides.solver is not None:
-            cfg.solver = replace(cfg.solver, backend=overrides.solver)
+    if flags.get("out") is not None:
+        cfg.output_dir = Path(flags["out"])
+    if flags.get("jobs") is not None:
+        cfg.jobs = flags["jobs"]
+    if flags.get("solver") is not None:
+        cfg.solver = replace(cfg.solver, backend=flags["solver"])
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     if not cfg.network.exists():
@@ -214,15 +210,18 @@ def cmd_scenarios(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _audit_all(design: Design, network: Network, scens, cfg: RunConfig):
+def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
+               solved: dict[int, Verdict]):
+    """Verdict and audit of every scenario; those in ``solved`` (id -> verdict
+    carrying its state) are not solved again."""
     reports = []
     verdicts = []
     for scen in scens:
-        verdict, state = evaluate_design(
-            design, network, scen, cfg.design, cfg.solver, return_state=True
-        )
+        verdict = solved.get(scen.id)
+        if verdict is None:
+            verdict = evaluate_design(design, network, scen, cfg.design, cfg.solver)
         verdicts.append(verdict)
-        reports.append(audit(state, network, cfg.design, design))
+        reports.append(audit(verdict.state, network, cfg.design, design))
     return verdicts, reports
 
 
@@ -238,7 +237,9 @@ def cmd_design(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     _dump_json(design_to_dict(design), cfg.output_dir / "design.json")
     _dump_json({"iterations": state.log_records()}, cfg.output_dir / "sbd_log.json")
-    verdicts, reports = _audit_all(design, network, scens, cfg)
+    # the final verification already solved every scenario outside the master
+    verdicts, reports = _audit_all(design, network, scens, cfg,
+                                   state.iterations[-1].verdicts)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     _print_design_summary(design, network)
     dirty = [r for r in reports if not r.clean]
@@ -276,7 +277,7 @@ def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    _, reports = _audit_all(design, network, scens, cfg)
+    _, reports = _audit_all(design, network, scens, cfg, {})
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     dirty = [r for r in reports if not r.clean]
     for rep in dirty:
@@ -316,6 +317,11 @@ def _sweep_cell(args: tuple) -> dict:
         row.update(status="infeasible", scenario_id=exc.scenario_id)
     except SolverError as exc:
         row.update(status="solver_error", message=str(exc))
+    except Exception as exc:  # recorded in its cell; the other cells still run
+        row.update(status="error", message=f"{type(exc).__name__}: {exc}")
+        print(f"sweep cell gamma={row['gamma']} rate={row['mg_cost_per_kw']} failed:",
+              file=sys.stderr)
+        traceback.print_exc()
     row["solve_time_s"] = time.monotonic() - t0
     return row
 
@@ -401,8 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--solver", choices=("builtin", "external"), default=None)
+        if name in ("design", "sweep"):
+            p.add_argument("--jobs", type=int, default=None)
+        if name != "scenarios":
+            p.add_argument("--solver", choices=("builtin", "external"), default=None)
         p.add_argument("--out", default=None, help="output directory override")
         if name in ("evaluate", "validate"):
             p.add_argument("--design", required=True, help="design JSON file")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
 from gridfort.formulation import Design, DesignParams, MasterProblem, build_master
 from gridfort.fragility import DamageScenario
 from gridfort.milp import Solution, SolverError, SolverOptions, solve
+from gridfort.validate import OperationState
 
 __all__ = [
     "Verdict",
@@ -51,6 +52,9 @@ class Verdict:
     total_fraction: float
     shortfall_critical: float = 0.0
     shortfall_total: float = 0.0
+    # the operating point the verdict rests on; not part of the verdict's
+    # value, and sbd_design drops it from every iteration but the last
+    state: OperationState | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +135,7 @@ def _solve_master_design(network, scenarios, params, options, cuts,
     unattainable."""
     master = build_master(network, scenarios, params,
                           objective=objective, cost_budget=cost_budget)
-    sol, _ = solve_with_cycle_cuts(master, options, known_cuts=cuts)
+    sol = solve_with_cycle_cuts(master, options, known_cuts=cuts)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
@@ -141,10 +145,10 @@ def _solve_master_design(network, scenarios, params, options, cuts,
 
 
 def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None = None,
-                          known_cuts: dict[int, set[frozenset]] | None = None):
+                          known_cuts: dict[int, set[frozenset]] | None = None) -> Solution:
     """Solve, separate violated cycles per scenario, cut, and re-solve until
-    every scenario operates as a forest. Returns (solution, cuts added); a
-    solution that is not optimal is returned as is, without separation.
+    every scenario operates as a forest. A solution that is not optimal is
+    returned as is, without separation.
 
     ``known_cuts`` (scenario id -> sets of reduced-edge frozensets) is applied
     up front and updated in place, so cuts accumulate across re-solves and
@@ -156,12 +160,11 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
         if sid in master.blocks:
             for cyc in sorted(blk_cuts, key=sorted):
                 master.add_cycle_cut(tuple(sorted(cyc)), sid)
-    added: list[tuple[int, tuple]] = []
     for _ in range(_MAX_CUT_ROUNDS):
         sol = solve(master.model, options)
         if sol.status != "optimal":
-            return sol, added
-        new = []
+            return sol
+        added = False
         for sid in sorted(master.blocks):
             for cyc in separate_cycles(sol, master, sid):
                 key = frozenset(cyc)
@@ -169,10 +172,9 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
                     continue
                 cuts[sid].add(key)
                 master.add_cycle_cut(cyc, sid)
-                new.append((sid, cyc))
-        if not new:
-            return sol, added
-        added.extend(new)
+                added = True
+        if not added:
+            return sol
     raise SolverError(
         f"cycle cut separation did not converge in {_MAX_CUT_ROUNDS} rounds")
 
@@ -183,9 +185,9 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
 
 
 def evaluate_design(design: Design, network, scenario: DamageScenario,
-                    params: DesignParams, options: SolverOptions | None = None,
-                    return_state: bool = False):
-    """Feasibility verdict of a fixed design under one damage scenario.
+                    params: DesignParams, options: SolverOptions | None = None) -> Verdict:
+    """Feasibility verdict of a fixed design under one damage scenario,
+    carrying the operating point it rests on (``Verdict.state``).
 
     The base solve is a pure feasibility check of the scenario operation
     problem; when the resilience targets are unattainable, a served-load
@@ -197,29 +199,25 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     options = options or SolverOptions()
     cuts: dict[int, set[frozenset]] = {}
     master = build_master(network, [scenario], params, fixed_design=design)
-    sol, _ = solve_with_cycle_cuts(master, options, known_cuts=cuts)
+    sol = solve_with_cycle_cuts(master, options, known_cuts=cuts)
     if sol.status == "optimal":
         crit, tot = master.served_fractions(sol, scenario.id)
-        verdict = Verdict(scenario.id, True, crit, tot)
-        if return_state:
-            return verdict, master.operation_state(sol, scenario.id)
-        return verdict
+        return Verdict(scenario.id, True, crit, tot,
+                       state=master.operation_state(sol, scenario.id))
     if sol.status != "infeasible":
         raise _not_proven(f"evaluation of scenario {scenario.id}", sol)
     relaxed = build_master(network, [scenario], params, fixed_design=design,
                            objective="served", enforce_resilience=False)
-    sol2, _ = solve_with_cycle_cuts(relaxed, options, known_cuts=cuts)
+    sol2 = solve_with_cycle_cuts(relaxed, options, known_cuts=cuts)
     if sol2.status != "optimal":
         raise _not_proven(f"best-effort evaluation of scenario {scenario.id}", sol2)
     crit, tot = relaxed.served_fractions(sol2, scenario.id)
-    verdict = Verdict(
+    return Verdict(
         scenario.id, False, crit, tot,
         shortfall_critical=max(0.0, params.critical_fraction - crit),
         shortfall_total=max(0.0, params.total_fraction - tot),
+        state=relaxed.operation_state(sol2, scenario.id),
     )
-    if return_state:
-        return verdict, relaxed.operation_state(sol2, scenario.id)
-    return verdict
 
 
 def _evaluate_many(design, network, scenarios, params, options, jobs):
@@ -242,9 +240,11 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     verify on the rest, and add the lowest-id infeasible scenario to the
     subset each iteration.
 
-    Returns (Design, SbdState); raises InfeasibleDesignError naming the first
-    scenario whose requirements are unattainable with every upgrade applied,
-    and SolverError when a solve ends without a decisive answer.
+    Returns (Design, SbdState); the verdicts of the last iteration carry
+    their operating points, earlier ones do not. Raises InfeasibleDesignError
+    naming the first scenario whose requirements are unattainable with every
+    upgrade applied, and SolverError when a solve ends without a decisive
+    answer.
     """
     options = options or SolverOptions()
     by_id = {s.id: s for s in scenarios}
@@ -282,6 +282,10 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             )
         remaining = [s for s in scenarios if s.id not in active]
         verdicts = _evaluate_many(design, network, remaining, params, options, jobs)
+        infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
+        if infeasible:
+            # only the final verification keeps its operating points
+            verdicts = {sid: replace(v, state=None) for sid, v in verdicts.items()}
         state.iterations.append(IterationRecord(
             index=len(state.iterations) + 1,
             active=tuple(active),
@@ -289,7 +293,6 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             verdicts=verdicts,
             wall_time=time.monotonic() - t0,
         ))
-        infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
         if not infeasible:
             return design, state
         nxt = min(infeasible)

@@ -302,7 +302,6 @@ def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
 class ScenarioVars:
     """Model indexes of one scenario's operational variables."""
 
-    scenario: DamageScenario
     e: dict[str, int] = field(default_factory=dict)
     e0: dict[str, int] = field(default_factory=dict)
     e1: dict[str, int] = field(default_factory=dict)
@@ -364,7 +363,7 @@ class ScenarioFormulation:
         self.reduced = reduced
         self.first_stage = first_stage
         self.suffix = f":s{scenario.id}"
-        self.vars = ScenarioVars(scenario)
+        self.vars = ScenarioVars()
         self._sub_cap_re, self._sub_cap_im = _substation_capacity(network)
         self._allocate()
 

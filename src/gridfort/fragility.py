@@ -55,7 +55,6 @@ class FragilityParams:
 class DamageScenario:
     id: int
     damaged_line_ids: frozenset[str]
-    seed_path: tuple[int, int] = (0, 0)  # (seed, scenario index)
 
     @property
     def is_baseline(self) -> bool:
@@ -91,11 +90,11 @@ def sample_scenarios(network: Network, params: FragilityParams) -> list[DamageSc
     """Baseline plus ``scenario_count`` independently sampled damage scenarios."""
     prob = per_line_probability(params)
     damageable = sorted(network.damageable_lines())
-    out = [DamageScenario(BASELINE_ID, frozenset(), (params.seed, 0))]
+    out = [DamageScenario(BASELINE_ID, frozenset())]
     for s in range(1, params.scenario_count + 1):
         u = _uniforms(params.seed, s, len(damageable))
         failed = frozenset(lid for lid, x in zip(damageable, u) if x < prob)
-        out.append(DamageScenario(s, failed, (params.seed, s)))
+        out.append(DamageScenario(s, failed))
     return out
 
 
@@ -115,7 +114,6 @@ def save_scenarios(scenarios: list[DamageScenario], per_line_prob: float | None 
 def load_scenarios(text: str, network: Network | None = None) -> list[DamageScenario]:
     """Read a scenario file; with a network given, check damage validity."""
     doc = json.loads(text)
-    seed = doc.get("seed") or 0
     out = []
     for raw in doc["scenarios"]:
         damaged = frozenset(str(x) for x in raw["damaged_line_ids"])
@@ -126,7 +124,7 @@ def load_scenarios(text: str, network: Network | None = None) -> list[DamageScen
                 raise ValueError(
                     f"scenario {raw['id']}: lines not damageable or unknown: {bad}"
                 )
-        out.append(DamageScenario(int(raw["id"]), damaged, (seed, int(raw["id"]))))
+        out.append(DamageScenario(int(raw["id"]), damaged))
     if not out or not out[0].is_baseline or out[0].damaged_line_ids:
         raise ValueError("scenario file must start with the undamaged baseline (id 0)")
     return out

@@ -89,8 +89,6 @@ class UnitSystem:
     base_kva: float
     base_kv: float
 
-    KINDS = ("power", "impedance", "voltage")
-
     def __post_init__(self) -> None:
         if not (self.base_kva > 0 and self.base_kv > 0):
             raise NetworkError("per-unit bases must be positive")
@@ -153,9 +151,6 @@ class Line:
     @property
     def is_candidate(self) -> bool:
         return self.status is LineStatus.CANDIDATE
-
-    def other(self, bus_id: str) -> str:
-        return self.to_bus if bus_id == self.from_bus else self.from_bus
 
 
 @dataclass(frozen=True)
@@ -229,12 +224,6 @@ class Network:
 
     def critical_loads(self) -> tuple[str, ...]:
         return tuple(l.id for l in self.loads.values() if l.is_critical)
-
-    def total_demand_pu(self) -> complex:
-        total = 0j
-        for load in self.loads.values():
-            total += sum(load.demand_pu.values(), 0j)
-        return total
 
     def damageable_lines(self) -> tuple[str, ...]:
         return tuple(

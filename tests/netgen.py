@@ -161,7 +161,7 @@ def scenario_feasible(network, scenario, params, design,
     """Independent per-scenario feasibility check with the design pinned."""
     options = options or SolverOptions(rel_gap=1e-6)
     master = build_master(network, [scenario], params, fixed_design=design)
-    sol, _ = solve_with_cycle_cuts(master, options)
+    sol = solve_with_cycle_cuts(master, options)
     return sol.status == "optimal"
 
 

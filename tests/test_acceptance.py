@@ -55,16 +55,15 @@ def oracle_runs():
         oracle = enumerate_optimum(net, scens, params, EXACT)
         sbd, design = _sbd_cost(net, scens, params)
         master = build_master(net, scens, params)
-        sol, _ = solve_with_cycle_cuts(master, EXACT)
+        sol = solve_with_cycle_cuts(master, EXACT)
         extensive = (master.design_from_solution(sol).cost.total
                      if sol.status == "optimal" else math.inf)
         states = []
         if design is not None:
             for scen in scens:
-                verdict, state = evaluate_design(design, net, scen, params,
-                                                 EXACT, return_state=True)
+                verdict = evaluate_design(design, net, scen, params, EXACT)
                 assert verdict.feasible
-                states.append((net, params, design, state))
+                states.append((net, params, design, verdict.state))
         runs.append({
             "seed": seed, "oracle": oracle, "sbd": sbd,
             "extensive": extensive, "states": states, "network": net,
@@ -175,9 +174,9 @@ class TestVoltageFidelity:
                                  doc["design"]["microgrid_steps"])
             designs_checked += 1
             for scen in scens:
-                verdict, state = evaluate_design(design, net, scen, params,
-                                                 EXACT, return_state=True)
+                verdict = evaluate_design(design, net, scen, params, EXACT)
                 assert verdict.feasible
+                state = verdict.state
                 radial, witness = check_radiality(state, net)
                 assert radial, witness
                 for (lid, phase), flow in state.flows.items():

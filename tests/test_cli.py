@@ -93,6 +93,24 @@ class TestConfigKeys:
         assert not (tmp_path / "out").exists()
 
 
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--design", "design.json", "--jobs", "2"],
+        ["evaluate", "--design", "design.json", "--jobs", "2"],
+        ["scenarios", "--solver", "external"],
+    ], ids=["validate-jobs", "evaluate-jobs", "scenarios-solver"])
+    def test_flag_without_effect_is_a_usage_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        (tmp_path / "design.json").write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": [], "microgrid_steps": {}}))
+        argv = [str(tmp_path / a) if a == "design.json" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDesignCommand:
     def test_intact_scenarios_give_zero_cost(self, tmp_path, capsys):
         cfg = write_config(tmp_path, fragility={
@@ -149,6 +167,37 @@ class TestDesignCommand:
         shutil.rmtree(tmp_path / "out")
         assert main(["design", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "design.json").read_bytes() == first
+
+    def test_audit_solves_only_the_final_master_scenarios(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        real = gridfort.cli.evaluate_design
+        solved = []
+
+        def counting(design, network, scenario, *args, **kwargs):
+            solved.append(scenario.id)
+            return real(design, network, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
+        assert main(["design", "--config", str(cfg)]) == 0
+        log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())
+        rows = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert sorted(solved) == sorted(log["iterations"][-1]["active_scenarios"])
+        assert [r["scenario_id"] for r in rows] == list(range(5))
+
+    def test_design_audit_equals_validate_audit(self, tmp_path):
+        shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
+        cfg = write_config(
+            tmp_path, network="case30.json",
+            design={"critical_fraction": 0.98, "total_fraction": 0.3},
+        )
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg)]) == 0
+        log = json.loads((out / "sbd_log.json").read_text())
+        assert len(log["iterations"]) >= 2
+        assert main(["validate", "--config", str(cfg), "--design",
+                     str(out / "design.json"), "--out", str(tmp_path / "validated")]) == 0
+        assert ((tmp_path / "validated" / "audit.json").read_bytes()
+                == (out / "audit.json").read_bytes())
 
 
 class TestSolverFailures:
@@ -277,6 +326,35 @@ class TestSweepCommand:
         assert sorted(p.name for p in cells.iterdir()) == [
             "cell_g0_r0.json", "cell_g0_r1.json"]
         assert json.loads((cells / "cell_g0_r1.json").read_text())["status"] == "ok"
+
+    def test_crashing_cell_is_recorded_and_later_cells_run(self, tmp_path,
+                                                           monkeypatch, capsys):
+        cfg = write_config(
+            tmp_path,
+            fragility={"line_failure_prob_override": 0.0, "scenario_count": 1},
+            sweep={"total_fractions": [0.0, 0.25],
+                   "mg_variable_cost_rates": [100.0, 500.0]},
+        )
+        real = gridfort.cli.sbd_design
+
+        def crash_one(network, scens, params, *args, **kwargs):
+            if (params.total_fraction, params.mg_rate_override) == (0.0, 500.0):
+                raise RuntimeError("cell crashed")
+            return real(network, scens, params, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.cli, "sbd_design", crash_one)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        cells = tmp_path / "out" / "cells"
+        rows = {p.name: json.loads(p.read_text()) for p in cells.iterdir()}
+        assert sorted(rows) == ["cell_g0_r0.json", "cell_g0_r1.json",
+                                "cell_g1_r0.json", "cell_g1_r1.json"]
+        crashed = rows.pop("cell_g0_r1.json")
+        assert crashed["status"] == "error"
+        assert crashed["message"] == "RuntimeError: cell crashed"
+        assert all(row["status"] == "ok" for row in rows.values())
+        captured = capsys.readouterr()
+        assert "(4 cells, 1 failed)" in captured.out
+        assert "RuntimeError: cell crashed" in captured.err
 
     def test_sweep_without_axes_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -5,10 +5,12 @@ import pytest
 from gridfort import (
     DamageScenario,
     DesignParams,
+    FragilityParams,
     InfeasibleDesignError,
     SolverOptions,
     build_master,
     evaluate_design,
+    sample_scenarios,
     sbd_design,
     separate_cycles,
 )
@@ -58,6 +60,17 @@ class TestSbd:
         assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
         assert len(state.iterations) >= 2
 
+    def test_only_the_final_verification_keeps_operating_points(self, case30):
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        _, state = sbd_design(case30, scens, params, EXACT)
+        *earlier, last = state.iterations
+        assert earlier and all(rec.verdicts for rec in state.iterations)
+        assert all(v.state is None for rec in earlier for v in rec.verdicts.values())
+        assert all(v.state is not None and v.state.scenario_id == sid
+                   for sid, v in last.verdicts.items())
+
     def test_unattainable_targets_name_a_scenario(self):
         doc = two_bus_doc()
         doc["loads"][0]["is_critical"] = True
@@ -79,7 +92,7 @@ class TestSbd:
             except InfeasibleDesignError:
                 sbd_cost = math.inf
             master = build_master(net, scens, params)
-            sol, _ = solve_with_cycle_cuts(master, EXACT)
+            sol = solve_with_cycle_cuts(master, EXACT)
             ext_cost = (master.design_from_solution(sol).cost.total
                         if sol.status == "optimal" else math.inf)
             assert sbd_cost == ext_cost, f"seed {seed}"
@@ -149,12 +162,11 @@ class TestEvaluateDesign:
     def test_returns_operation_state(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design = make_design(case5, params, [], ["L1"], {})
-        verdict, state = evaluate_design(
-            design, case5, DamageScenario(1, frozenset({"L1"})), params, EXACT,
-            return_state=True)
+        verdict = evaluate_design(
+            design, case5, DamageScenario(1, frozenset({"L1"})), params, EXACT)
         assert verdict.feasible
-        assert "L1" in state.closed_lines
-        assert "crit_c1" in state.served_loads
+        assert "L1" in verdict.state.closed_lines
+        assert "crit_c1" in verdict.state.served_loads
 
     def test_order_independent(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
@@ -242,7 +254,7 @@ class TestSeparateCycles:
         net = self._ring(4)
         params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
         master = build_master(net, [BASELINE], params)
-        sol, added = solve_with_cycle_cuts(master, EXACT)
+        sol = solve_with_cycle_cuts(master, EXACT)
         assert sol.status == "optimal"
         assert separate_cycles(sol, master, 0) == []
 

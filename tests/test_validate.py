@@ -101,11 +101,10 @@ class TestRecomputeVoltages:
     def test_matches_solver_voltages(self, case30):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.4)
         design = make_design(case30, params, [], ["T1"], {"mg_t8": 1})
-        verdict, state = evaluate_design(
-            design, case30, DamageScenario(1, frozenset({"T1"})), params, EXACT,
-            return_state=True)
+        verdict = evaluate_design(
+            design, case30, DamageScenario(1, frozenset({"T1"})), params, EXACT)
         assert verdict.feasible
-        _, disc, _ = recompute_voltages(state, case30, params)
+        _, disc, _ = recompute_voltages(verdict.state, case30, params)
         assert disc <= 1e-6
 
     def test_island_without_source_flagged(self):
@@ -148,10 +147,9 @@ class TestRecomputeVoltages:
 class TestAudit:
     def _solved_state(self, case5, scenario, design):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
-        verdict, state = evaluate_design(design, case5, scenario, params, EXACT,
-                                         return_state=True)
+        verdict = evaluate_design(design, case5, scenario, params, EXACT)
         assert verdict.feasible
-        return params, state
+        return params, verdict.state
 
     def test_solver_solution_is_clean(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
