@@ -24,6 +24,7 @@ from gridfort.decomposition import (
     InfeasibleDesignError,
     Verdict,
     evaluate_design,
+    evaluate_distinct,
     sbd_design,
 )
 from gridfort.formulation import Design, DesignParams, make_design
@@ -210,18 +211,23 @@ def cmd_scenarios(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
+              solved: dict[int, Verdict]) -> list[Verdict]:
+    """Verdict of every scenario: those in ``solved`` (id -> verdict carrying
+    its state) as given, the rest solved once per distinct damage set."""
+    fresh = evaluate_distinct(
+        [s for s in scens if s.id not in solved],
+        lambda scen: evaluate_design(design, network, scen, cfg.design, cfg.solver),
+    )
+    by_id = {**fresh, **solved}
+    return [by_id[s.id] for s in scens]
+
+
 def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
                solved: dict[int, Verdict]):
-    """Verdict and audit of every scenario; those in ``solved`` (id -> verdict
-    carrying its state) are not solved again."""
-    reports = []
-    verdicts = []
-    for scen in scens:
-        verdict = solved.get(scen.id)
-        if verdict is None:
-            verdict = evaluate_design(design, network, scen, cfg.design, cfg.solver)
-        verdicts.append(verdict)
-        reports.append(audit(verdict.state, network, cfg.design, design))
+    """Verdict and independent audit of every scenario (see ``_verdicts``)."""
+    verdicts = _verdicts(design, network, scens, cfg, solved)
+    reports = [audit(v.state, network, cfg.design, design) for v in verdicts]
     return verdicts, reports
 
 
@@ -259,9 +265,7 @@ def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    verdicts = [
-        evaluate_design(design, network, s, cfg.design, cfg.solver) for s in scens
-    ]
+    verdicts = _verdicts(design, network, scens, cfg, {})
     _dump_json([v.to_dict() for v in verdicts], cfg.output_dir / "evaluation.json")
     crit = [v.critical_fraction for v in verdicts]
     tot = [v.total_fraction for v in verdicts]

@@ -30,6 +30,7 @@ __all__ = [
     "separate_cycles",
     "solve_with_cycle_cuts",
     "evaluate_design",
+    "evaluate_distinct",
     "sbd_design",
 ]
 
@@ -74,6 +75,8 @@ class IterationRecord:
     cost: float
     verdicts: dict[int, Verdict]
     wall_time: float
+    verify_solves: int  # distinct damage sets solved by the verification
+    verify_time: float
 
 
 @dataclass
@@ -90,6 +93,8 @@ class SbdState:
                 "cost": rec.cost,
                 "verdicts": {str(k): v.to_dict() for k, v in sorted(rec.verdicts.items())},
                 "wall_time_s": rec.wall_time,
+                "verify_solves": rec.verify_solves,
+                "verify_s": rec.verify_time,
             }
             for rec in self.iterations
         ]
@@ -220,16 +225,37 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     )
 
 
-def _evaluate_many(design, network, scenarios, params, options, jobs):
-    def run(scen):
-        return evaluate_design(design, network, scen, params, options)
+def _restated(verdict: Verdict, scenario_id: int) -> Verdict:
+    """An equally damaged scenario's verdict, restated under ``scenario_id``."""
+    if verdict.scenario_id == scenario_id:
+        return verdict
+    state = (None if verdict.state is None
+             else replace(verdict.state, scenario_id=scenario_id))
+    return replace(verdict, scenario_id=scenario_id, state=state)
 
-    if jobs > 1 and len(scenarios) > 1:
+
+def evaluate_distinct(scenarios: list[DamageScenario], evaluate,
+                      jobs: int = 1) -> dict[int, Verdict]:
+    """Verdicts of all ``scenarios``, keyed by id in list order, calling
+    ``evaluate(scenario)`` once per distinct damage set.
+
+    The first scenario carrying a damage set is solved; every later one gets
+    a copy of its verdict and state under its own id. This is exact:
+    ``build_master`` assembles a one-scenario model the same way for equal
+    damage, differing only in names the solver never sees, so the solver
+    returns the same point. With ``jobs > 1`` the solves run on a thread
+    pool.
+    """
+    todo: dict[frozenset[str], DamageScenario] = {}
+    for scen in scenarios:
+        todo.setdefault(scen.damaged_line_ids, scen)
+    if jobs > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, scenarios))
+            results = list(pool.map(evaluate, todo.values()))
     else:
-        results = [run(s) for s in scenarios]
-    return {v.scenario_id: v for v in results}
+        results = [evaluate(s) for s in todo.values()]
+    solved = dict(zip(todo, results))
+    return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 
 def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
@@ -238,7 +264,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                initial_active: list[int] | None = None):
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add the lowest-id infeasible scenario to the
-    subset each iteration.
+    subset each iteration. Verification solves each distinct damage set of
+    the remaining scenarios once (``evaluate_distinct``), on ``jobs`` threads.
 
     Returns (Design, SbdState); the verdicts of the last iteration carry
     their operating points, earlier ones do not. Raises InfeasibleDesignError
@@ -281,7 +308,13 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                 f"be served even with all upgrades applied",
             )
         remaining = [s for s in scenarios if s.id not in active]
-        verdicts = _evaluate_many(design, network, remaining, params, options, jobs)
+        t_verify = time.monotonic()
+        verdicts = evaluate_distinct(
+            remaining,
+            lambda scen: evaluate_design(design, network, scen, params, options),
+            jobs,
+        )
+        verify_time = time.monotonic() - t_verify
         infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
         if infeasible:
             # only the final verification keeps its operating points
@@ -292,6 +325,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             cost=design.cost.total,
             verdicts=verdicts,
             wall_time=time.monotonic() - t0,
+            verify_solves=len({s.damaged_line_ids for s in remaining}),
+            verify_time=verify_time,
         ))
         if not infeasible:
             return design, state

@@ -112,19 +112,25 @@ def save_scenarios(scenarios: list[DamageScenario], per_line_prob: float | None 
 
 
 def load_scenarios(text: str, network: Network | None = None) -> list[DamageScenario]:
-    """Read a scenario file; with a network given, check damage validity."""
+    """Read a scenario file; ids must be unique, and with a network given,
+    damage must be valid."""
     doc = json.loads(text)
     out = []
+    seen: set[int] = set()
     for raw in doc["scenarios"]:
+        sid = int(raw["id"])
+        if sid in seen:
+            raise ValueError(f"duplicate scenario id {sid}")
+        seen.add(sid)
         damaged = frozenset(str(x) for x in raw["damaged_line_ids"])
         if network is not None:
             allowed = set(network.damageable_lines())
             bad = sorted(damaged - allowed)
             if bad:
                 raise ValueError(
-                    f"scenario {raw['id']}: lines not damageable or unknown: {bad}"
+                    f"scenario {sid}: lines not damageable or unknown: {bad}"
                 )
-        out.append(DamageScenario(int(raw["id"]), damaged))
+        out.append(DamageScenario(sid, damaged))
     if not out or not out[0].is_baseline or out[0].damaged_line_ids:
         raise ValueError("scenario file must start with the undamaged baseline (id 0)")
     return out

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import gridfort.cli
+from gridfort import DamageScenario, FragilityParams, sample_scenarios, save_scenarios
 from gridfort.cli import main
+from gridfort.validate import audit
 
 from conftest import FIXTURES
 
@@ -200,6 +202,29 @@ class TestDesignCommand:
                 == (out / "audit.json").read_bytes())
 
 
+class TestIterationLog:
+    def test_records_verification_solves_and_time(self, tmp_path):
+        shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
+        network = gridfort.cli.load_network_file(tmp_path / "case30.json")
+        sampled = sample_scenarios(network, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        scens = sampled + [DamageScenario(s.id + 10, s.damaged_line_ids)
+                           for s in sampled if not s.is_baseline]
+        (tmp_path / "scens.json").write_text(save_scenarios(scens))
+        cfg = write_config(
+            tmp_path, network="case30.json", scenarios_file="scens.json",
+            design={"critical_fraction": 0.98, "total_fraction": 0.3},
+        )
+        assert main(["design", "--config", str(cfg)]) == 0
+        log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())
+        assert len(log["iterations"]) >= 2
+        for rec in log["iterations"]:
+            remaining = [s for s in scens if s.id not in rec["active_scenarios"]]
+            assert rec["verify_solves"] == len({s.damaged_line_ids for s in remaining})
+            assert rec["verify_solves"] < len(remaining) == len(rec["verdicts"])
+            assert 0.0 < rec["verify_s"] <= rec["wall_time_s"]
+
+
 class TestSolverFailures:
     def test_time_limit_exits_4_without_traceback(self, tmp_path, capsys):
         shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
@@ -272,6 +297,79 @@ class TestEvaluateAndValidate:
         design.write_text("not json")
         assert main(["evaluate", "--config", str(cfg),
                      "--design", str(design)]) == 2
+
+
+def write_scenarios(path: Path, damage: list[list[str]]) -> Path:
+    """Scenario file with ids 0, 1, ... carrying the given damage sets."""
+    path.write_text(json.dumps({
+        "seed": 0, "per_line_probability": None,
+        "scenarios": [{"id": i, "damaged_line_ids": d} for i, d in enumerate(damage)],
+    }))
+    return path
+
+
+class TestScenarioIds:
+    @pytest.mark.parametrize("command", ["design", "evaluate", "validate"])
+    def test_duplicate_id_is_an_input_error(self, tmp_path, capsys, command):
+        scens = write_scenarios(tmp_path / "scens.json", [[], ["L1"], ["L3"]])
+        doc = json.loads(scens.read_text())
+        doc["scenarios"][2]["id"] = 1
+        scens.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, scenarios_file="scens.json")
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": [], "microgrid_steps": {}}))
+        argv = [command, "--config", str(cfg)]
+        if command != "design":
+            argv += ["--design", str(design), "--scenarios", str(scens)]
+        assert main(argv) == 2
+        assert "duplicate scenario id 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDistinctDamage:
+    """evaluate and validate solve each distinct damage set once and write
+    the same bytes as solving every scenario on its own."""
+
+    DAMAGE = [[], ["L1"], ["L3"], ["L1"], [], ["L1", "L3"], ["L3"], ["L1"]]
+
+    @pytest.mark.parametrize("command,output", [
+        ("evaluate", "evaluation.json"), ("validate", "audit.json")])
+    def test_equals_scenario_by_scenario(self, tmp_path, monkeypatch, command, output):
+        scens_path = write_scenarios(tmp_path / "scens.json", self.DAMAGE)
+        cfg_path = write_config(tmp_path)
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": ["L3"], "microgrid_steps": {}}))
+
+        cfg = gridfort.cli.load_config(cfg_path)
+        network = gridfort.cli.load_network_file(cfg.network)
+        design = gridfort.cli.design_from_file(design_path, network, cfg.design)
+        real = gridfort.cli.evaluate_design
+        verdicts = [real(design, network, s, cfg.design, cfg.solver)
+                    for s in gridfort.cli.load_scenarios_file(scens_path, network)]
+        reports = [audit(v.state, network, cfg.design, design) for v in verdicts]
+        if command == "evaluate":
+            rows, code = [v.to_dict() for v in verdicts], 0
+        else:
+            rows = [r.to_dict() for r in reports]
+            code = 0 if all(r.clean for r in reports) else 1
+        gridfort.cli._dump_json(rows, tmp_path / "expected.json")
+        assert {v.feasible for v in verdicts} == {True, False}
+
+        solved = []
+
+        def counting(design, network, scenario, *args, **kwargs):
+            solved.append(scenario.damaged_line_ids)
+            return real(design, network, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
+        assert main([command, "--config", str(cfg_path), "--design", str(design_path),
+                     "--scenarios", str(scens_path)]) == code
+        assert sorted(solved, key=sorted) == sorted(
+            {frozenset(d) for d in self.DAMAGE}, key=sorted)
+        assert ((tmp_path / "out" / output).read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
 
 
 class TestSweepCommand:

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from gridfort import (
     sbd_design,
     separate_cycles,
 )
+import gridfort.decomposition
 from gridfort.decomposition import solve_with_cycle_cuts
 from gridfort.formulation import make_design
 from gridfort.milp import SolverError, solve
@@ -131,6 +134,53 @@ class TestSbd:
         assert design.cost.total == 0.0
         assert design.built_lines == ()
         assert design.hardened_lines == ()
+
+
+class TestDistinctDamage:
+    """Verification solves each distinct damage set once and restates the
+    answer under every scenario id that shares it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equals_scenario_by_scenario_verification(self, case30, monkeypatch, jobs):
+        sampled = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        # the same damage again under new ids, the baseline's included
+        scens = sampled + [DamageScenario(s.id + 10, s.damaged_line_ids)
+                           for s in sampled]
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        real = gridfort.decomposition.evaluate_design
+        calls = []
+
+        def recording(design, network, scenario, *args, **kwargs):
+            calls.append((design, scenario))
+            return real(design, network, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
+        _, state = sbd_design(case30, scens, params, EXACT, jobs=jobs)
+        monkeypatch.undo()
+
+        per_iteration = []  # (design, scenarios verified), in iteration order
+        for design, scen in calls:
+            if not per_iteration or per_iteration[-1][0] is not design:
+                per_iteration.append((design, []))
+            per_iteration[-1][1].append(scen)
+        assert len(state.iterations) >= 2
+        assert len(per_iteration) == len(state.iterations)
+        for rec, (design, verified) in zip(state.iterations, per_iteration):
+            remaining = [s for s in scens if s.id not in rec.active]
+            solved = Counter(s.damaged_line_ids for s in verified)
+            assert set(solved) == {s.damaged_line_ids for s in remaining}
+            assert set(solved.values()) == {1}
+            assert rec.verify_solves == len(solved) < len(remaining)
+            assert sorted(rec.verdicts) == sorted(s.id for s in remaining)
+            final = rec is state.iterations[-1]
+            for scen in remaining:
+                alone = real(design, case30, scen, params, EXACT)
+                got = rec.verdicts[scen.id]
+                assert got.to_dict() == alone.to_dict()
+                if final:
+                    assert got.state.scenario_id == scen.id
+                    assert got.state == alone.state
 
 
 class TestEvaluateDesign:

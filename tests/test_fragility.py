@@ -170,6 +170,13 @@ class TestScenarioFile:
         with pytest.raises(ValueError, match="nope"):
             load_scenarios(text, net)
 
+    def test_rejects_duplicate_ids(self):
+        text = save_scenarios(
+            [DamageScenario(0, frozenset()), DamageScenario(1, frozenset({"L000"})),
+             DamageScenario(1, frozenset())], 0.1, 0)
+        with pytest.raises(ValueError, match="duplicate scenario id 1"):
+            load_scenarios(text)
+
     def test_requires_baseline_first(self):
         text = save_scenarios([DamageScenario(1, frozenset({"L000"}))], 0.1, 0)
         with pytest.raises(ValueError, match="baseline"):
