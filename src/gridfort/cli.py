@@ -78,6 +78,14 @@ def _check_keys(raw: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
+def _as(kind, value, where: str):
+    """``kind(value)``, or a ConfigError naming ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} has a malformed value: {value!r}") from None
+
+
 def _pick(doc: dict, cls, section: str):
     raw = doc.get(section) or {}
     _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
@@ -98,8 +106,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     base = path.parent
     flags = vars(overrides) if overrides is not None else {}  # this subcommand's flags
 
-    frag_raw = dict(doc.get("fragility") or {})
-    frag_raw.setdefault("seed", int(doc.get("seed", 0)))
+    frag_raw = _as(dict, doc.get("fragility") or {}, "config section 'fragility'")
+    frag_raw["seed"] = _as(int, frag_raw.get("seed", doc.get("seed", 0)), "config key 'seed'")
     if flags.get("seed") is not None:
         frag_raw["seed"] = flags["seed"]  # explicit flag beats any configured seed
     try:
@@ -111,16 +119,22 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
 
     sweep = doc.get("sweep") or {}
     _check_keys(sweep, SWEEP_KEYS, "config section 'sweep'")
+
+    def axis(key: str) -> list[float]:
+        return _as(lambda xs: [float(x) for x in xs], sweep.get(key, []),
+                   f"config key 'sweep.{key}'")
+
     cfg = RunConfig(
-        network=base / doc["network"],
-        output_dir=base / doc.get("output_dir", "out"),
-        jobs=int(doc.get("jobs", 1)),
+        network=base / _as(Path, doc["network"], "config key 'network'"),
+        output_dir=base / _as(Path, doc.get("output_dir", "out"), "config key 'output_dir'"),
+        jobs=_as(int, doc.get("jobs", 1), "config key 'jobs'"),
         fragility=fragility,
         design=design,
         solver=solver,
-        scenarios_file=(base / doc["scenarios_file"]) if doc.get("scenarios_file") else None,
-        sweep_total_fractions=[float(x) for x in sweep.get("total_fractions", [])],
-        sweep_mg_rates=[float(x) for x in sweep.get("mg_variable_cost_rates", [])],
+        scenarios_file=(base / _as(Path, doc["scenarios_file"], "config key 'scenarios_file'")
+                        if doc.get("scenarios_file") else None),
+        sweep_total_fractions=axis("total_fractions"),
+        sweep_mg_rates=axis("mg_variable_cost_rates"),
     )
     if flags.get("out") is not None:
         cfg.output_dir = Path(flags["out"])

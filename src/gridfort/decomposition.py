@@ -83,7 +83,6 @@ class IterationRecord:
 class SbdState:
     active: list[int] = field(default_factory=list)
     iterations: list[IterationRecord] = field(default_factory=list)
-    cuts: dict[int, set[frozenset]] = field(default_factory=dict)
 
     def log_records(self) -> list[dict]:
         return [
@@ -133,38 +132,16 @@ def _not_proven(what: str, sol: Solution) -> SolverError:
     return SolverError(f"{what} ended {sol.status}, not optimal{detail}")
 
 
-def _solve_master_design(network, scenarios, params, options, cuts,
-                         objective="cost", cost_budget=None):
-    """Proven-optimal design over the given scenarios: one joint extensive
-    solve under the lazy cycle-cut loop. Returns None when the targets are
-    unattainable."""
-    master = build_master(network, scenarios, params,
-                          objective=objective, cost_budget=cost_budget)
-    sol = solve_with_cycle_cuts(master, options, known_cuts=cuts)
-    if sol.status == "infeasible":
-        return None
-    if sol.status != "optimal":
-        raise _not_proven(
-            f"master solve over scenarios {[s.id for s in scenarios]}", sol)
-    return master.design_from_solution(sol)
-
-
-def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None = None,
-                          known_cuts: dict[int, set[frozenset]] | None = None) -> Solution:
+def solve_with_cycle_cuts(master: MasterProblem,
+                          options: SolverOptions | None = None) -> Solution:
     """Solve, separate violated cycles per scenario, cut, and re-solve until
     every scenario operates as a forest. A solution that is not optimal is
     returned as is, without separation.
 
-    ``known_cuts`` (scenario id -> sets of reduced-edge frozensets) is applied
-    up front and updated in place, so cuts accumulate across re-solves and
-    master rebuilds within one decomposition run.
+    Cuts are rows of the master's model, recorded in the block they cut, so
+    every later solve of the same master keeps them.
     """
     options = options or SolverOptions()
-    cuts = known_cuts if known_cuts is not None else {}
-    for sid, blk_cuts in cuts.items():
-        if sid in master.blocks:
-            for cyc in sorted(blk_cuts, key=sorted):
-                master.add_cycle_cut(tuple(sorted(cyc)), sid)
     for _ in range(_MAX_CUT_ROUNDS):
         sol = solve(master.model, options)
         if sol.status != "optimal":
@@ -172,10 +149,8 @@ def solve_with_cycle_cuts(master: MasterProblem, options: SolverOptions | None =
         added = False
         for sid in sorted(master.blocks):
             for cyc in separate_cycles(sol, master, sid):
-                key = frozenset(cyc)
-                if key in cuts.setdefault(sid, set()):
+                if frozenset(cyc) in master.blocks[sid].cuts:
                     continue
-                cuts[sid].add(key)
                 master.add_cycle_cut(cyc, sid)
                 added = True
         if not added:
@@ -195,33 +170,30 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     carrying the operating point it rests on (``Verdict.state``).
 
     The base solve is a pure feasibility check of the scenario operation
-    problem; when the resilience targets are unattainable, a served-load
-    maximization without them reports the best-effort shortfalls, starting
-    from the cycle cuts the feasibility check found. Any outcome other than
+    problem; when the resilience targets are unattainable, the same model,
+    cuts included, is solved again as a served-load maximization without
+    them (``MasterProblem.maximize_served``) to report the best-effort
+    shortfalls. Any outcome other than
     optimal or infeasible raises ``SolverError``. The verdict depends on the
     arguments only: no cut or model outlives the call.
     """
     options = options or SolverOptions()
-    cuts: dict[int, set[frozenset]] = {}
+    what = f"evaluation of scenario {scenario.id}"
     master = build_master(network, [scenario], params, fixed_design=design)
-    sol = solve_with_cycle_cuts(master, options, known_cuts=cuts)
-    if sol.status == "optimal":
-        crit, tot = master.served_fractions(sol, scenario.id)
-        return Verdict(scenario.id, True, crit, tot,
-                       state=master.operation_state(sol, scenario.id))
-    if sol.status != "infeasible":
-        raise _not_proven(f"evaluation of scenario {scenario.id}", sol)
-    relaxed = build_master(network, [scenario], params, fixed_design=design,
-                           objective="served", enforce_resilience=False)
-    sol2 = solve_with_cycle_cuts(relaxed, options, known_cuts=cuts)
-    if sol2.status != "optimal":
-        raise _not_proven(f"best-effort evaluation of scenario {scenario.id}", sol2)
-    crit, tot = relaxed.served_fractions(sol2, scenario.id)
+    sol = solve_with_cycle_cuts(master, options)
+    feasible = sol.status == "optimal"
+    if sol.status == "infeasible":
+        master.maximize_served()
+        sol = solve_with_cycle_cuts(master, options)
+        what = "best-effort " + what
+    if sol.status != "optimal":
+        raise _not_proven(what, sol)
+    crit, tot = master.served_fractions(sol, scenario.id)
     return Verdict(
-        scenario.id, False, crit, tot,
-        shortfall_critical=max(0.0, params.critical_fraction - crit),
-        shortfall_total=max(0.0, params.total_fraction - tot),
-        state=relaxed.operation_state(sol2, scenario.id),
+        scenario.id, feasible, crit, tot,
+        shortfall_critical=0.0 if feasible else max(0.0, params.critical_fraction - crit),
+        shortfall_total=0.0 if feasible else max(0.0, params.total_fraction - tot),
+        state=master.operation_state(sol, scenario.id),
     )
 
 
@@ -264,8 +236,9 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                initial_active: list[int] | None = None):
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add the lowest-id infeasible scenario to the
-    subset each iteration. Verification solves each distinct damage set of
-    the remaining scenarios once (``evaluate_distinct``), on ``jobs`` threads.
+    subset each iteration: one master, built once, gains its block and keeps
+    its cuts. Verification solves each distinct damage set of the remaining
+    scenarios once (``evaluate_distinct``), on ``jobs`` threads.
 
     Returns (Design, SbdState); the verdicts of the last iteration carry
     their operating points, earlier ones do not. Raises InfeasibleDesignError
@@ -295,18 +268,20 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                 active.append(worst.id)
     state.active = active
 
-    last_added = active[-1]
+    t0 = time.monotonic()
+    master = build_master(network, [by_id[i] for i in active], params,
+                          objective=objective, cost_budget=cost_budget)
     for _ in range(len(scenarios)):
-        t0 = time.monotonic()
-        design = _solve_master_design(
-            network, [by_id[i] for i in active], params, options, state.cuts, objective=objective, cost_budget=cost_budget,
-        )
-        if design is None:
+        sol = solve_with_cycle_cuts(master, options)
+        if sol.status == "infeasible":
             raise InfeasibleDesignError(
-                last_added,
-                f"resilience targets unattainable: scenario {last_added} cannot "
+                active[-1],
+                f"resilience targets unattainable: scenario {active[-1]} cannot "
                 f"be served even with all upgrades applied",
             )
+        if sol.status != "optimal":
+            raise _not_proven(f"master solve over scenarios {active}", sol)
+        design = master.design_from_solution(sol)
         remaining = [s for s in scenarios if s.id not in active]
         t_verify = time.monotonic()
         verdicts = evaluate_distinct(
@@ -332,6 +307,6 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             return design, state
         nxt = min(infeasible)
         active.append(nxt)
-        last_added = nxt
-        state.active = active
+        t0 = time.monotonic()
+        master.add_scenario(by_id[nxt])
     raise RuntimeError("decomposition failed to converge within |S| iterations")

@@ -364,6 +364,8 @@ class ScenarioFormulation:
         self.first_stage = first_stage
         self.suffix = f":s{scenario.id}"
         self.vars = ScenarioVars()
+        self.cuts: set[frozenset] = set()  # cycles cut in this block, as edge sets
+        self.resilience_rows: list[int] = []
         self._sub_cap_re, self._sub_cap_im = _substation_capacity(network)
         self._allocate()
 
@@ -544,10 +546,8 @@ class ScenarioFormulation:
                 rows.append(m.add_constraint(coeffs, EQUAL, 0.0, f"bal{comp}:{tag}"))
         return rows
 
-    def add_resilience_constraints(self, enforce: bool = True) -> list[int]:
-        """Minimum served fractions of critical and of total real power; with
-        ``enforce`` off both rows are emitted with vacuous zero targets (used
-        for best-effort shortfall measurement)."""
+    def add_resilience_constraints(self) -> list[int]:
+        """Minimum served fractions of critical and of total real power."""
         m, net, pr = self.model, self.network, self.params
         crit = {}
         total = {}
@@ -561,8 +561,8 @@ class ScenarioFormulation:
             if load.is_critical:
                 crit[self.vars.y[lid]] = d
                 crit_demand += d
-        crit_rhs = pr.critical_fraction * crit_demand if enforce else 0.0
-        total_rhs = pr.total_fraction * total_demand if enforce else 0.0
+        crit_rhs = pr.critical_fraction * crit_demand
+        total_rhs = pr.total_fraction * total_demand
         return [
             m.add_constraint(crit, GREATER, crit_rhs, f"crit{self.suffix}"),
             m.add_constraint(total, GREATER, total_rhs, f"total{self.suffix}"),
@@ -635,7 +635,7 @@ class ScenarioFormulation:
             )
         return rows
 
-    def add_all(self, enforce_resilience: bool = True) -> None:
+    def add_all(self) -> None:
         for lid in sorted(self.network.lines):
             self.add_thermal_direction_constraints(lid)
             self.add_switching_damage_constraints(lid)
@@ -644,7 +644,7 @@ class ScenarioFormulation:
             self.add_reduced_edge_links(lid)
         for bid in sorted(self.network.buses):
             self.add_load_generation_balance(bid)
-        self.add_resilience_constraints(enforce_resilience)
+        self.resilience_rows = self.add_resilience_constraints()
         self.add_master_links()
 
     def add_cycle_cut(self, cycle_edges) -> int:
@@ -652,6 +652,7 @@ class ScenarioFormulation:
         cycle = [tuple(sorted(e)) for e in cycle_edges]
         _check_simple_cycle(cycle, self.vars.bredge)
         coeffs = {self.vars.bredge[e]: 1.0 for e in cycle}
+        self.cuts.add(frozenset(cycle))
         return self.model.add_constraint(
             coeffs, LESS, float(len(cycle) - 1),
             f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}{self.suffix}",
@@ -712,8 +713,25 @@ class MasterProblem:
     first_stage: FirstStage
     blocks: dict[int, ScenarioFormulation]
 
+    def add_scenario(self, scenario: DamageScenario) -> None:
+        """Append one scenario's block after every row already in the model."""
+        if scenario.id in self.blocks:
+            raise ValueError(f"duplicate scenario id {scenario.id}")
+        blk = ScenarioFormulation(self.model, self.network, self.params, scenario,
+                                  self.reduced, self.first_stage)
+        blk.add_all()
+        self.blocks[scenario.id] = blk
+
     def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
         return self.blocks[scenario_id].add_cycle_cut(cycle_edges)
+
+    def maximize_served(self) -> None:
+        """Best-effort served-load maximization over the same rows and cuts:
+        every block's resilience targets drop to zero."""
+        for blk in self.blocks.values():
+            for row in blk.resilience_rows:
+                self.model.constraints[row].rhs = 0.0
+        self.model.set_objective(_served_objective(self.network, self.blocks))
 
     def design_from_solution(self, solution: Solution) -> Design:
         vals = solution.values
@@ -812,29 +830,26 @@ def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
 
 def build_master(network: Network, scenarios: list[DamageScenario],
                  params: DesignParams, *, fixed_design: Design | None = None,
-                 objective: str = "cost", enforce_resilience: bool = True,
+                 objective: str = "cost",
                  cost_budget: float | None = None) -> MasterProblem:
-    """Assemble the two-stage design MILP over the given scenario set.
+    """Assemble the two-stage design MILP over the given scenario set, one
+    ``MasterProblem.add_scenario`` block each.
 
     objective: "cost" minimizes upgrade cost (the design problem);
-    "served" maximizes weighted served load (design evaluation);
     "microgrid_kw" minimizes installed microgrid kW (tie-break canonicalization,
-    normally combined with ``cost_budget`` in k$).
+    normally combined with ``cost_budget`` in k$). Both are first-stage only,
+    so blocks added later leave them valid.
     """
     if not scenarios:
         raise ValueError("at least one scenario (the baseline) is required")
-    model = MilpModel(name=f"upgrade:{len(scenarios)}scen")
+    model = MilpModel(name="upgrade")
     fs = _build_first_stage(model, network)
     if fixed_design is not None:
         _apply_fixed_design(model, network, fs, fixed_design)
-    reduced = aggregate_parallel_edges(network)
-    blocks: dict[int, ScenarioFormulation] = {}
+    master = MasterProblem(model, network, params, aggregate_parallel_edges(network),
+                           fs, {})
     for scen in scenarios:
-        if scen.id in blocks:
-            raise ValueError(f"duplicate scenario id {scen.id}")
-        blk = ScenarioFormulation(model, network, params, scen, reduced, fs)
-        blk.add_all(enforce_resilience)
-        blocks[scen.id] = blk
+        master.add_scenario(scen)
 
     cost = _cost_coefficients(network, params, fs)
     if cost_budget is not None:
@@ -842,8 +857,6 @@ def build_master(network: Network, scenarios: list[DamageScenario],
 
     if objective == "cost":
         model.set_objective(cost)
-    elif objective == "served":
-        model.set_objective(_served_objective(network, blocks))
     elif objective == "microgrid_kw":
         # minimize installed capacity; an epsilon cost term (far below the
         # 100 kW step granularity) keeps every upgrade binary objective-bearing
@@ -860,7 +873,7 @@ def build_master(network: Network, scenarios: list[DamageScenario],
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    return MasterProblem(model, network, params, reduced, fs, blocks)
+    return master
 
 
 def _served_objective(network: Network, blocks) -> dict[int, float]:

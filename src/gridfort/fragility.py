@@ -115,9 +115,14 @@ def load_scenarios(text: str, network: Network | None = None) -> list[DamageScen
     """Read a scenario file; ids must be unique, and with a network given,
     damage must be valid."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
+        raise ValueError("scenario file must be an object with a 'scenarios' list")
     out = []
     seen: set[int] = set()
-    for raw in doc["scenarios"]:
+    for i, raw in enumerate(doc["scenarios"]):
+        if not (isinstance(raw, dict) and {"id", "damaged_line_ids"} <= raw.keys()
+                and isinstance(raw["damaged_line_ids"], list)):
+            raise ValueError(f"scenario entry {i} needs an 'id' and a 'damaged_line_ids' list")
         sid = int(raw["id"])
         if sid in seen:
             raise ValueError(f"duplicate scenario id {sid}")

@@ -438,6 +438,7 @@ def write_model(model: MilpModel, name: str | None = None) -> str:
 
 
 _OBJ_LINE_RE = re.compile(r"objective value\s*=?\s*(-?[\d.eE+-]+)", re.IGNORECASE)
+_INFEASIBLE_LINE_RE = re.compile(r"^#\s*status\s*=\s*infeasible\s*$", re.IGNORECASE)
 
 
 def parse_external_solution(text: str, model: MilpModel,
@@ -448,8 +449,11 @@ def parse_external_solution(text: str, model: MilpModel,
     ``Objective value = <float>``; every other nonempty line is
     ``<variable name> <value>``. Variables absent from the file default to 0.
     Binary values must be integral within the integrality tolerance and are
-    rounded.
+    rounded. A comment line ``# Status = infeasible`` instead reports a
+    model proven infeasible, whatever else the file holds.
     """
+    if any(_INFEASIBLE_LINE_RE.match(line.strip()) for line in text.splitlines()):
+        return Solution("infeasible")
     options = options or SolverOptions()
     objective: float | None = None
     values = np.zeros(model.num_variables)

@@ -318,15 +318,31 @@ def _line_length_km(raw: dict, buses: dict[str, Bus], owner: str) -> float:
     return math.hypot(dx, dy) / 1000.0
 
 
+_REQUIRED = {  # fields each entry of a section needs; "bases" is one entry
+    "bases": ("base_kva", "base_kv"),
+    "buses": ("id", "phases"),
+    "lines": ("id", "from", "to", "phases", "impedance", "capacity_kva"),
+    "loads": ("id", "bus", "demand_kva"),
+    "microgrids": ("id", "bus", "step_capacity_kva", "max_steps"),
+}
+
+
 def load_network(text: str) -> Network:
     """Parse and validate a network document, returning a per-unit Network."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"document is not valid JSON: {exc}") from exc
-    for section in ("bases", "buses", "lines", "loads", "microgrids"):
+    for section, keys in _REQUIRED.items():
         if section not in doc:
             raise NetworkError(f"document missing section {section!r}")
+        entries = [doc[section]] if section == "bases" else doc[section]
+        if not isinstance(entries, list) or not all(isinstance(r, dict) for r in entries):
+            raise NetworkError(f"section {section!r} must hold JSON objects")
+        for i, raw in enumerate(entries):
+            missing = [k for k in keys if k not in raw]
+            if missing:
+                raise NetworkError(f"{section} entry {i}: missing field(s) {missing}")
 
     bases = doc["bases"]
     units = UnitSystem(base_kva=float(bases["base_kva"]), base_kv=float(bases["base_kv"]))

@@ -1,7 +1,8 @@
 """Stand-in external MILP solver for adapter tests.
 
 Reads an MPS file, solves it with the built-in solver, and writes the
-solution in the adapter's documented format (Gurobi-style .sol).
+solution in the adapter's documented format (Gurobi-style .sol), or the
+``# Status = infeasible`` line for a model proven infeasible.
 
 Usage: python fake_solver.py MODEL.mps SOLUTION.sol
 """
@@ -19,6 +20,9 @@ def main() -> int:
     model_path, solution_path = sys.argv[1], sys.argv[2]
     model, _ = read_mps(Path(model_path).read_text())
     sol = solve(model, SolverOptions(rel_gap=1e-9))
+    if sol.status == "infeasible":
+        Path(solution_path).write_text("# Status = infeasible\n")
+        return 0
     if sol.status != "optimal":
         print(f"no optimal solution: {sol.status}", file=sys.stderr)
         return 1

@@ -327,6 +327,77 @@ class TestScenarioIds:
         assert not (tmp_path / "out").exists()
 
 
+def _bus_without_phases(tmp_path):
+    doc = json.loads((FIXTURES / "case5.json").read_text())
+    del doc["buses"][1]["phases"]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    return {"network": "bad.json"}
+
+
+def _bases_without_base_kva(tmp_path):
+    doc = json.loads((FIXTURES / "case5.json").read_text())
+    del doc["bases"]["base_kva"]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    return {"network": "bad.json"}
+
+
+def _scenario_file(doc):
+    def overrides(tmp_path):
+        (tmp_path / "scens.json").write_text(json.dumps(doc))
+        return {"scenarios_file": "scens.json"}
+    return overrides
+
+
+class TestMalformedInput:
+    """Each document names its malformed field and the run exits 2, without
+    a traceback."""
+
+    @pytest.mark.parametrize("overrides,field", [
+        (lambda _: {"jobs": [1]}, "jobs"),
+        (lambda _: {"seed": [1]}, "seed"),
+        (lambda _: {"network": 5}, "network"),
+        (lambda _: {"fragility": [1]}, "fragility"),
+        (lambda _: {"sweep": {"total_fractions": 5, "mg_variable_cost_rates": [1.0]}},
+         "total_fractions"),
+        (_bus_without_phases, "phases"),
+        (_bases_without_base_kva, "base_kva"),
+        (_scenario_file({"seed": 0}), "scenarios"),
+        (_scenario_file({"scenarios": [{"id": 0}]}), "damaged_line_ids"),
+    ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
+            "config-sweep-axis", "network-bus-phases", "network-base-kva",
+            "scenarios-key", "scenario-damage"])
+    def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides(tmp_path))
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestExternalInfeasibility:
+    def test_infeasible_verification_matches_builtin(self, tmp_path, monkeypatch):
+        """An external solver proves a verification infeasible through its
+        status line; the best-effort answer equals the built-in one."""
+        fake = Path(__file__).parent / "fake_solver.py"
+        monkeypatch.setenv("GRIDFORT_SOLVER_CMD",
+                           f"{sys.executable} {fake} {{model}} {{solution}}")
+        scens = write_scenarios(tmp_path / "scens.json", [[], ["L1"]])
+        cfg = write_config(tmp_path)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": [], "microgrid_steps": {}}))
+        files = {}
+        for backend in ("builtin", "external"):
+            out = tmp_path / backend
+            assert main(["evaluate", "--config", str(cfg), "--design", str(design),
+                         "--scenarios", str(scens), "--solver", backend,
+                         "--out", str(out)]) == 0
+            files[backend] = (out / "evaluation.json").read_bytes()
+        assert files["external"] == files["builtin"]
+        assert [v["feasible"] for v in json.loads(files["external"])] == [True, False]
+
+
 class TestDistinctDamage:
     """evaluate and validate solve each distinct damage set once and write
     the same bytes as solving every scenario on its own."""

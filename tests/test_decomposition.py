@@ -230,6 +230,80 @@ class TestEvaluateDesign:
         assert fwd == list(reversed(rev))
 
 
+def meshed_triangle():
+    """Switched triangle whose critical load at ``b`` exceeds one line's
+    rating: it is served only with every line closed, which the radiality
+    cut then forbids."""
+    doc = two_bus_doc()
+    doc["buses"] = [{"id": "sub", "phases": "a", "is_substation": True},
+                    {"id": "a", "phases": "a"}, {"id": "b", "phases": "a"}]
+    doc["lines"] = [
+        {"id": f"l{i}", "from": f, "to": t, "phases": "a", "length_km": 1.0,
+         "impedance": z1(0.1, 0.2), "capacity_kva": 500.0, "has_switch": True}
+        for i, (f, t) in enumerate([("sub", "a"), ("a", "b"), ("sub", "b")])
+    ]
+    doc["loads"] = [{"id": "ld", "bus": "b", "demand_kva": {"a": c(600.0, 0.0)},
+                     "is_critical": True}]
+    return load_doc(doc)
+
+
+class TestPersistentMaster:
+    """The decomposition and the verification keep one model each, with the
+    cuts found so far in it."""
+
+    def _recording(self, monkeypatch, name):
+        real = getattr(gridfort.decomposition, name)
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(gridfort.decomposition, name, recording)
+        return calls
+
+    def test_multi_iteration_run_builds_one_master(self, case30, monkeypatch):
+        builds = self._recording(monkeypatch, "build_master")
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        _, state = sbd_design(case30, scens, params, EXACT)
+        assert len(state.iterations) >= 2
+        masters = [res for _, kwargs, res in builds if "fixed_design" not in kwargs]
+        assert len(masters) == 1
+        assert list(masters[0].blocks) == list(state.iterations[-1].active)
+
+    def test_best_effort_solve_keeps_the_feasibility_cuts(self, monkeypatch):
+        net = meshed_triangle()
+        builds = self._recording(monkeypatch, "build_master")
+        solves = []
+        real_solve = gridfort.decomposition.solve
+
+        def recording_solve(model, options=None):
+            sol = real_solve(model, options)
+            cuts = sum(con.name.startswith("cycle:") for con in model.constraints)
+            solves.append((model, sol.status, cuts))
+            return sol
+
+        monkeypatch.setattr(gridfort.decomposition, "solve", recording_solve)
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        verdict = evaluate_design(make_design(net, params, [], [], {}), net,
+                                  BASELINE, params, EXACT)
+        assert not verdict.feasible
+        assert len(builds) == 1
+        assert all(model is builds[0][2].model for model, _, _ in solves)
+        statuses = [status for _, status, _ in solves]
+        # the feasibility solve needs a cut before it can prove infeasibility
+        first_infeasible = statuses.index("infeasible")
+        assert first_infeasible >= 1
+        cuts_found = solves[first_infeasible][2]
+        assert cuts_found >= 1
+        # the best-effort solve starts from those cuts
+        assert solves[first_infeasible + 1][2] == cuts_found
+        assert statuses[-1] == "optimal"
+
+
 def tree_solution_master(net, close):
     params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
     master = build_master(net, [BASELINE], params)

@@ -3,13 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import Counter
+
 from gridfort import (
     DamageScenario,
     DesignParams,
+    FragilityParams,
     SolverOptions,
     build_master,
     npv_capacity_cost,
     octagon_points,
+    sample_scenarios,
     solve,
 )
 from gridfort.formulation import (
@@ -565,6 +569,29 @@ class TestModelDimensions:
             "variables": 1118, "constraints": 1884, "binaries": 372,
             "first_stage_variables": 16, "nodes": 30,
         }
+
+
+class TestAddScenario:
+    @pytest.mark.parametrize("objective,budget", [("cost", None), ("microgrid_kw", 300.0)])
+    def test_grown_master_equals_built_master(self, case30, objective, budget):
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=2, seed=7))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        grown = build_master(case30, scens[:2], params, objective=objective,
+                             cost_budget=budget)
+        grown.add_scenario(scens[2])
+        built = build_master(case30, scens, params, objective=objective,
+                             cost_budget=budget)
+        a, b = grown.model, built.model
+        assert (a.var_names, a.lb, a.ub, a.kinds) == (b.var_names, b.lb, b.ub, b.kinds)
+        assert a.objective == b.objective
+        assert list(grown.blocks) == list(built.blocks) == [s.id for s in scens]
+
+        def rows(model):
+            return Counter((con.name, tuple(sorted(con.coeffs.items())), con.sense, con.rhs)
+                           for con in model.constraints)
+
+        assert rows(a) == rows(b)
 
 
 class TestCosts:

@@ -328,6 +328,14 @@ class TestExternalAdapter:
         with pytest.raises(SolverError, match="integrality"):
             parse_external_solution("# Objective value = 1\nb 0.4\n", m)
 
+    def test_infeasible_status_line(self):
+        m = MilpModel()
+        m.add_variable("x", 0.0, 1.0)
+        m.set_objective({0: 1.0})
+        sol = parse_external_solution("# Status = infeasible\n", m)
+        assert sol.status == "infeasible"
+        assert sol.values is None
+
     def test_missing_objective_rejected(self):
         m = MilpModel()
         m.add_variable("x", 0.0, 1.0)
