@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -86,9 +87,21 @@ def _as(kind, value, where: str):
         raise ConfigError(f"{where} has a malformed value: {value!r}") from None
 
 
-def _pick(doc: dict, cls, section: str):
-    raw = doc.get(section) or {}
+# the JSON values a dataclass field of each type accepts; a JSON true or
+# false is never a number here, although Python's bool is an int
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(None),)}
+
+
+def _pick(raw, cls, section: str):
+    """``cls(**raw)`` for one config section, every value first checked
+    against its field's type, so a wrong type is an error naming the key."""
     _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key '{section}.{key}' has a malformed value: {value!r}")
     return cls(**raw)
 
 
@@ -111,9 +124,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     if flags.get("seed") is not None:
         frag_raw["seed"] = flags["seed"]  # explicit flag beats any configured seed
     try:
-        fragility = FragilityParams(**frag_raw)
-        design = _pick(doc, DesignParams, "design")
-        solver = _pick(doc, SolverOptions, "solver")
+        fragility = _pick(frag_raw, FragilityParams, "fragility")
+        design = _pick(doc.get("design") or {}, DesignParams, "design")
+        solver = _pick(doc.get("solver") or {}, SolverOptions, "solver")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -227,13 +240,17 @@ def cmd_scenarios(cfg: RunConfig) -> int:
 
 def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
               solved: dict[int, Verdict]) -> list[Verdict]:
-    """Verdict of every scenario: those in ``solved`` (id -> verdict carrying
-    its state) as given, the rest solved once per distinct damage set."""
-    fresh = evaluate_distinct(
-        [s for s in scens if s.id not in solved],
-        lambda scen: evaluate_design(design, network, scen, cfg.design, cfg.solver),
-    )
-    by_id = {**fresh, **solved}
+    """Verdict of every scenario, solved once per distinct damage set; a
+    damage set that ``solved`` (id -> verdict carrying its state) covers is
+    restated from it instead."""
+
+    def evaluate(scen):
+        if scen.id in solved:
+            return solved[scen.id]
+        return evaluate_design(design, network, scen, cfg.design, cfg.solver)
+
+    # solved scenarios first, so each damage set they cover takes their verdict
+    by_id = evaluate_distinct(sorted(scens, key=lambda s: s.id not in solved), evaluate)
     return [by_id[s.id] for s in scens]
 
 
@@ -257,7 +274,8 @@ def cmd_design(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     _dump_json(design_to_dict(design), cfg.output_dir / "design.json")
     _dump_json({"iterations": state.log_records()}, cfg.output_dir / "sbd_log.json")
-    # the final verification already solved every scenario outside the master
+    # the final verification already solved every scenario outside the master,
+    # and with it each master scenario that shares one's damage
     verdicts, reports = _audit_all(design, network, scens, cfg,
                                    state.iterations[-1].verdicts)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")

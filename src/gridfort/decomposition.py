@@ -15,11 +15,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
-
 from gridfort.formulation import Design, DesignParams, MasterProblem, build_master
 from gridfort.fragility import DamageScenario
 from gridfort.milp import Solution, SolverError, SolverOptions, solve
+from gridfort.model import adjacency, cycle_basis
 from gridfort.validate import OperationState
 
 __all__ = [
@@ -112,19 +111,9 @@ def separate_cycles(solution: Solution, master: MasterProblem,
     certifies the used subgraph is a forest.
     """
     blk = master.blocks[scenario_id]
-    g = nx.Graph()
-    g.add_nodes_from(master.reduced.nodes)
-    for key, ix in blk.vars.bredge.items():
-        if solution.values[ix] > 0.5:
-            g.add_edge(*key)
-    cycles = []
-    for nodes in nx.cycle_basis(g):
-        edges = []
-        for i, u in enumerate(nodes):
-            v = nodes[(i + 1) % len(nodes)]
-            edges.append(tuple(sorted((u, v))))
-        cycles.append(tuple(sorted(edges)))
-    return sorted(cycles)
+    used = [key for key, ix in blk.vars.bredge.items() if solution.values[ix] > 0.5]
+    return sorted(tuple(sorted(cycle))
+                  for cycle in cycle_basis(adjacency(master.reduced.nodes, used)))
 
 
 def _not_proven(what: str, sol: Solution) -> SolverError:

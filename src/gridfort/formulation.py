@@ -35,7 +35,9 @@ from gridfort.model import (
     Network,
     Phase,
     ReducedGraph,
+    adjacency,
     aggregate_parallel_edges,
+    components,
 )
 
 __all__ = [
@@ -670,21 +672,7 @@ def _check_simple_cycle(cycle, bredge) -> None:
             degree[node] = degree.get(node, 0) + 1
     if any(d != 2 for d in degree.values()):
         raise ValueError("edge set is not a simple cycle (node degree != 2)")
-    # connectivity: walk from an arbitrary node
-    adj: dict[str, list[str]] = {}
-    for u, v in cycle:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = next(iter(adj))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = frontier.pop()
-        for nb in adj[nxt]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if len(seen) != len(adj):
+    if len(components(adjacency((), cycle))) != 1:
         raise ValueError("edge set is not a single connected cycle")
 
 

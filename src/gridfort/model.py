@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import networkx as nx
-
 __all__ = [
     "Phase",
     "PHASES",
@@ -30,7 +28,10 @@ __all__ = [
     "NetworkError",
     "ReducedGraph",
     "UnitSystem",
+    "adjacency",
     "aggregate_parallel_edges",
+    "components",
+    "cycle_basis",
     "load_network",
     "load_network_file",
     "save_network",
@@ -260,6 +261,75 @@ def aggregate_parallel_edges(network: Network) -> ReducedGraph:
 
 
 # ---------------------------------------------------------------------------
+# graph traversal
+# ---------------------------------------------------------------------------
+
+
+def adjacency(nodes, edges) -> dict[str, dict[str, None]]:
+    """Neighbours of each node of a loop-free undirected graph, in insertion
+    order: ``nodes`` first, then endpoints of ``edges`` not among them.
+    Repeated edges collapse."""
+    adj: dict[str, dict[str, None]] = {n: {} for n in nodes}
+    for u, v in edges:
+        adj.setdefault(u, {})[v] = None
+        adj.setdefault(v, {})[u] = None
+    return adj
+
+
+def components(adj: dict[str, dict[str, None]]) -> list[set[str]]:
+    """Connected components, in the order of their first node in ``adj``."""
+    seen: set[str] = set()
+    found = []
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for nb in adj[frontier.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    frontier.append(nb)
+        seen |= comp
+        found.append(comp)
+    return found
+
+
+def cycle_basis(adj: dict[str, dict[str, None]]) -> list[list[tuple[str, str]]]:
+    """Fundamental cycles (Paton, CACM algorithm 491), each a list of sorted
+    edge tuples in cycle order; empty iff the graph is a forest. Roots are
+    popped from the end of the node order, so the cycles and their order,
+    and with them every cut row, follow the order ``adjacency`` was given."""
+    unrooted = dict.fromkeys(adj)
+    cycles = []
+    while unrooted:
+        root = unrooted.popitem()[0]
+        stack = [root]
+        pred = {root: root}
+        used: dict[str, set[str]] = {root: set()}
+        while stack:
+            z = stack.pop()
+            for nb in adj[z]:
+                if nb not in used:
+                    pred[nb] = z
+                    stack.append(nb)
+                    used[nb] = {z}
+                elif nb not in used[z]:
+                    cycle = [nb, z]
+                    p = pred[z]
+                    while p not in used[nb]:
+                        cycle.append(p)
+                        p = pred[p]
+                    cycle.append(p)
+                    cycles.append([tuple(sorted(e))
+                                   for e in zip(cycle, cycle[1:] + cycle[:1])])
+                    used[nb].add(z)
+        for node in pred:
+            unrooted.pop(node, None)
+    return cycles
+
+
+# ---------------------------------------------------------------------------
 # document I/O
 # ---------------------------------------------------------------------------
 
@@ -268,9 +338,14 @@ _PAIR_ORDER: tuple[tuple[Phase, Phase], ...] = tuple(
 )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_from_doc(obj, owner: str) -> complex:
-    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-        raise NetworkError(f"{owner}: complex values must be {{re, im}} objects")
+    if (not isinstance(obj, dict) or set(obj) != {"re", "im"}
+            or not all(map(_is_number, obj.values()))):
+        raise NetworkError(f"{owner}: complex values must be {{re, im}} objects of numbers")
     return complex(float(obj["re"]), float(obj["im"]))
 
 
@@ -318,6 +393,25 @@ def _line_length_km(raw: dict, buses: dict[str, Bus], owner: str) -> float:
     return math.hypot(dx, dy) / 1000.0
 
 
+# the JSON value each typed field takes wherever it appears, as a description
+# and a check (docs/network_format.md)
+_KINDS = {
+    **dict.fromkeys(
+        ("base_kva", "base_kv", "construction_cost", "harden_cost", "step_capacity_kva",
+         "fixed_cost", "variable_cost_rate"), ("a number", _is_number)),
+    **dict.fromkeys(("v_ref", "length_km"),
+                    ("a number or null", lambda v: v is None or _is_number(v))),
+    "max_steps": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "coords": ("an [x, y] pair of numbers or null", lambda v: v is None or (
+        isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)))),
+    "capacity_kva": ("a number or a map of numbers", lambda v: _is_number(v) or (
+        isinstance(v, dict) and all(map(_is_number, v.values())))),
+    "demand_kva": ("a map", lambda v: isinstance(v, dict)),
+    **dict.fromkeys(
+        ("is_substation", "is_transformer", "has_switch", "damageable", "hardenable",
+         "is_critical", "is_existing"), ("true or false", lambda v: isinstance(v, bool))),
+}
+
 _REQUIRED = {  # fields each entry of a section needs; "bases" is one entry
     "bases": ("base_kva", "base_kv"),
     "buses": ("id", "phases"),
@@ -343,6 +437,11 @@ def load_network(text: str) -> Network:
             missing = [k for k in keys if k not in raw]
             if missing:
                 raise NetworkError(f"{section} entry {i}: missing field(s) {missing}")
+            for key, value in raw.items():
+                kind, ok = _KINDS.get(key, (None, None))
+                if ok is not None and not ok(value):
+                    raise NetworkError(
+                        f"{section} entry {i}: field {key!r} must be {kind}, got {value!r}")
 
     bases = doc["bases"]
     units = UnitSystem(base_kva=float(bases["base_kva"]), base_kv=float(bases["base_kv"]))
@@ -463,6 +562,8 @@ def load_network_file(path: str | Path) -> Network:
 def _validate(net: Network) -> None:
     for line in net.lines.values():
         owner = f"line {line.id!r}"
+        if line.from_bus == line.to_bus:
+            raise NetworkError(f"{owner}: connects bus {line.from_bus!r} to itself")
         for end in (line.from_bus, line.to_bus):
             bus = net.buses[end]
             if not set(line.phases) <= set(bus.phases):
@@ -510,12 +611,8 @@ def _validate(net: Network) -> None:
 
     # every bus must be reachable from a substation over existing lines in the
     # undamaged state; multi-feeder studies may have one component per feeder
-    g = nx.Graph()
-    g.add_nodes_from(net.buses)
-    for line in net.lines.values():
-        if not line.is_candidate:
-            g.add_edge(line.from_bus, line.to_bus)
-    for component in nx.connected_components(g):
+    existing = [(l.from_bus, l.to_bus) for l in net.lines.values() if not l.is_candidate]
+    for component in components(adjacency(net.buses, existing)):
         if not any(net.buses[b].is_substation for b in component):
             raise NetworkError(
                 "existing lines leave buses unreachable from any substation; "

@@ -12,10 +12,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from gridfort.formulation import Design, DesignParams, rotated_impedance
-from gridfort.model import Network, Phase
+from gridfort.model import Network, Phase, adjacency, components, cycle_basis
 
 __all__ = [
     "OperationState",
@@ -90,19 +88,12 @@ class AuditReport:
 def check_radiality(state: OperationState, network: Network):
     """True iff the closed-line subgraph, parallel lines collapsed, is a forest;
     returns a witness cycle (as reduced edge tuples) when it is not."""
-    g = nx.Graph()
-    g.add_nodes_from(network.buses)
-    for lid in state.closed_lines:
-        line = network.lines[lid]
-        g.add_edge(*sorted((line.from_bus, line.to_bus)))
-    basis = nx.cycle_basis(g)
+    closed = (sorted((network.lines[lid].from_bus, network.lines[lid].to_bus))
+              for lid in state.closed_lines)
+    basis = cycle_basis(adjacency(network.buses, closed))
     if not basis:
         return True, None
-    nodes = basis[0]
-    witness = tuple(
-        tuple(sorted((nodes[i], nodes[(i + 1) % len(nodes)]))) for i in range(len(nodes))
-    )
-    return False, witness
+    return False, tuple(basis[0])
 
 
 def _island_anchor(component: set[str], network: Network, state: OperationState):
@@ -129,18 +120,16 @@ def recompute_voltages(state: OperationState, network: Network, params: DesignPa
     (bus, phase), max discrepancy against the state's voltages, flagged
     islands without any source).
     """
-    g = nx.Graph()
-    g.add_nodes_from(network.buses)
     lines_between: dict[tuple[str, str], list[str]] = {}
     for lid in sorted(state.closed_lines):
         line = network.lines[lid]
         key = tuple(sorted((line.from_bus, line.to_bus)))
-        g.add_edge(*key)
         lines_between.setdefault(key, []).append(lid)
+    adj = adjacency(network.buses, lines_between)
 
     voltages: dict[tuple[str, Phase], float] = {}
     flagged: list[str] = []
-    for component in nx.connected_components(g):
+    for component in components(adj):
         subs = sorted(b for b in component if network.buses[b].is_substation)
         if subs:
             # the optimization pins substation voltages, so this is an
@@ -171,7 +160,7 @@ def recompute_voltages(state: OperationState, network: Network, params: DesignPa
             queue.append(bid)
         while queue:
             bid = queue.popleft()
-            for nb in sorted(g.neighbors(bid)):
+            for nb in sorted(adj[bid]):
                 if nb in seen:
                     continue
                 key = tuple(sorted((bid, nb)))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from gridfort import (
     load_network,
     save_network,
 )
-from gridfort.model import Phase
+from gridfort.model import Phase, adjacency, components, cycle_basis
 
 from conftest import FIXTURES, c, load_doc, two_bus_doc, z1
 
@@ -86,6 +87,32 @@ class TestLoadNetwork:
         doc = two_bus_doc()
         doc["buses"].append({"id": "b2", "phases": "a"})
         with pytest.raises(NetworkError, match="b2"):
+            load_doc(doc)
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("bases", "base_kv", None),
+        ("buses", "coords", ["a", 0.0]),
+        ("lines", "capacity_kva", "500"),
+        ("lines", "hardenable", "false"),
+        ("lines", "length_km", "1.0"),
+    ])
+    def test_wrong_type_names_the_field(self, section, field, value):
+        doc = two_bus_doc()
+        entry = doc[section] if section == "bases" else doc[section][-1]
+        entry[field] = value
+        with pytest.raises(NetworkError, match=f"{section} entry .*'{field}'"):
+            load_doc(doc)
+
+    def test_complex_value_must_hold_numbers(self):
+        doc = two_bus_doc()
+        doc["loads"][0]["demand_kva"]["a"]["re"] = None
+        with pytest.raises(NetworkError, match="load 'ld1'"):
+            load_doc(doc)
+
+    def test_self_loop_line_rejected(self):
+        doc = two_bus_doc()
+        doc["lines"].append(dict(doc["lines"][0], id="loop", to="sub"))
+        with pytest.raises(NetworkError, match="'loop'.*to itself"):
             load_doc(doc)
 
     def test_impedance_missing_declared_pair_rejected(self):
@@ -180,8 +207,6 @@ class TestReducedGraph:
         assert len(red.edges) == 3
 
     def test_connectivity_preserved(self, case30):
-        import networkx as nx
-
         g_full = nx.Graph()
         g_full.add_nodes_from(case30.buses)
         for line in case30.lines.values():
@@ -192,6 +217,44 @@ class TestReducedGraph:
         g_red.add_edges_from(red.edges)
         for comp in nx.connected_components(g_full):
             assert any(comp == rc for rc in nx.connected_components(g_red))
+
+
+_NAMES = [f"n{i}" for i in range(9)]
+
+
+@st.composite
+def _graphs(draw):
+    """A node order over part of a name pool, and a loop-free edge list over
+    the whole pool, with repeats in either orientation."""
+    nodes = draw(st.permutations(_NAMES))[:draw(st.integers(0, len(_NAMES)))]
+    pairs = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)).filter(
+        lambda e: e[0] != e[1])
+    return nodes, draw(st.lists(pairs, max_size=24))
+
+
+class TestGraphHelpers:
+    """The traversal helpers walk the graph exactly as networkx does, so cut
+    rows and audit witnesses do not depend on which one ran."""
+
+    @given(_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_match_networkx_in_order(self, graph):
+        nodes, edges = graph
+        g = nx.Graph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from(edges)
+        adj = adjacency(nodes, edges)
+        assert [(n, list(nbs)) for n, nbs in adj.items()] == [(n, list(g[n])) for n in g]
+        assert components(adj) == list(nx.connected_components(g))
+        assert cycle_basis(adj) == [
+            [tuple(sorted((c[i], c[(i + 1) % len(c)]))) for i in range(len(c))]
+            for c in nx.cycle_basis(g)
+        ]
+
+    def test_forest_has_no_cycles(self):
+        adj = adjacency("abcd", [("a", "b"), ("c", "b"), ("b", "a")])
+        assert cycle_basis(adj) == []
+        assert components(adj) == [{"a", "b", "c"}, {"d"}]
 
 
 class TestSerialization:
