@@ -43,6 +43,7 @@ from gridfort.formulation import (
     DesignParams,
     MasterProblem,
     OctagonGeometry,
+    ScenarioTemplate,
     build_master,
     microgrid_step_encoding,
     npv_capacity_cost,
@@ -88,6 +89,7 @@ __all__ = [
     "Phase",
     "ReducedGraph",
     "SbdState",
+    "ScenarioTemplate",
     "Solution",
     "SolverOptions",
     "UnitSystem",

@@ -28,7 +28,7 @@ from gridfort.decomposition import (
     evaluate_distinct,
     sbd_design,
 )
-from gridfort.formulation import Design, DesignParams, make_design
+from gridfort.formulation import Design, DesignParams, ScenarioTemplate, make_design
 from gridfort.fragility import (
     FragilityParams,
     load_scenarios_file,
@@ -92,16 +92,23 @@ def _as(kind, value, where: str):
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(None),)}
 
 
+def _checked(value, hint, where: str):
+    """``value`` if it is a JSON value of type ``hint`` (a type or a union
+    of them), else a ConfigError naming ``where``."""
+    kinds = typing.get_args(hint) or (hint,)
+    accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} has a malformed value: {value!r}")
+    return value
+
+
 def _pick(raw, cls, section: str):
     """``cls(**raw)`` for one config section, every value first checked
     against its field's type, so a wrong type is an error naming the key."""
     _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
     hints = typing.get_type_hints(cls)
     for key, value in raw.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"config key '{section}.{key}' has a malformed value: {value!r}")
+        _checked(value, hints[key], f"config key '{section}.{key}'")
     return cls(**raw)
 
 
@@ -120,7 +127,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     flags = vars(overrides) if overrides is not None else {}  # this subcommand's flags
 
     frag_raw = _as(dict, doc.get("fragility") or {}, "config section 'fragility'")
-    frag_raw["seed"] = _as(int, frag_raw.get("seed", doc.get("seed", 0)), "config key 'seed'")
+    frag_raw.setdefault("seed", _checked(doc.get("seed", 0), int, "config key 'seed'"))
     if flags.get("seed") is not None:
         frag_raw["seed"] = flags["seed"]  # explicit flag beats any configured seed
     try:
@@ -134,13 +141,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     _check_keys(sweep, SWEEP_KEYS, "config section 'sweep'")
 
     def axis(key: str) -> list[float]:
-        return _as(lambda xs: [float(x) for x in xs], sweep.get(key, []),
-                   f"config key 'sweep.{key}'")
+        where = f"config key 'sweep.{key}'"
+        values = sweep.get(key, [])
+        if not isinstance(values, list):
+            raise ConfigError(f"{where} has a malformed value: {values!r}")
+        return [float(_checked(x, float, where)) for x in values]
 
     cfg = RunConfig(
         network=base / _as(Path, doc["network"], "config key 'network'"),
         output_dir=base / _as(Path, doc.get("output_dir", "out"), "config key 'output_dir'"),
-        jobs=_as(int, doc.get("jobs", 1), "config key 'jobs'"),
+        jobs=_checked(doc.get("jobs", 1), int, "config key 'jobs'"),
         fragility=fragility,
         design=design,
         solver=solver,
@@ -190,13 +200,39 @@ def design_to_dict(design: Design) -> dict:
 
 
 def design_from_file(path: Path, network: Network, params: DesignParams) -> Design:
+    """The design a ``design.json`` document describes; any field that does
+    not fit ``network`` is a ConfigError naming it."""
     doc = json.loads(Path(path).read_text())
-    return make_design(
-        network, params,
-        doc.get("built_lines", []),
-        doc.get("hardened_lines", []),
-        {str(g): int(n) for g, n in (doc.get("microgrid_steps") or {}).items()},
-    )
+    where = f"design file {path}"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+
+    def line_ids(key: str, allowed: set[str], what: str) -> list[str]:
+        ids = doc.get(key, [])
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ConfigError(f"{where}: '{key}' must be a list of line ids")
+        bad = sorted(set(ids) - allowed)
+        if bad:
+            raise ConfigError(f"{where}: '{key}' names lines that are not {what}: {bad}")
+        return ids
+
+    lines = network.lines.values()
+    built = line_ids("built_lines", {l.id for l in lines if l.is_candidate},
+                     "candidates")
+    hardened = line_ids("hardened_lines",
+                        {l.id for l in lines
+                         if l.hardenable and l.damageable and not l.is_candidate},
+                        "hardenable, damageable existing lines")
+    steps = doc.get("microgrid_steps") or {}
+    if not isinstance(steps, dict):
+        raise ConfigError(f"{where}: 'microgrid_steps' must map microgrid ids to step counts")
+    for gid, n in steps.items():
+        if gid not in network.microgrids:
+            raise ConfigError(f"{where}: 'microgrid_steps' names an unknown microgrid {gid!r}")
+        key, top = f"{where}: 'microgrid_steps.{gid}'", network.microgrids[gid].max_steps
+        if not 0 <= _checked(n, int, key) <= top:
+            raise ConfigError(f"{key} must lie in [0, {top}], got {n}")
+    return make_design(network, params, built, hardened, steps)
 
 
 def _print_design_summary(design: Design, network: Network) -> None:
@@ -239,7 +275,7 @@ def cmd_scenarios(cfg: RunConfig) -> int:
 
 
 def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
-              solved: dict[int, Verdict]) -> list[Verdict]:
+              solved: dict[int, Verdict], template: ScenarioTemplate) -> list[Verdict]:
     """Verdict of every scenario, solved once per distinct damage set; a
     damage set that ``solved`` (id -> verdict carrying its state) covers is
     restated from it instead."""
@@ -247,7 +283,8 @@ def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
     def evaluate(scen):
         if scen.id in solved:
             return solved[scen.id]
-        return evaluate_design(design, network, scen, cfg.design, cfg.solver)
+        return evaluate_design(design, network, scen, cfg.design, cfg.solver,
+                               template=template)
 
     # solved scenarios first, so each damage set they cover takes their verdict
     by_id = evaluate_distinct(sorted(scens, key=lambda s: s.id not in solved), evaluate)
@@ -255,9 +292,9 @@ def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
 
 
 def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
-               solved: dict[int, Verdict]):
+               solved: dict[int, Verdict], template: ScenarioTemplate):
     """Verdict and independent audit of every scenario (see ``_verdicts``)."""
-    verdicts = _verdicts(design, network, scens, cfg, solved)
+    verdicts = _verdicts(design, network, scens, cfg, solved, template)
     reports = [audit(v.state, network, cfg.design, design) for v in verdicts]
     return verdicts, reports
 
@@ -265,9 +302,10 @@ def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
 def cmd_design(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
+    template = ScenarioTemplate(network, cfg.design)
     try:
         design, state = sbd_design(
-            network, scens, cfg.design, cfg.solver, jobs=cfg.jobs
+            network, scens, cfg.design, cfg.solver, jobs=cfg.jobs, template=template
         )
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc} (scenario {exc.scenario_id})", file=sys.stderr)
@@ -277,7 +315,7 @@ def cmd_design(cfg: RunConfig) -> int:
     # the final verification already solved every scenario outside the master,
     # and with it each master scenario that shares one's damage
     verdicts, reports = _audit_all(design, network, scens, cfg,
-                                   state.iterations[-1].verdicts)
+                                   state.iterations[-1].verdicts, template)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     _print_design_summary(design, network)
     dirty = [r for r in reports if not r.clean]
@@ -297,7 +335,8 @@ def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    verdicts = _verdicts(design, network, scens, cfg, {})
+    verdicts = _verdicts(design, network, scens, cfg, {},
+                         ScenarioTemplate(network, cfg.design))
     _dump_json([v.to_dict() for v in verdicts], cfg.output_dir / "evaluation.json")
     crit = [v.critical_fraction for v in verdicts]
     tot = [v.total_fraction for v in verdicts]
@@ -313,7 +352,8 @@ def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    _, reports = _audit_all(design, network, scens, cfg, {})
+    _, reports = _audit_all(design, network, scens, cfg, {},
+                            ScenarioTemplate(network, cfg.design))
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     dirty = [r for r in reports if not r.clean]
     for rep in dirty:
@@ -333,14 +373,15 @@ def _sweep_cell(args: tuple) -> dict:
     t0 = time.monotonic()
     row = {"gamma": params.total_fraction, "mg_cost_per_kw": params.mg_rate_override}
     try:
-        design, state = sbd_design(network, scens, params, options)
+        template = ScenarioTemplate(network, params)
+        design, state = sbd_design(network, scens, params, options, template=template)
         # canonical tie-break: among cost-optimal designs, the one with the
         # least installed microgrid capacity; warm-started from the scenarios
         # the cost pass already found binding
         budget = design.cost.total / 1000.0 + 1e-6
         design, _ = sbd_design(network, scens, params, options,
                                objective="microgrid_kw", cost_budget=budget,
-                               initial_active=state.active)
+                               initial_active=state.active, template=template)
         row.update(
             status="ok",
             total_cost=design.cost.total,

@@ -15,7 +15,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from gridfort.formulation import Design, DesignParams, MasterProblem, build_master
+from gridfort.formulation import (
+    Design,
+    DesignParams,
+    MasterProblem,
+    ScenarioTemplate,
+    build_master,
+)
 from gridfort.fragility import DamageScenario
 from gridfort.milp import Solution, SolverError, SolverOptions, solve
 from gridfort.model import adjacency, cycle_basis
@@ -76,6 +82,8 @@ class IterationRecord:
     wall_time: float
     verify_solves: int  # distinct damage sets solved by the verification
     verify_time: float
+    build_time: float   # assembling the master's new block (the whole master first)
+    solve_time: float   # the master's solve, over all cut rounds
 
 
 @dataclass
@@ -93,6 +101,8 @@ class SbdState:
                 "wall_time_s": rec.wall_time,
                 "verify_solves": rec.verify_solves,
                 "verify_s": rec.verify_time,
+                "build_s": rec.build_time,
+                "solve_s": rec.solve_time,
             }
             for rec in self.iterations
         ]
@@ -154,9 +164,11 @@ def solve_with_cycle_cuts(master: MasterProblem,
 
 
 def evaluate_design(design: Design, network, scenario: DamageScenario,
-                    params: DesignParams, options: SolverOptions | None = None) -> Verdict:
+                    params: DesignParams, options: SolverOptions | None = None, *,
+                    template: ScenarioTemplate | None = None) -> Verdict:
     """Feasibility verdict of a fixed design under one damage scenario,
-    carrying the operating point it rests on (``Verdict.state``).
+    carrying the operating point it rests on (``Verdict.state``). The model
+    is assembled from ``template``, compiled here when absent.
 
     The base solve is a pure feasibility check of the scenario operation
     problem; when the resilience targets are unattainable, the same model,
@@ -168,7 +180,8 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     """
     options = options or SolverOptions()
     what = f"evaluation of scenario {scenario.id}"
-    master = build_master(network, [scenario], params, fixed_design=design)
+    master = build_master(network, [scenario], params, fixed_design=design,
+                          template=template)
     sol = solve_with_cycle_cuts(master, options)
     feasible = sol.status == "optimal"
     if sol.status == "infeasible":
@@ -222,12 +235,15 @@ def evaluate_distinct(scenarios: list[DamageScenario], evaluate,
 def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                options: SolverOptions | None = None, jobs: int = 1, *,
                objective: str = "cost", cost_budget: float | None = None,
-               initial_active: list[int] | None = None):
+               initial_active: list[int] | None = None,
+               template: ScenarioTemplate | None = None):
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add the lowest-id infeasible scenario to the
     subset each iteration: one master, built once, gains its block and keeps
     its cuts. Verification solves each distinct damage set of the remaining
-    scenarios once (``evaluate_distinct``), on ``jobs`` threads.
+    scenarios once (``evaluate_distinct``), on ``jobs`` threads. The master
+    and every verification model are assembled from ``template``, compiled
+    here when absent.
 
     Returns (Design, SbdState); the verdicts of the last iteration carry
     their operating points, earlier ones do not. Raises InfeasibleDesignError
@@ -257,11 +273,17 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                 active.append(worst.id)
     state.active = active
 
+    if template is None:
+        template = ScenarioTemplate(network, params)
     t0 = time.monotonic()
     master = build_master(network, [by_id[i] for i in active], params,
-                          objective=objective, cost_budget=cost_budget)
+                          objective=objective, cost_budget=cost_budget,
+                          template=template)
+    build_time = time.monotonic() - t0
     for _ in range(len(scenarios)):
+        t_solve = time.monotonic()
         sol = solve_with_cycle_cuts(master, options)
+        solve_time = time.monotonic() - t_solve
         if sol.status == "infeasible":
             raise InfeasibleDesignError(
                 active[-1],
@@ -275,7 +297,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         t_verify = time.monotonic()
         verdicts = evaluate_distinct(
             remaining,
-            lambda scen: evaluate_design(design, network, scen, params, options),
+            lambda scen: evaluate_design(design, network, scen, params, options,
+                                         template=template),
             jobs,
         )
         verify_time = time.monotonic() - t_verify
@@ -291,6 +314,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             wall_time=time.monotonic() - t0,
             verify_solves=len({s.damaged_line_ids for s in remaining}),
             verify_time=verify_time,
+            build_time=build_time,
+            solve_time=solve_time,
         ))
         if not infeasible:
             return design, state
@@ -298,4 +323,5 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         active.append(nxt)
         t0 = time.monotonic()
         master.add_scenario(by_id[nxt])
+        build_time = time.monotonic() - t0
     raise RuntimeError("decomposition failed to converge within |S| iterations")

@@ -2,7 +2,15 @@
 cost upgrade problem that links scenarios through shared build/harden/
 microgrid decisions.
 
-Variable naming grammar (stable across runs, used in exchange files):
+Within one run every scenario block has the same rows apart from its damage.
+``ScenarioTemplate`` runs the ``ScenarioFormulation`` emitters once, on the
+first stage and an undamaged block, and every model (``build_master``) is
+assembled from copies of that compiled block with each scenario's damage
+patched in; ``MasterProblem.add_scenario`` appends one more.
+
+Variable naming grammar (stable across runs, used in exchange files; names
+are generated only when asked for, by the MPS writer and the model's
+``var_names`` and ``constraints`` views):
 
     build:{line}            first-stage new-line decision
     harden:{line}           first-stage hardening decision
@@ -25,10 +33,21 @@ tame; reported design costs are in dollars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from gridfort.fragility import DamageScenario
-from gridfort.milp import BINARY, CONTINUOUS, EQUAL, GREATER, LESS, MilpModel, Solution
+from gridfort.milp import (
+    BINARY,
+    CONTINUOUS,
+    EQUAL,
+    GREATER,
+    LESS,
+    MilpModel,
+    RowBlock,
+    Solution,
+)
 from gridfort.model import (
     Line,
     MicrogridCandidate,
@@ -51,6 +70,8 @@ __all__ = [
     "design_cost",
     "ScenarioVars",
     "ScenarioFormulation",
+    "ScenarioBlock",
+    "ScenarioTemplate",
     "FirstStage",
     "MasterProblem",
     "build_master",
@@ -342,22 +363,18 @@ def rotated_impedance(line: Line, k: Phase, k2: Phase) -> complex:
 
 
 class ScenarioFormulation:
-    """Operational constraint emitter for one damage scenario."""
+    """Operational constraint emitters for one undamaged scenario block.
+
+    Damage is not emitted here: ``ScenarioTemplate`` compiles the emitters'
+    rows once and patches each scenario's damage into a copy.
+    """
 
     def __init__(self, model: MilpModel, network: Network, params: DesignParams,
                  scenario: DamageScenario, reduced: ReducedGraph,
                  first_stage: FirstStage) -> None:
-        unknown = sorted(scenario.damaged_line_ids - set(network.lines))
-        if unknown:
-            raise ValueError(f"scenario {scenario.id} damages unknown lines: {unknown}")
-        bad = sorted(
-            lid for lid in scenario.damaged_line_ids
-            if network.lines[lid].is_candidate or not network.lines[lid].damageable
-        )
-        if bad:
-            raise ValueError(
-                f"scenario {scenario.id} damages candidate/non-damageable lines: {bad}"
-            )
+        if scenario.damaged_line_ids:
+            raise ValueError("the emitters build an undamaged block; "
+                             "ScenarioTemplate.stack applies damage")
         self.model = model
         self.network = network
         self.params = params
@@ -366,8 +383,9 @@ class ScenarioFormulation:
         self.first_stage = first_stage
         self.suffix = f":s{scenario.id}"
         self.vars = ScenarioVars()
-        self.cuts: set[frozenset] = set()  # cycles cut in this block, as edge sets
         self.resilience_rows: list[int] = []
+        self.switch_rows: dict[str, int] = {}  # line -> its sw row
+        self.link_rows: dict[str, int] = {}    # line -> its redlink row
         self._sub_cap_re, self._sub_cap_im = _substation_capacity(network)
         self._allocate()
 
@@ -461,18 +479,13 @@ class ScenarioFormulation:
         return rows
 
     def add_switching_damage_constraints(self, line_id: str) -> list[int]:
-        """Energization tracks availability when intact and the hardening copy
-        when damaged; unhardened damaged lines are forced open."""
-        m, line = self.model, self.network.lines[line_id]
-        e = self.vars.e[line_id]
-        if line_id in self.scenario.damaged_line_ids:
-            other, tag = self.vars.hs[line_id], "dmg"
-        else:
-            other, tag = self.vars.bs[line_id], "sw"
-        return [
-            m.add_constraint({e: 1.0, other: -1.0}, EQUAL, 0.0,
-                             f"{tag}:{line_id}{self.suffix}")
-        ]
+        """Energization tracks availability. Damage swaps availability for
+        the hardening copy in this row (``ScenarioTemplate.stack``), so an
+        unhardened damaged line is forced open."""
+        m = self.model
+        e, bs = self.vars.e[line_id], self.vars.bs[line_id]
+        return [m.add_constraint({e: 1.0, bs: -1.0}, EQUAL, 0.0,
+                                 f"sw:{line_id}{self.suffix}")]
 
     def add_imbalance_constraints(self, line_id: str) -> list[int]:
         """Per-phase flow within (1 +- beta) of the per-phase average, real and
@@ -600,22 +613,13 @@ class ScenarioFormulation:
         return rows
 
     def add_reduced_edge_links(self, line_id: str) -> list[int]:
-        """Reduced-edge usage dominates every original line beneath it; for
-        damaged lines the energization binary is linked as well so hardened
-        switched lines cannot hide from the cycle cuts."""
-        m = self.model
-        key = self.reduced.edge_of_line(line_id)
-        bb = self.vars.bredge[key]
-        rows = [
-            m.add_constraint({self.vars.bs[line_id]: 1.0, bb: -1.0}, LESS, 0.0,
-                             f"redlink:{line_id}{self.suffix}")
-        ]
-        if line_id in self.scenario.damaged_line_ids:
-            rows.append(
-                m.add_constraint({self.vars.e[line_id]: 1.0, bb: -1.0}, LESS, 0.0,
-                                 f"redlinkd:{line_id}{self.suffix}")
-            )
-        return rows
+        """Reduced-edge usage dominates every original line beneath it.
+        Damage adds a row right after this one linking the energization
+        binary as well (``ScenarioTemplate.stack``), so hardened switched
+        lines cannot hide from the cycle cuts."""
+        bb = self.vars.bredge[self.reduced.edge_of_line(line_id)]
+        return [self.model.add_constraint({self.vars.bs[line_id]: 1.0, bb: -1.0}, LESS,
+                                          0.0, f"redlink:{line_id}{self.suffix}")]
 
     def add_master_links(self) -> list[int]:
         """b^s <= b for candidates (new lines stay switchable); h^s = h."""
@@ -640,25 +644,14 @@ class ScenarioFormulation:
     def add_all(self) -> None:
         for lid in sorted(self.network.lines):
             self.add_thermal_direction_constraints(lid)
-            self.add_switching_damage_constraints(lid)
+            self.switch_rows[lid], = self.add_switching_damage_constraints(lid)
             self.add_imbalance_constraints(lid)
             self.add_voltage_constraints(lid)
-            self.add_reduced_edge_links(lid)
+            self.link_rows[lid], = self.add_reduced_edge_links(lid)
         for bid in sorted(self.network.buses):
             self.add_load_generation_balance(bid)
         self.resilience_rows = self.add_resilience_constraints()
         self.add_master_links()
-
-    def add_cycle_cut(self, cycle_edges) -> int:
-        """At least one reduced edge of the cycle must stay unused."""
-        cycle = [tuple(sorted(e)) for e in cycle_edges]
-        _check_simple_cycle(cycle, self.vars.bredge)
-        coeffs = {self.vars.bredge[e]: 1.0 for e in cycle}
-        self.cuts.add(frozenset(cycle))
-        return self.model.add_constraint(
-            coeffs, LESS, float(len(cycle) - 1),
-            f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}{self.suffix}",
-        )
 
 
 def _check_simple_cycle(cycle, bredge) -> None:
@@ -688,6 +681,151 @@ def _substation_capacity(network: Network) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# the compiled scenario block
+# ---------------------------------------------------------------------------
+
+
+def _shifted(sv: ScenarioVars, shift: int) -> ScenarioVars:
+    return ScenarioVars(**{
+        f.name: {key: ix + shift for key, ix in getattr(sv, f.name).items()}
+        for f in fields(ScenarioVars)
+    })
+
+
+@dataclass
+class ScenarioBlock:
+    """One scenario's block in a model: its variables' indexes, its
+    resilience rows, and the cycles cut in it, as edge sets."""
+
+    scenario: DamageScenario
+    reduced: ReducedGraph
+    vars: ScenarioVars
+    resilience_rows: list[int]
+    cuts: set[frozenset] = field(default_factory=set)
+
+
+class ScenarioTemplate:
+    """The first stage and one scenario block, compiled once per (network,
+    params); every model is assembled from copies of it.
+
+    The ``ScenarioFormulation`` emitters run once, on the first stage and an
+    undamaged block. The template keeps the first stage's columns and rows,
+    the block's columns and its rows as arrays (first-stage columns as they
+    are, block columns numbered from the first stage's width), the block's
+    ``ScenarioVars``, its resilience rows, and each line's ``sw`` and
+    ``redlink`` rows, where damage is patched in. Names are kept as stems
+    and completed only when a model's names are asked for. It is read-only
+    after construction, so threads may share it.
+    """
+
+    def __init__(self, network: Network, params: DesignParams) -> None:
+        model = MilpModel()
+        self.first_stage = _build_first_stage(model, network)
+        self.n_first = model.num_variables
+        first_rows = model.num_constraints
+        self.network = network
+        self.params = params
+        self.reduced = aggregate_parallel_edges(network)
+        blk = ScenarioFormulation(model, network, params, DamageScenario(0, frozenset()),
+                                  self.reduced, self.first_stage)
+        blk.add_all()
+        rows, var_names, row_names = model.rows(), model.var_names, model.row_names
+        cut = len(blk.suffix)  # every block name ends with the suffix
+        n = self.n_first
+        self.first_columns = (model.lb[:n], model.ub[:n], model.kinds[:n],
+                              tuple(var_names[:n]))
+        self.first_rows = rows.slice(0, first_rows)
+        self.first_row_names = tuple(row_names[:first_rows])
+        self.lb, self.ub, self.kinds = model.lb[n:], model.ub[n:], model.kinds[n:]
+        self.var_stems = tuple(name[:-cut] for name in var_names[n:])
+        self.rows = rows.slice(first_rows, len(rows))
+        self.row_stems = tuple(name[:-cut] for name in row_names[first_rows:])
+        self.vars = blk.vars
+        self.resilience_rows = [r - first_rows for r in blk.resilience_rows]
+        self.switch_rows = {lid: r - first_rows for lid, r in blk.switch_rows.items()}
+        self.link_rows = {lid: r - first_rows for lid, r in blk.link_rows.items()}
+        self._moves = (self.rows.indices >= n).astype(np.int64)
+        # per damageable line: where the sw row holds the availability
+        # column, and the extra link row's entries in column order
+        self._switch_entry: dict[str, int] = {}
+        self._damage_link: dict[str, tuple] = {}
+        for lid in network.damageable_lines():
+            r = self.switch_rows[lid]
+            lo, hi = self.rows.indptr[r], self.rows.indptr[r + 1]
+            self._switch_entry[lid] = int(
+                lo + np.flatnonzero(self.rows.indices[lo:hi] == self.vars.bs[lid])[0])
+            bb = self.vars.bredge[self.reduced.edge_of_line(lid)]
+            self._damage_link[lid] = tuple(sorted(((self.vars.e[lid], 1.0), (bb, -1.0))))
+
+    def add_first_stage(self, model: MilpModel) -> None:
+        """The first-stage columns and rows, at the start of an empty model."""
+        model.add_columns(*self.first_columns)
+        model.add_rows(self.first_rows, self.first_row_names)
+
+    def _check_damage(self, scenario: DamageScenario) -> None:
+        lines = self.network.lines
+        unknown = sorted(scenario.damaged_line_ids - set(lines))
+        if unknown:
+            raise ValueError(f"scenario {scenario.id} damages unknown lines: {unknown}")
+        bad = sorted(lid for lid in scenario.damaged_line_ids if lid not in self._switch_entry)
+        if bad:
+            raise ValueError(
+                f"scenario {scenario.id} damages candidate/non-damageable lines: {bad}"
+            )
+
+    def stack(self, model: MilpModel, scenario: DamageScenario) -> ScenarioBlock:
+        """Append one scenario's block after everything in ``model``: a copy
+        of the compiled block with its columns moved to the model's width and
+        the damage patched in, in the emitters' row order. For each damaged
+        line the ``sw`` row becomes ``dmg`` (energization equals the
+        hardening copy instead of availability) and a ``redlinkd`` row
+        ``e - bredge <= 0`` follows its ``redlink`` row."""
+        self._check_damage(scenario)
+        damaged = sorted(scenario.damaged_line_ids)  # so their link rows ascend
+        shift = model.num_variables - self.n_first
+        sfx = f":s{scenario.id}"
+        first_row = model.num_constraints
+        model.add_columns(self.lb, self.ub, self.kinds,
+                          lambda: [stem + sfx for stem in self.var_stems])
+        rows = self.rows
+        indices = rows.indices + shift * self._moves
+        at = np.array([self.link_rows[lid] + 1 for lid in damaged], dtype=np.int64)
+        if damaged:
+            indices[[self._switch_entry[lid] for lid in damaged]] = [
+                self.vars.hs[lid] + shift for lid in damaged]
+            entries = np.repeat(rows.indptr[at], 2)
+            link = [entry for lid in damaged for entry in self._damage_link[lid]]
+            counts = np.insert(np.diff(rows.indptr), at, 2)
+            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            rows = RowBlock(
+                indptr,
+                np.insert(indices, entries, [col + shift for col, _ in link]),
+                np.insert(rows.data, entries, [coef for _, coef in link]),
+                np.insert(rows.lo, at, -math.inf),
+                np.insert(rows.hi, at, 0.0),
+            )
+        else:
+            rows = RowBlock(rows.indptr, indices, rows.data, rows.lo, rows.hi)
+
+        def row_names() -> list[str]:
+            names = [stem + sfx for stem in self.row_stems]
+            for lid in damaged:
+                names[self.switch_rows[lid]] = f"dmg:{lid}{sfx}"
+            for lid in reversed(damaged):
+                names.insert(self.link_rows[lid] + 1, f"redlinkd:{lid}{sfx}")
+            return names
+
+        model.add_rows(rows, row_names)
+        # the first block of a model sits where the template's does, and
+        # shares its (read-only) index maps
+        return ScenarioBlock(
+            scenario, self.reduced, self.vars if shift == 0 else _shifted(self.vars, shift),
+            [first_row + r + int(np.sum(at <= r)) for r in self.resilience_rows],
+        )
+
+
+# ---------------------------------------------------------------------------
 # master problem
 # ---------------------------------------------------------------------------
 
@@ -695,30 +833,48 @@ def _substation_capacity(network: Network) -> tuple[float, float]:
 @dataclass
 class MasterProblem:
     model: MilpModel
-    network: Network
-    params: DesignParams
-    reduced: ReducedGraph
-    first_stage: FirstStage
-    blocks: dict[int, ScenarioFormulation]
+    template: ScenarioTemplate
+    blocks: dict[int, ScenarioBlock]
+
+    @property
+    def network(self) -> Network:
+        return self.template.network
+
+    @property
+    def params(self) -> DesignParams:
+        return self.template.params
+
+    @property
+    def reduced(self) -> ReducedGraph:
+        return self.template.reduced
+
+    @property
+    def first_stage(self) -> FirstStage:
+        return self.template.first_stage
 
     def add_scenario(self, scenario: DamageScenario) -> None:
         """Append one scenario's block after every row already in the model."""
         if scenario.id in self.blocks:
             raise ValueError(f"duplicate scenario id {scenario.id}")
-        blk = ScenarioFormulation(self.model, self.network, self.params, scenario,
-                                  self.reduced, self.first_stage)
-        blk.add_all()
-        self.blocks[scenario.id] = blk
+        self.blocks[scenario.id] = self.template.stack(self.model, scenario)
 
     def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
-        return self.blocks[scenario_id].add_cycle_cut(cycle_edges)
+        """At least one reduced edge of the cycle must stay unused."""
+        blk = self.blocks[scenario_id]
+        cycle = [tuple(sorted(e)) for e in cycle_edges]
+        _check_simple_cycle(cycle, blk.vars.bredge)
+        blk.cuts.add(frozenset(cycle))
+        return self.model.add_constraint(
+            {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
+            f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}:s{scenario_id}",
+        )
 
     def maximize_served(self) -> None:
         """Best-effort served-load maximization over the same rows and cuts:
         every block's resilience targets drop to zero."""
         for blk in self.blocks.values():
             for row in blk.resilience_rows:
-                self.model.constraints[row].rhs = 0.0
+                self.model.set_rhs(row, 0.0)
         self.model.set_objective(_served_objective(self.network, self.blocks))
 
     def design_from_solution(self, solution: Solution) -> Design:
@@ -818,10 +974,11 @@ def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
 
 def build_master(network: Network, scenarios: list[DamageScenario],
                  params: DesignParams, *, fixed_design: Design | None = None,
-                 objective: str = "cost",
-                 cost_budget: float | None = None) -> MasterProblem:
+                 objective: str = "cost", cost_budget: float | None = None,
+                 template: ScenarioTemplate | None = None) -> MasterProblem:
     """Assemble the two-stage design MILP over the given scenario set, one
-    ``MasterProblem.add_scenario`` block each.
+    ``MasterProblem.add_scenario`` block each, from ``template`` (compiled
+    here when absent).
 
     objective: "cost" minimizes upgrade cost (the design problem);
     "microgrid_kw" minimizes installed microgrid kW (tie-break canonicalization,
@@ -830,12 +987,16 @@ def build_master(network: Network, scenarios: list[DamageScenario],
     """
     if not scenarios:
         raise ValueError("at least one scenario (the baseline) is required")
+    if template is None:
+        template = ScenarioTemplate(network, params)
+    elif template.network is not network or template.params != params:
+        raise ValueError("the template was compiled for another network or params")
     model = MilpModel(name="upgrade")
-    fs = _build_first_stage(model, network)
+    template.add_first_stage(model)
+    fs = template.first_stage
     if fixed_design is not None:
         _apply_fixed_design(model, network, fs, fixed_design)
-    master = MasterProblem(model, network, params, aggregate_parallel_edges(network),
-                           fs, {})
+    master = MasterProblem(model, template, {})
     for scen in scenarios:
         master.add_scenario(scen)
 

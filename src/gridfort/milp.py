@@ -1,12 +1,17 @@
 """Solver-agnostic MILP representation plus a built-in exact solver.
 
-The built-in backend compiles the model once into a sparse row-bounded
-matrix and hands it to HiGHS branch-and-cut through ``scipy.optimize.milp``,
-in process, which keeps the test suite hermetic (no third-party MILP solver
-process needed). The external adapter exchanges MPS model files and a plain
-solution file with any solver wrapped behind a subprocess command template.
+A model is compiled and append-only: its rows are sparse row blocks in
+insertion order (``RowBlock``), either appended whole (``add_rows``, one
+scenario block at a time) or added one by one (``add_constraint``) and
+compiled on the next solve. Names of bulk-added columns and rows are
+generated only when asked for. The built-in backend joins the blocks into
+one sparse row-bounded matrix and hands it to HiGHS branch-and-cut through
+``scipy.optimize.milp``, in process, which keeps the test suite hermetic (no
+third-party MILP solver process needed). The external adapter exchanges MPS
+model files and a plain solution file with any solver wrapped behind a
+subprocess command template.
 
-Cuts are injected by adding constraints and re-solving; there is no callback
+Cuts are injected by appending rows and re-solving; there is no callback
 API, so the builtin and file-based external backends behave identically.
 """
 
@@ -31,6 +36,7 @@ __all__ = [
     "CONTINUOUS",
     "BINARY",
     "MilpModel",
+    "RowBlock",
     "Solution",
     "SolverOptions",
     "SolverError",
@@ -87,24 +93,88 @@ class Solution:
 
 @dataclass
 class _Constraint:
+    """One row as the ``MilpModel.constraints`` view shows it."""
+
     coeffs: dict[int, float]
     sense: str
     rhs: float
     name: str
 
 
+@dataclass(frozen=True)
+class RowBlock:
+    """Rows in compressed sparse row form: row i holds the entries
+    ``indptr[i]:indptr[i + 1]`` of ``indices``/``data``, sorted by column,
+    and reads ``lo[i] <= a_i @ x <= hi[i]``; a one-sided row has an infinite
+    bound on its other side."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def slice(self, start: int, stop: int) -> RowBlock:
+        """Rows ``start:stop`` as a block of their own (copies)."""
+        a, b = self.indptr[start], self.indptr[stop]
+        return RowBlock(self.indptr[start:stop + 1] - a, self.indices[a:b].copy(),
+                        self.data[a:b].copy(), self.lo[start:stop].copy(),
+                        self.hi[start:stop].copy())
+
+    @staticmethod
+    def concat(blocks: list[RowBlock]) -> RowBlock:
+        """The rows of ``blocks`` in order, in new arrays."""
+        starts = np.cumsum([0] + [b.indptr[-1] for b in blocks[:-1]])
+        return RowBlock(
+            np.concatenate([np.zeros(1, dtype=np.int64)]
+                           + [b.indptr[1:] + s for b, s in zip(blocks, starts)]),
+            np.concatenate([b.indices for b in blocks]),
+            np.concatenate([b.data for b in blocks]),
+            np.concatenate([b.lo for b in blocks]),
+            np.concatenate([b.hi for b in blocks]),
+        )
+
+
+_NO_ROWS = RowBlock(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                    np.zeros(0), np.zeros(0), np.zeros(0))
+
+
+def _expand(segments) -> list[str]:
+    """Names from segments: lists and tuples of names as they are, callables
+    called for theirs."""
+    out: list[str] = []
+    for seg in segments:
+        out.extend(seg() if callable(seg) else seg)
+    return out
+
+
 class MilpModel:
-    """Sparse minimization MILP with continuous and binary variables."""
+    """Sparse minimization MILP with continuous and binary variables.
+
+    Rows stay in insertion order. A row added by ``add_constraint`` waits as
+    a dict until the next compile turns the waiting rows into one
+    ``RowBlock``; ``add_rows`` appends a whole block at once. Compiling joins
+    the blocks, so a cut round appends rows to the compiled arrays instead of
+    rebuilding them. Names of columns and rows added in bulk are produced
+    only when asked for (``var_names``, ``constraints``, the MPS writer).
+    """
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.var_names: list[str] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.kinds: list[str] = []
-        self.constraints: list[_Constraint] = []
         self.objective: dict[int, float] = {}
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] = {}  # names of variables added one by one
+        self._var_names: list = []        # name segments, see _expand
+        self._row_names: list = []        # likewise; "" stands for c{row}
+        self._blocks: list[RowBlock] = []
+        self._joined: RowBlock | None = None  # the block rows() last joined
+        self._pending: list[tuple[dict[int, float], float, float]] = []
+        self._n_rows = 0
 
     # -- construction -------------------------------------------------------
 
@@ -121,13 +191,25 @@ class MilpModel:
                 raise ValueError(f"binary variable {name!r} bounds must lie within [0, 1]")
         if lb > ub:
             raise ValueError(f"variable {name!r} has empty bound interval")
-        ix = len(self.var_names)
-        self.var_names.append(name)
+        ix = self.num_variables
         self.lb.append(lb)
         self.ub.append(ub)
         self.kinds.append(kind)
+        _own_names(self._var_names).append(name)
         self._index[name] = ix
         return ix
+
+    def add_columns(self, lb: list[float], ub: list[float], kinds: list[str],
+                    names) -> int:
+        """Append columns whose bounds and kinds were checked where they were
+        made; ``names`` is a tuple of their names or a callable returning
+        them. Returns the index of the first."""
+        first = self.num_variables
+        self.lb.extend(lb)
+        self.ub.extend(ub)
+        self.kinds.extend(kinds)
+        self._var_names.append(names)
+        return first
 
     def fix_variable(self, ix: int, value: float) -> None:
         self.lb[ix] = value
@@ -140,33 +222,109 @@ class MilpModel:
             raise ValueError(f"constraint {name!r} has non-finite rhs")
         cleaned: dict[int, float] = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        n = self.num_variables
         for ix, c in items:
-            if not 0 <= ix < len(self.var_names):
+            if not 0 <= ix < n:
                 raise ValueError(f"constraint {name!r} references unknown variable {ix}")
             if c != 0.0:
                 cleaned[ix] = cleaned.get(ix, 0.0) + c
-        cid = len(self.constraints)
-        self.constraints.append(
-            _Constraint(cleaned, sense, float(rhs), name or f"c{cid}")
-        )
-        return cid
+        rhs = float(rhs)
+        self._pending.append((cleaned, -math.inf if sense == LESS else rhs,
+                              math.inf if sense == GREATER else rhs))
+        _own_names(self._row_names).append(name)
+        self._n_rows += 1
+        return self._n_rows - 1
+
+    def add_rows(self, rows: RowBlock, names) -> int:
+        """Append a block of rows after every row so far; ``names`` as in
+        ``add_columns``. Returns the index of the first."""
+        self._flush()
+        self._blocks.append(rows)
+        self._row_names.append(names)
+        self._n_rows += len(rows)
+        return self._n_rows - len(rows)
+
+    def set_rhs(self, row: int, rhs: float) -> None:
+        """Move the finite side of a one-sided row, or both sides of an
+        equality, to ``rhs``."""
+        rows = self.rows()
+        if rows.lo[row] != -math.inf:
+            rows.lo[row] = rhs
+        if rows.hi[row] != math.inf:
+            rows.hi[row] = rhs
 
     def set_objective(self, coeffs) -> None:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         self.objective = {ix: float(c) for ix, c in items if c != 0.0}
         for ix in self.objective:
-            if not 0 <= ix < len(self.var_names):
+            if not 0 <= ix < self.num_variables:
                 raise ValueError(f"objective references unknown variable {ix}")
+
+    def _flush(self) -> None:
+        """Turn the rows waiting as dicts into one block."""
+        if not self._pending:
+            return
+        rows = [sorted(coeffs.items()) for coeffs, _, _ in self._pending]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        nnz = int(indptr[-1])
+        self._blocks.append(RowBlock(
+            indptr,
+            np.fromiter((ix for r in rows for ix, _ in r), dtype=np.int64, count=nnz),
+            np.fromiter((c for r in rows for _, c in r), dtype=float, count=nnz),
+            np.array([lo for _, lo, _ in self._pending], dtype=float),
+            np.array([hi for _, _, hi in self._pending], dtype=float),
+        ))
+        self._pending = []
+
+    def rows(self) -> RowBlock:
+        """Every row in order, as one block this model owns."""
+        self._flush()
+        if not self._blocks:
+            return _NO_ROWS
+        if len(self._blocks) > 1 or self._blocks[0] is not self._joined:
+            self._joined = RowBlock.concat(self._blocks)
+            self._blocks = [self._joined]
+        return self._joined
 
     # -- queries -------------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self.var_names)
+        return len(self.lb)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self._n_rows
+
+    @property
+    def var_names(self) -> list[str]:
+        return _expand(self._var_names)
+
+    @property
+    def row_names(self) -> list[str]:
+        return [name or f"c{i}" for i, name in enumerate(_expand(self._row_names))]
+
+    @property
+    def constraints(self) -> list[_Constraint]:
+        """The rows as dicts, in order: a view built on each call, so a
+        change to it leaves the model as it was (see ``set_rhs``)."""
+        rows = self.rows()
+        names = self.row_names
+        indptr = rows.indptr.tolist()
+        indices, data = rows.indices.tolist(), rows.data.tolist()
+        out = []
+        for i, (lo, hi) in enumerate(zip(rows.lo.tolist(), rows.hi.tolist())):
+            a, b = indptr[i], indptr[i + 1]
+            if lo == -math.inf:
+                sense, rhs = LESS, hi
+            elif hi == math.inf:
+                sense, rhs = GREATER, lo
+            else:
+                sense, rhs = EQUAL, lo
+            out.append(_Constraint(dict(zip(indices[a:b], data[a:b])), sense, rhs,
+                                   names[i]))
+        return out
 
     def binaries(self) -> list[int]:
         return [i for i, k in enumerate(self.kinds) if k == BINARY]
@@ -184,10 +342,18 @@ class MilpModel:
                 v = abs(lhs - con.rhs)
             if v > tol:
                 out.append((con.name, v))
+        var_names = self.var_names
         for ix in range(self.num_variables):
             if values[ix] < self.lb[ix] - tol or values[ix] > self.ub[ix] + tol:
-                out.append((f"bound:{self.var_names[ix]}", 0.0))
+                out.append((f"bound:{var_names[ix]}", 0.0))
         return out
+
+
+def _own_names(segments: list) -> list:
+    """The trailing list segment, appended to for names given one by one."""
+    if not segments or not isinstance(segments[-1], list):
+        segments.append([])
+    return segments[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +382,16 @@ class _Compiled:
 
 
 def _compile(model: MilpModel) -> _Compiled:
-    n, cons = model.num_variables, model.constraints
+    n, rows = model.num_variables, model.rows()
     c = np.zeros(n)
     c[list(model.objective)] = list(model.objective.values())
-    indptr = np.zeros(len(cons) + 1, dtype=np.int64)
-    np.cumsum([len(con.coeffs) for con in cons], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(
-        (ix for con in cons for ix in con.coeffs), dtype=np.int64, count=nnz)
-    data = np.fromiter(
-        (v for con in cons for v in con.coeffs.values()), dtype=float, count=nnz)
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(cons), n))
+    A = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(len(rows), n))
     A.sort_indices()
     return _Compiled(
         c=c,
         A=A,
-        row_lo=np.array([-math.inf if con.sense == LESS else con.rhs for con in cons]),
-        row_hi=np.array([math.inf if con.sense == GREATER else con.rhs for con in cons]),
+        row_lo=rows.lo,
+        row_hi=rows.hi,
         lb=np.array(model.lb, dtype=float),
         ub=np.array(model.ub, dtype=float),
         binary=np.array([k == BINARY for k in model.kinds], dtype=bool),
@@ -363,9 +522,10 @@ def write_model(model: MilpModel, name: str | None = None) -> str:
     if len(set(var_names)) != len(var_names):
         for i, v in enumerate(var_names):
             var_names[i] = f"{v}.{i}"
+    constraints = model.constraints
     con_names = []
     seen = set()
-    for i, con in enumerate(model.constraints):
+    for i, con in enumerate(constraints):
         cn = _mps_name(con.name)
         if cn in seen:
             cn = f"{cn}.{i}"
@@ -376,14 +536,14 @@ def write_model(model: MilpModel, name: str | None = None) -> str:
     rows.append("ROWS")
     rows.append(" N  OBJ")
     sense_tag = {LESS: "L", GREATER: "G", EQUAL: "E"}
-    for con, cn in zip(model.constraints, con_names):
+    for con, cn in zip(constraints, con_names):
         rows.append(f" {sense_tag[con.sense]}  {cn}")
 
     by_var: dict[int, list[tuple[str, float]]] = {i: [] for i in range(model.num_variables)}
     for ix, c in model.objective.items():
         if c != 0.0:
             by_var[ix].append(("OBJ", c))
-    for con, cn in zip(model.constraints, con_names):
+    for con, cn in zip(constraints, con_names):
         for ix, c in con.coeffs.items():
             if c != 0.0:
                 by_var[ix].append((cn, c))
@@ -405,7 +565,7 @@ def write_model(model: MilpModel, name: str | None = None) -> str:
         rows.append(f"    M{marker}  'MARKER'  'INTEND'")
 
     rows.append("RHS")
-    for con, cn in zip(model.constraints, con_names):
+    for con, cn in zip(constraints, con_names):
         if con.rhs != 0.0:
             rows.append(f"    RHS  {cn}  {con.rhs!r}")
 

@@ -1,0 +1,177 @@
+"""The row-by-row model builder that compiled scenario blocks replaced, kept
+as the oracle they are tested against.
+
+``DictModel`` holds every row as a coefficient dict with its name, and
+``compile_dict`` turns it into the arrays HiGHS receives, as the builder did.
+``DictMaster`` assembles the design MILP scenario by scenario through the
+``ScenarioFormulation`` emitters, with each scenario's damage emitted in
+place: the ``dmg`` row instead of ``sw``, and a ``redlinkd`` row after
+``redlink``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+
+from gridfort.formulation import (
+    ScenarioFormulation,
+    _apply_fixed_design,
+    _build_first_stage,
+    _check_simple_cycle,
+    _cost_coefficients,
+    _served_objective,
+)
+from gridfort.fragility import DamageScenario
+from gridfort.milp import BINARY, CONTINUOUS, EQUAL, GREATER, LESS
+from gridfort.model import aggregate_parallel_edges
+
+
+@dataclass
+class DictConstraint:
+    coeffs: dict[int, float]
+    sense: str
+    rhs: float
+    name: str
+
+
+class DictModel:
+    """A MILP whose rows are dicts, named as they are added."""
+
+    def __init__(self, name: str = "model") -> None:
+        self.name = name
+        self.var_names: list[str] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self.kinds: list[str] = []
+        self.constraints: list[DictConstraint] = []
+        self.objective: dict[int, float] = {}
+
+    def add_variable(self, name, lb=0.0, ub=math.inf, kind=CONTINUOUS) -> int:
+        if kind == BINARY and math.isinf(ub):
+            ub = 1.0
+        self.var_names.append(name)
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.kinds.append(kind)
+        return len(self.var_names) - 1
+
+    def fix_variable(self, ix, value) -> None:
+        self.lb[ix] = value
+        self.ub[ix] = value
+
+    def add_constraint(self, coeffs, sense, rhs, name="") -> int:
+        cleaned: dict[int, float] = {}
+        for ix, c in coeffs.items():
+            if c != 0.0:
+                cleaned[ix] = cleaned.get(ix, 0.0) + c
+        cid = len(self.constraints)
+        self.constraints.append(DictConstraint(cleaned, sense, float(rhs), name or f"c{cid}"))
+        return cid
+
+    def set_objective(self, coeffs) -> None:
+        self.objective = {ix: float(c) for ix, c in coeffs.items() if c != 0.0}
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.var_names)
+
+
+def compile_dict(model: DictModel) -> dict[str, np.ndarray]:
+    """The arrays of ``row_lo <= A @ x <= row_hi``, ``lb <= x <= ub``."""
+    n, cons = model.num_variables, model.constraints
+    c = np.zeros(n)
+    c[list(model.objective)] = list(model.objective.values())
+    indptr = np.zeros(len(cons) + 1, dtype=np.int64)
+    np.cumsum([len(con.coeffs) for con in cons], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(
+        (ix for con in cons for ix in con.coeffs), dtype=np.int64, count=nnz)
+    data = np.fromiter(
+        (v for con in cons for v in con.coeffs.values()), dtype=float, count=nnz)
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(cons), n))
+    A.sort_indices()
+    return {
+        "c": c,
+        "indptr": A.indptr,
+        "indices": A.indices,
+        "data": A.data,
+        "row_lo": np.array([-math.inf if con.sense == LESS else con.rhs for con in cons]),
+        "row_hi": np.array([math.inf if con.sense == GREATER else con.rhs for con in cons]),
+        "lb": np.array(model.lb, dtype=float),
+        "ub": np.array(model.ub, dtype=float),
+        "binary": np.array([k == BINARY for k in model.kinds], dtype=bool),
+    }
+
+
+class DictMaster:
+    """The design MILP built row by row; the arguments are ``build_master``'s."""
+
+    def __init__(self, network, scenarios, params, *, fixed_design=None,
+                 objective="cost", cost_budget=None) -> None:
+        self.model = DictModel(name="upgrade")
+        self.network, self.params = network, params
+        self.first_stage = fs = _build_first_stage(self.model, network)
+        if fixed_design is not None:
+            _apply_fixed_design(self.model, network, fs, fixed_design)
+        self.reduced = aggregate_parallel_edges(network)
+        self.blocks: dict[int, ScenarioFormulation] = {}
+        for scen in scenarios:
+            self.add_scenario(scen)
+        cost = _cost_coefficients(network, params, fs)
+        if cost_budget is not None:
+            self.model.add_constraint(cost, LESS, cost_budget, "cost_budget")
+        if objective == "cost":
+            self.model.set_objective(cost)
+        else:
+            obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
+            for gid, ixs in fs.steps.items():
+                mg = network.microgrids[gid]
+                if mg.is_existing:
+                    continue
+                w = mg.step_capacity_kva * len(network.buses[mg.bus].phases)
+                for ix in ixs:
+                    obj[ix] = obj.get(ix, 0.0) + w
+            self.model.set_objective(obj)
+
+    def add_scenario(self, scenario: DamageScenario) -> None:
+        m, net = self.model, self.network
+        blk = ScenarioFormulation(m, net, self.params, DamageScenario(scenario.id, frozenset()),
+                                  self.reduced, self.first_stage)
+        sfx, v = blk.suffix, blk.vars
+        for lid in sorted(net.lines):
+            damaged = lid in scenario.damaged_line_ids
+            blk.add_thermal_direction_constraints(lid)
+            if damaged:
+                m.add_constraint({v.e[lid]: 1.0, v.hs[lid]: -1.0}, EQUAL, 0.0, f"dmg:{lid}{sfx}")
+            else:
+                m.add_constraint({v.e[lid]: 1.0, v.bs[lid]: -1.0}, EQUAL, 0.0, f"sw:{lid}{sfx}")
+            blk.add_imbalance_constraints(lid)
+            blk.add_voltage_constraints(lid)
+            bb = v.bredge[self.reduced.edge_of_line(lid)]
+            m.add_constraint({v.bs[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlink:{lid}{sfx}")
+            if damaged:
+                m.add_constraint({v.e[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlinkd:{lid}{sfx}")
+        for bid in sorted(net.buses):
+            blk.add_load_generation_balance(bid)
+        blk.resilience_rows = blk.add_resilience_constraints()
+        blk.add_master_links()
+        self.blocks[scenario.id] = blk
+
+    def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
+        blk = self.blocks[scenario_id]
+        cycle = [tuple(sorted(e)) for e in cycle_edges]
+        _check_simple_cycle(cycle, blk.vars.bredge)
+        return self.model.add_constraint(
+            {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
+            f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}{blk.suffix}",
+        )
+
+    def maximize_served(self) -> None:
+        for blk in self.blocks.values():
+            for row in blk.resilience_rows:
+                self.model.constraints[row].rhs = 0.0
+        self.model.set_objective(_served_objective(self.network, self.blocks))

@@ -238,6 +238,18 @@ class TestIterationLog:
             assert 0.0 < rec["verify_s"] <= rec["wall_time_s"]
 
 
+    def test_records_build_and_solve_time(self, tmp_path):
+        write_scenarios(tmp_path / "scens.json", [[], ["L1"], ["L3"]])
+        cfg = write_config(tmp_path, scenarios_file="scens.json",
+                           design={"critical_fraction": 0.98, "total_fraction": 0.9})
+        assert main(["design", "--config", str(cfg)]) == 0
+        log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())
+        assert len(log["iterations"]) >= 2
+        for rec in log["iterations"]:
+            assert rec["build_s"] > 0.0 and rec["solve_s"] > 0.0
+            assert rec["build_s"] + rec["solve_s"] + rec["verify_s"] <= rec["wall_time_s"]
+
+
 class TestSolverFailures:
     def test_time_limit_exits_4_without_traceback(self, tmp_path, capsys):
         shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
@@ -310,6 +322,47 @@ class TestEvaluateAndValidate:
         design.write_text("not json")
         assert main(["evaluate", "--config", str(cfg),
                      "--design", str(design)]) == 2
+
+
+class TestDesignFile:
+    """A --design document that does not fit the network is an input error
+    naming the field, for evaluate and validate alike."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    @pytest.mark.parametrize("doc,field", [
+        ([], "JSON object"),
+        ({"microgrid_steps": [1]}, "microgrid_steps"),
+        ({"microgrid_steps": {"mg_c1": 5}}, "microgrid_steps.mg_c1"),
+        ({"microgrid_steps": {"mg_c1": 2.7}}, "microgrid_steps.mg_c1"),
+        ({"microgrid_steps": {"mg_c1": True}}, "microgrid_steps.mg_c1"),
+        ({"microgrid_steps": {"mg_c1": -1}}, "microgrid_steps.mg_c1"),
+        ({"microgrid_steps": {"nope": 1}}, "nope"),
+        ({"built_lines": "L1"}, "built_lines"),
+        ({"built_lines": ["NOPE"]}, "built_lines"),
+        ({"built_lines": ["L1"]}, "built_lines"),
+        ({"hardened_lines": [1]}, "hardened_lines"),
+        ({"hardened_lines": ["NOPE"]}, "hardened_lines"),
+        ({"hardened_lines": ["L2"]}, "hardened_lines"),
+    ], ids=["list", "steps-list", "steps-above-max", "steps-fraction", "steps-flag",
+            "steps-negative", "unknown-microgrid", "built-string", "built-unknown",
+            "built-existing", "hardened-number", "hardened-unknown",
+            "hardened-undamageable"])
+    def test_is_an_input_error(self, tmp_path, capsys, command, doc, field):
+        cfg = write_config(tmp_path)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--design", str(design)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_full_microgrid_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"hardened_lines": ["L1"],
+                                      "microgrid_steps": {"mg_c1": 1}}))
+        assert main(["evaluate", "--config", str(cfg), "--design", str(design)]) == 0
 
 
 def write_scenarios(path: Path, damage: list[list[str]]) -> Path:
@@ -388,11 +441,19 @@ class TestMalformedInput:
         (lambda _: {"fragility": {"scenario_count": "3"}}, "scenario_count"),
         (_scenario_file({"seed": 0}), "scenarios"),
         (_scenario_file({"scenarios": [{"id": 0}]}), "damaged_line_ids"),
+        (lambda _: {"seed": 42.9}, "seed"),
+        (lambda _: {"seed": "7"}, "seed"),
+        (lambda _: {"jobs": 2.5}, "jobs"),
+        (lambda _: {"jobs": True}, "jobs"),
+        (lambda _: {"sweep": {"total_fractions": "12"}}, "total_fractions"),
+        (lambda _: {"sweep": {"total_fractions": [True]}}, "total_fractions"),
     ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
             "config-sweep-axis", "network-bus-phases", "network-base-kva",
             "network-null-base-kva", "solver-time-limit", "solver-rel-gap",
             "design-critical-fraction", "fragility-scenario-count",
-            "scenarios-key", "scenario-damage"])
+            "scenarios-key", "scenario-damage", "config-seed-fraction",
+            "config-seed-string", "config-jobs-fraction", "config-jobs-flag",
+            "config-sweep-axis-string", "config-sweep-axis-flag"])
     def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides(tmp_path))
         assert main(["design", "--config", str(cfg)]) == 2

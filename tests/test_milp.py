@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridfort.milp import (
@@ -14,6 +15,7 @@ from gridfort.milp import (
     GREATER,
     LESS,
     MilpModel,
+    RowBlock,
     SolverError,
     SolverOptions,
     parse_external_solution,
@@ -399,3 +401,38 @@ class TestModelValidation:
         m.add_variable("x")
         with pytest.raises(ValueError, match="duplicate"):
             m.add_variable("x")
+
+
+class TestRowStorage:
+    def test_set_rhs_moves_each_sense(self):
+        m = MilpModel()
+        x = m.add_variable("x", 0.0, 10.0)
+        for sense in (LESS, GREATER, EQUAL):
+            m.add_constraint({x: 1.0}, sense, 2.0, sense)
+        for row in range(3):
+            m.set_rhs(row, 5.0)
+        assert [(con.sense, con.rhs) for con in m.constraints] == [
+            (LESS, 5.0), (GREATER, 5.0), (EQUAL, 5.0)]
+        m.set_objective({x: 1.0})
+        assert solve(m, EXACT).values[0] == pytest.approx(5.0)
+
+    def test_blocks_and_single_rows_keep_insertion_order(self):
+        m = MilpModel()
+        x = m.add_variable("x", 0.0, 10.0)
+        y = m.add_variable("y", 0.0, 10.0)
+        m.add_constraint({y: 1.0, x: 2.0}, LESS, 10.0)
+        m.add_rows(RowBlock(np.array([0, 1, 3]), np.array([0, 0, 1]),
+                            np.array([1.0, 1.0, -1.0]), np.array([1.0, -math.inf]),
+                            np.array([math.inf, 0.0])), lambda: ["b0", ""])
+        m.add_constraint({x: 1.0}, EQUAL, 3.0, "last")
+        assert m.num_constraints == 4
+        assert m.row_names == ["c0", "b0", "c2", "last"]
+        assert [(con.coeffs, con.sense, con.rhs) for con in m.constraints] == [
+            ({0: 2.0, 1: 1.0}, LESS, 10.0), ({0: 1.0}, GREATER, 1.0),
+            ({0: 1.0, 1: -1.0}, LESS, 0.0), ({0: 1.0}, EQUAL, 3.0)]
+        view = m.constraints
+        view[0].rhs = 99.0
+        assert m.constraints[0].rhs == 10.0
+        m.set_objective({y: -1.0})
+        assert solve(m, EXACT).values.tolist() == pytest.approx([3.0, 4.0])
+
