@@ -38,7 +38,7 @@ from gridfort.fragility import (
 )
 from gridfort.milp import SolverError, SolverOptions
 from gridfort.model import Network, NetworkError, load_network_file
-from gridfort.validate import audit
+from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -293,9 +293,22 @@ def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
 
 def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
                solved: dict[int, Verdict], template: ScenarioTemplate):
-    """Verdict and independent audit of every scenario (see ``_verdicts``)."""
+    """Verdict and independent audit of every scenario (see ``_verdicts``).
+
+    Scenarios sharing a damage set share their operating point apart from
+    its id, which the audit only copies into its report: the first of each
+    damage set is audited, and its report restated under the others' ids."""
     verdicts = _verdicts(design, network, scens, cfg, solved, template)
-    reports = [audit(v.state, network, cfg.design, design) for v in verdicts]
+    audited: dict[frozenset[str], AuditReport] = {}
+    reports = []
+    for scen, verdict in zip(scens, verdicts):
+        twin = audited.get(scen.damaged_line_ids)
+        if twin is None:
+            report = audited[scen.damaged_line_ids] = audit(
+                verdict.state, network, cfg.design, design)
+        else:
+            report = replace(twin, scenario_id=scen.id, violations=list(twin.violations))
+        reports.append(report)
     return verdicts, reports
 
 

@@ -7,6 +7,13 @@ optimum is a lower bound on the full optimum, a design feasible everywhere is
 exactly optimal for the full scenario set. That argument needs every master
 solve proven optimal and every verification decisive, so a solver limit or
 failure raises ``SolverError`` instead of counting as "infeasible".
+
+Radiality is enforced by cycle cuts on the reduced graph, which every
+scenario block shares. A model keeps one pool of cut cycles
+(``MasterProblem.cycles``), each cut in every block, so a cycle found in one
+block never has to be found again in another. The design master starts with
+the reduced graph's cycle basis in its pool; verification models start with
+an empty pool.
 """
 
 from __future__ import annotations
@@ -84,6 +91,8 @@ class IterationRecord:
     verify_time: float
     build_time: float   # assembling the master's new block (the whole master first)
     solve_time: float   # the master's solve, over all cut rounds
+    master_solves: int  # solves of the master, cut rounds included
+    cuts_added: int     # cycles added to the pool (the seeded basis first)
 
 
 @dataclass
@@ -103,6 +112,8 @@ class SbdState:
                 "verify_s": rec.verify_time,
                 "build_s": rec.build_time,
                 "solve_s": rec.solve_time,
+                "master_solves": rec.master_solves,
+                "cuts_added": rec.cuts_added,
             }
             for rec in self.iterations
         ]
@@ -111,6 +122,11 @@ class SbdState:
 # ---------------------------------------------------------------------------
 # radiality: lazy cycle separation
 # ---------------------------------------------------------------------------
+
+
+def _independent_cycles(nodes, edges) -> list[tuple[tuple[str, str], ...]]:
+    """The cycle basis of the graph, each cycle as its sorted edges, sorted."""
+    return sorted(tuple(sorted(cycle)) for cycle in cycle_basis(adjacency(nodes, edges)))
 
 
 def separate_cycles(solution: Solution, master: MasterProblem,
@@ -122,8 +138,7 @@ def separate_cycles(solution: Solution, master: MasterProblem,
     """
     blk = master.blocks[scenario_id]
     used = [key for key, ix in blk.vars.bredge.items() if solution.values[ix] > 0.5]
-    return sorted(tuple(sorted(cycle))
-                  for cycle in cycle_basis(adjacency(master.reduced.nodes, used)))
+    return _independent_cycles(master.reduced.nodes, used)
 
 
 def _not_proven(what: str, sol: Solution) -> SolverError:
@@ -133,26 +148,25 @@ def _not_proven(what: str, sol: Solution) -> SolverError:
 
 def solve_with_cycle_cuts(master: MasterProblem,
                           options: SolverOptions | None = None) -> Solution:
-    """Solve, separate violated cycles per scenario, cut, and re-solve until
-    every scenario operates as a forest. A solution that is not optimal is
-    returned as is, without separation.
+    """Solve, separate violated cycles in every scenario block, pool them,
+    and re-solve until every scenario operates as a forest. A solution that
+    is not optimal is returned as is, without separation.
 
-    Cuts are rows of the master's model, recorded in the block they cut, so
-    every later solve of the same master keeps them.
+    A round separates the blocks in id order and adds the cycles not yet in
+    the master's pool, in the order found, to every block
+    (``MasterProblem.pool_cycles``). The cuts are rows of the master's model,
+    so every later solve of the same master, and every block it gains, keeps
+    them. Each solve counts in ``master.solves``.
     """
     options = options or SolverOptions()
     for _ in range(_MAX_CUT_ROUNDS):
         sol = solve(master.model, options)
+        master.solves += 1
         if sol.status != "optimal":
             return sol
-        added = False
-        for sid in sorted(master.blocks):
-            for cyc in separate_cycles(sol, master, sid):
-                if frozenset(cyc) in master.blocks[sid].cuts:
-                    continue
-                master.add_cycle_cut(cyc, sid)
-                added = True
-        if not added:
+        found = [cyc for sid in sorted(master.blocks)
+                 for cyc in separate_cycles(sol, master, sid)]
+        if not master.pool_cycles(found):
             return sol
     raise SolverError(
         f"cycle cut separation did not converge in {_MAX_CUT_ROUNDS} rounds")
@@ -240,10 +254,12 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add the lowest-id infeasible scenario to the
     subset each iteration: one master, built once, gains its block and keeps
-    its cuts. Verification solves each distinct damage set of the remaining
-    scenarios once (``evaluate_distinct``), on ``jobs`` threads. The master
-    and every verification model are assembled from ``template``, compiled
-    here when absent.
+    its cut pool. The pool starts with the cycle basis of the reduced graph,
+    every candidate line included, since every scenario must operate
+    radially on it. Verification solves each distinct damage set of the
+    remaining scenarios once (``evaluate_distinct``), on ``jobs`` threads.
+    The master and every verification model are assembled from ``template``,
+    compiled here when absent.
 
     Returns (Design, SbdState); the verdicts of the last iteration carry
     their operating points, earlier ones do not. Raises InfeasibleDesignError
@@ -279,7 +295,9 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     master = build_master(network, [by_id[i] for i in active], params,
                           objective=objective, cost_budget=cost_budget,
                           template=template)
+    master.pool_cycles(_independent_cycles(template.reduced.nodes, template.reduced.edges))
     build_time = time.monotonic() - t0
+    pooled = solves = 0
     for _ in range(len(scenarios)):
         t_solve = time.monotonic()
         sol = solve_with_cycle_cuts(master, options)
@@ -316,7 +334,10 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             verify_time=verify_time,
             build_time=build_time,
             solve_time=solve_time,
+            master_solves=master.solves - solves,
+            cuts_added=len(master.cycles) - pooled,
         ))
+        pooled, solves = len(master.cycles), master.solves
         if not infeasible:
             return design, state
         nxt = min(infeasible)

@@ -6,7 +6,8 @@ Within one run every scenario block has the same rows apart from its damage.
 ``ScenarioTemplate`` runs the ``ScenarioFormulation`` emitters once, on the
 first stage and an undamaged block, and every model (``build_master``) is
 assembled from copies of that compiled block with each scenario's damage
-patched in; ``MasterProblem.add_scenario`` appends one more.
+patched in; ``MasterProblem.add_scenario`` appends one more, cut by every
+cycle in the model's radiality cut pool (``MasterProblem.pool_cycles``).
 
 Variable naming grammar (stable across runs, used in exchange files; names
 are generated only when asked for, by the MPS writer and the model's
@@ -694,14 +695,13 @@ def _shifted(sv: ScenarioVars, shift: int) -> ScenarioVars:
 
 @dataclass
 class ScenarioBlock:
-    """One scenario's block in a model: its variables' indexes, its
-    resilience rows, and the cycles cut in it, as edge sets."""
+    """One scenario's block in a model: its variables' indexes and its
+    resilience rows."""
 
     scenario: DamageScenario
     reduced: ReducedGraph
     vars: ScenarioVars
     resilience_rows: list[int]
-    cuts: set[frozenset] = field(default_factory=set)
 
 
 class ScenarioTemplate:
@@ -832,9 +832,17 @@ class ScenarioTemplate:
 
 @dataclass
 class MasterProblem:
+    """A model over the first stage and one block per scenario, with one
+    pool of radiality cuts. Every block operates radially on the same
+    reduced graph, so a cycle cut in one block is valid in all: each cycle
+    in ``cycles`` is cut in every block, blocks added later included."""
+
     model: MilpModel
     template: ScenarioTemplate
     blocks: dict[int, ScenarioBlock]
+    # the pool, each cycle as its sorted edges, in the order it was cut
+    cycles: list[tuple[tuple[str, str], ...]] = field(default_factory=list)
+    solves: int = 0  # solves of the model, cut rounds included
 
     @property
     def network(self) -> Network:
@@ -853,17 +861,37 @@ class MasterProblem:
         return self.template.first_stage
 
     def add_scenario(self, scenario: DamageScenario) -> None:
-        """Append one scenario's block after every row already in the model."""
+        """Append one scenario's block after every row already in the model,
+        followed by a cut of every pooled cycle in it, in pool order."""
         if scenario.id in self.blocks:
             raise ValueError(f"duplicate scenario id {scenario.id}")
         self.blocks[scenario.id] = self.template.stack(self.model, scenario)
+        for cycle in self.cycles:
+            self.add_cycle_cut(cycle, scenario.id)
+
+    def pool_cycles(self, cycles) -> int:
+        """Add to the pool the cycles not yet in it, in the order given, and
+        cut them in every block: block by block in id order, each block
+        taking them in that order. Returns how many were new."""
+        pooled = set(self.cycles)
+        new = []
+        for cycle in cycles:
+            cycle = tuple(sorted(tuple(sorted(e)) for e in cycle))
+            if cycle not in pooled:
+                pooled.add(cycle)
+                new.append(cycle)
+        for sid in sorted(self.blocks):
+            for cycle in new:
+                self.add_cycle_cut(cycle, sid)
+        self.cycles.extend(new)
+        return len(new)
 
     def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
-        """At least one reduced edge of the cycle must stay unused."""
+        """One row in one block: at least one reduced edge of the cycle must
+        stay unused. ``pool_cycles`` cuts a cycle in every block."""
         blk = self.blocks[scenario_id]
         cycle = [tuple(sorted(e)) for e in cycle_edges]
         _check_simple_cycle(cycle, blk.vars.bredge)
-        blk.cuts.add(frozenset(cycle))
         return self.model.add_constraint(
             {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
             f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}:s{scenario_id}",

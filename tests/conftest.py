@@ -45,6 +45,34 @@ def load_doc(doc):
     return load_network(json.dumps(doc))
 
 
+def two_rings_doc():
+    """Two switched four-line rings, ``ra*`` and ``rb*``, each hung from the
+    substation by one unswitched line; a small load at ``a1``."""
+    doc = two_bus_doc()
+    doc["buses"] = [{"id": "sub", "phases": "a", "is_substation": True}]
+    doc["buses"] += [{"id": f"a{i}", "phases": "a"} for i in range(4)]
+    doc["buses"] += [{"id": f"b{i}", "phases": "a"} for i in range(4)]
+    a = [f"a{i}" for i in range(4)]
+    b = [f"b{i}" for i in range(4)]
+    doc["lines"] = (
+        [{"id": f"ra{i}", "from": a[i], "to": a[(i + 1) % 4], "phases": "a",
+          "length_km": 0.5, "impedance": z1(0.2, 0.4), "capacity_kva": 400.0,
+          "has_switch": True} for i in range(4)]
+        + [{"id": f"rb{i}", "from": b[i], "to": b[(i + 1) % 4], "phases": "a",
+            "length_km": 0.5, "impedance": z1(0.2, 0.4),
+            "capacity_kva": 400.0, "has_switch": True} for i in range(4)]
+        + [{"id": "sa", "from": "sub", "to": "a0", "phases": "a",
+            "length_km": 0.5, "impedance": z1(0.2, 0.4),
+            "capacity_kva": 400.0},
+           {"id": "sb", "from": "sub", "to": "b0", "phases": "a",
+            "length_km": 0.5, "impedance": z1(0.2, 0.4),
+            "capacity_kva": 400.0}]
+    )
+    doc["loads"] = [{"id": "ld", "bus": "a1",
+                     "demand_kva": {"a": c(10.0, 0.0)}}]
+    return doc
+
+
 @pytest.fixture(scope="session")
 def case5():
     from gridfort import load_network_file

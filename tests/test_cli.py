@@ -250,6 +250,36 @@ class TestIterationLog:
             assert rec["build_s"] + rec["solve_s"] + rec["verify_s"] <= rec["wall_time_s"]
 
 
+    def test_records_master_solves_and_cuts_added(self, tmp_path, monkeypatch):
+        masters, solves = [], []
+        real_build = gridfort.decomposition.build_master
+        real_solve = gridfort.decomposition.solve
+
+        def recording_build(*args, **kwargs):
+            master = real_build(*args, **kwargs)
+            masters.append(master)
+            return master
+
+        def recording_solve(model, options=None):
+            solves.append(model)
+            return real_solve(model, options)
+
+        monkeypatch.setattr(gridfort.decomposition, "build_master", recording_build)
+        monkeypatch.setattr(gridfort.decomposition, "solve", recording_solve)
+        shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
+        cfg = write_config(tmp_path, network="case30.json",
+                           design={"critical_fraction": 0.98, "total_fraction": 0.3})
+        assert main(["design", "--config", str(cfg)]) == 0
+        log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())["iterations"]
+        assert len(log) >= 2
+        design_master = masters[0]
+        assert (sum(rec["master_solves"] for rec in log)
+                == sum(model is design_master.model for model in solves))
+        assert all(rec["master_solves"] >= 1 for rec in log)
+        assert sum(rec["cuts_added"] for rec in log) == len(design_master.cycles)
+        assert log[0]["cuts_added"] > 0  # the seeded cycle basis
+
+
 class TestSolverFailures:
     def test_time_limit_exits_4_without_traceback(self, tmp_path, capsys):
         shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
@@ -528,6 +558,43 @@ class TestDistinctDamage:
         assert sorted(solved, key=sorted) == sorted(
             {frozenset(d) for d in self.DAMAGE}, key=sorted)
         assert ((tmp_path / "out" / output).read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
+
+
+    @pytest.mark.parametrize("command", ["design", "validate"])
+    def test_audits_each_damage_set_once(self, tmp_path, monkeypatch, command):
+        scens_path = write_scenarios(tmp_path / "scens.json", self.DAMAGE)
+        cfg_path = write_config(tmp_path, scenarios_file="scens.json")
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": ["L3"], "microgrid_steps": {}}))
+        real_verdicts = gridfort.cli._verdicts
+        real_audit = gridfort.cli.audit
+        verdicts, audited = [], []
+
+        def recording_verdicts(design, network, *args, **kwargs):
+            result = real_verdicts(design, network, *args, **kwargs)
+            verdicts.append((design, network, result))
+            return result
+
+        def counting_audit(state, *args, **kwargs):
+            audited.append(state.scenario_id)
+            return real_audit(state, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.cli, "_verdicts", recording_verdicts)
+        monkeypatch.setattr(gridfort.cli, "audit", counting_audit)
+        argv = [command, "--config", str(cfg_path)]
+        if command == "validate":
+            argv += ["--design", str(design_path), "--scenarios", str(scens_path)]
+        assert main(argv) in (0, 1)
+        assert len(self.DAMAGE) == 8
+        assert sorted(audited) == [0, 1, 2, 5]  # the first of each damage set
+        (design, network, result), = verdicts
+        cfg = gridfort.cli.load_config(cfg_path)
+        gridfort.cli._dump_json(
+            [real_audit(v.state, network, cfg.design, design).to_dict() for v in result],
+            tmp_path / "expected.json")
+        assert ((tmp_path / "out" / "audit.json").read_bytes()
                 == (tmp_path / "expected.json").read_bytes())
 
 

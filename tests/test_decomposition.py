@@ -12,20 +12,45 @@ from gridfort import (
     SolverOptions,
     build_master,
     evaluate_design,
+    load_network_file,
     sample_scenarios,
     sbd_design,
     separate_cycles,
 )
 import gridfort.decomposition
 from gridfort.decomposition import solve_with_cycle_cuts
-from gridfort.formulation import make_design
+from gridfort.formulation import MasterProblem, make_design
 from gridfort.milp import SolverError, solve
+from gridfort.model import adjacency, aggregate_parallel_edges, components
 
-from conftest import c, load_doc, two_bus_doc, z1
+from conftest import FIXTURES, c, load_doc, two_bus_doc, two_rings_doc, z1
 from netgen import enumerate_optimum, random_instance
 
 EXACT = SolverOptions(rel_gap=1e-9)
 BASELINE = DamageScenario(0, frozenset())
+
+
+def assert_matches_extensive_form(phases: str) -> None:
+    """SBD's cost equals the extensive form's, over every scenario at once,
+    on at least 8 feasible ``netgen`` instances."""
+    checked = 0
+    for seed in range(40):
+        net, scens, params = random_instance(seed, phases=phases)
+        try:
+            design, _ = sbd_design(net, scens, params, EXACT)
+            sbd_cost = design.cost.total
+        except InfeasibleDesignError:
+            sbd_cost = math.inf
+        master = build_master(net, scens, params)
+        sol = solve_with_cycle_cuts(master, EXACT)
+        ext_cost = (master.design_from_solution(sol).cost.total
+                    if sol.status == "optimal" else math.inf)
+        assert sbd_cost == ext_cost, f"seed {seed}"
+        if math.isfinite(sbd_cost):
+            checked += 1
+        if checked >= 8:
+            break
+    assert checked >= 8
 
 
 class TestSbd:
@@ -86,24 +111,10 @@ class TestSbd:
         assert err.value.scenario_id == 1
 
     def test_matches_extensive_form_on_random_instances(self):
-        checked = 0
-        for seed in range(40):
-            net, scens, params = random_instance(seed)
-            try:
-                design, _ = sbd_design(net, scens, params, EXACT)
-                sbd_cost = design.cost.total
-            except InfeasibleDesignError:
-                sbd_cost = math.inf
-            master = build_master(net, scens, params)
-            sol = solve_with_cycle_cuts(master, EXACT)
-            ext_cost = (master.design_from_solution(sol).cost.total
-                        if sol.status == "optimal" else math.inf)
-            assert sbd_cost == ext_cost, f"seed {seed}"
-            if math.isfinite(sbd_cost):
-                checked += 1
-            if checked >= 8:
-                break
-        assert checked >= 8
+        assert_matches_extensive_form("a")
+
+    def test_matches_extensive_form_on_two_phase_instances(self):
+        assert_matches_extensive_form("ab")
 
     def test_existing_microgrid_stays_committed_in_evaluation(self):
         # an already-built unit must keep serving when a design is evaluated,
@@ -304,6 +315,85 @@ class TestPersistentMaster:
         assert statuses[-1] == "optimal"
 
 
+class TestCutPool:
+    """The design master keeps one pool of cycles, each cut once in every
+    block, and starts it with the reduced graph's cycle basis."""
+
+    @staticmethod
+    def recording_cuts(monkeypatch) -> list:
+        """(master, scenario id, cycle) of every cut row, in the order cut."""
+        cut_calls = []
+        real_cut = MasterProblem.add_cycle_cut
+
+        def recording_cut(master, cycle, sid):
+            cut_calls.append((master, sid, tuple(cycle)))
+            return real_cut(master, cycle, sid)
+
+        monkeypatch.setattr(MasterProblem, "add_cycle_cut", recording_cut)
+        return cut_calls
+
+    def test_every_block_holds_the_pool_once(self, case30, monkeypatch):
+        cut_calls = self.recording_cuts(monkeypatch)
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        _, state = sbd_design(case30, scens, params, EXACT)
+        assert len(state.iterations) >= 2
+        keys = [(id(m), sid, frozenset(cyc)) for m, sid, cyc in cut_calls]
+        assert len(keys) == len(set(keys))
+        # verification models hold one block each
+        master, = {id(m): m for m, _, _ in cut_calls if len(m.blocks) > 1}.values()
+        assert list(master.blocks) == list(state.iterations[-1].active)
+        assert master.cycles
+        held = {sid: [cyc for m, s, cyc in cut_calls if m is master and s == sid]
+                for sid in master.blocks}
+        assert held == {sid: master.cycles for sid in master.blocks}
+        assert sum(rec.cuts_added for rec in state.iterations) == len(master.cycles)
+
+    def test_a_cycle_found_in_two_blocks_is_pooled_once(self, monkeypatch):
+        cut_calls = self.recording_cuts(monkeypatch)
+        net = load_doc(two_rings_doc())
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        master = build_master(net, [BASELINE, DamageScenario(1, frozenset())], params)
+        # both blocks are drawn to use every edge of ring a and none of ring b
+        weight = {"a": -1.0, "b": 1.0}
+        master.model.set_objective({
+            ix: weight[u[0]]
+            for blk in master.blocks.values() for (u, v), ix in blk.vars.bredge.items()
+            if u[0] == v[0] and u[0] in weight})
+        assert solve_with_cycle_cuts(master, EXACT).status == "optimal"
+        ring_a, = master.cycles
+        assert [(sid, cyc) for _, sid, cyc in cut_calls] == [(0, ring_a), (1, ring_a)]
+        assert master.solves == 2
+
+    @pytest.mark.parametrize("network", [
+        lambda: load_network_file(FIXTURES / "case30.json"),
+        lambda: load_doc(two_rings_doc()),
+    ], ids=["case30", "two-rings"])
+    def test_first_master_solve_carries_the_cycle_basis(self, network, monkeypatch):
+        network = network()
+        reduced = aggregate_parallel_edges(network)
+        rank = (len(reduced.edges) - len(reduced.nodes)
+                + len(components(adjacency(reduced.nodes, reduced.edges))))
+        assert rank > 0
+        first_rows = []
+        real_solve = gridfort.decomposition.solve
+
+        def recording_solve(model, options=None):
+            if not first_rows:
+                first_rows.append([n for n in model.row_names if n.startswith("cycle:")])
+            return real_solve(model, options)
+
+        monkeypatch.setattr(gridfort.decomposition, "solve", recording_solve)
+        scens = sample_scenarios(network, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        _, state = sbd_design(network, scens, params, EXACT)
+        per_block = Counter(name.rsplit(":s", 1)[1] for name in first_rows[0])
+        assert per_block == {str(sid): rank for sid in state.iterations[0].active}
+        assert state.iterations[0].cuts_added >= rank
+
+
 def tree_solution_master(net, close):
     params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
     master = build_master(net, [BASELINE], params)
@@ -346,29 +436,7 @@ class TestSeparateCycles:
         assert len(cycles[0]) == 3
 
     def test_two_disjoint_rings_found_in_one_pass(self):
-        doc = two_bus_doc()
-        doc["buses"] = [{"id": "sub", "phases": "a", "is_substation": True}]
-        doc["buses"] += [{"id": f"a{i}", "phases": "a"} for i in range(4)]
-        doc["buses"] += [{"id": f"b{i}", "phases": "a"} for i in range(4)]
-        a = [f"a{i}" for i in range(4)]
-        b = [f"b{i}" for i in range(4)]
-        doc["lines"] = (
-            [{"id": f"ra{i}", "from": a[i], "to": a[(i + 1) % 4], "phases": "a",
-              "length_km": 0.5, "impedance": z1(0.2, 0.4), "capacity_kva": 400.0,
-              "has_switch": True} for i in range(4)]
-            + [{"id": f"rb{i}", "from": b[i], "to": b[(i + 1) % 4], "phases": "a",
-                "length_km": 0.5, "impedance": z1(0.2, 0.4),
-                "capacity_kva": 400.0, "has_switch": True} for i in range(4)]
-            + [{"id": "sa", "from": "sub", "to": "a0", "phases": "a",
-                "length_km": 0.5, "impedance": z1(0.2, 0.4),
-                "capacity_kva": 400.0},
-               {"id": "sb", "from": "sub", "to": "b0", "phases": "a",
-                "length_km": 0.5, "impedance": z1(0.2, 0.4),
-                "capacity_kva": 400.0}]
-        )
-        doc["loads"] = [{"id": "ld", "bus": "a1",
-                         "demand_kva": {"a": c(10.0, 0.0)}}]
-        net = load_doc(doc)
+        net = load_doc(two_rings_doc())
         master, sol = tree_solution_master(net, set(net.lines))
         cycles = separate_cycles(sol, master, 0)
         assert len(cycles) == 2

@@ -18,6 +18,7 @@ from gridfort.decomposition import evaluate_distinct, solve_with_cycle_cuts
 from gridfort.formulation import ScenarioTemplate, make_design
 from gridfort.milp import _compile, write_model
 
+from conftest import load_doc, two_rings_doc
 from dict_master import DictMaster, compile_dict
 from netgen import random_instance
 
@@ -126,6 +127,76 @@ class TestCompiledBlocksEqualTheOracle:
         for cycle, sid in cuts[:first]:
             oracle.add_cycle_cut(cycle, sid)
         oracle.add_scenario(scens[2])
+        for cycle, sid in cuts[first:]:
+            oracle.add_cycle_cut(cycle, sid)
+        assert_same_model(master, oracle)
+        assert write_model(master.model) == write_model(oracle.model)
+
+
+class TestCutPoolEqualsTheOracle:
+    """A cycle separated in any block is cut in every block in the same
+    round, and a block added later starts with the whole pool; the rows are
+    those of the row-by-row builder replaying the cuts in pool order."""
+
+    PARAMS = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+    SCENS = [DamageScenario(0, frozenset()), DamageScenario(1, frozenset())]
+
+    @staticmethod
+    def draw_rings(model, blocks) -> None:
+        """Block 0 is drawn to use every edge of ring a and none of ring b,
+        block 1 the other way round."""
+        obj = {}
+        for sid, ring, other in ((0, "a", "b"), (1, "b", "a")):
+            for key, ix in blocks[sid].vars.bredge.items():
+                if all(node.startswith(ring) for node in key):
+                    obj[ix] = -1.0
+                elif all(node.startswith(other) for node in key):
+                    obj[ix] = 1.0
+        model.set_objective(obj)
+
+    def one_round(self, network):
+        master = build_master(network, self.SCENS, self.PARAMS)
+        cuts = []
+        add_cut = master.add_cycle_cut
+
+        def recording(cycle, sid):
+            cuts.append((tuple(cycle), sid))
+            return add_cut(cycle, sid)
+
+        master.add_cycle_cut = recording
+        self.draw_rings(master.model, master.blocks)
+        assert solve_with_cycle_cuts(master, EXACT).status == "optimal"
+        return master, cuts
+
+    def oracle(self, network, cuts):
+        oracle = DictMaster(network, self.SCENS, self.PARAMS)
+        self.draw_rings(oracle.model, oracle.blocks)
+        for cycle, sid in cuts:
+            oracle.add_cycle_cut(cycle, sid)
+        return oracle
+
+    def test_a_round_cuts_the_union_in_every_block(self):
+        network = load_doc(two_rings_doc())
+        master, cuts = self.one_round(network)
+        ring_a, ring_b = master.cycles  # separated in block 0, then block 1
+        assert {node for edge in ring_a for node in edge} == {"a0", "a1", "a2", "a3"}
+        assert {node for edge in ring_b for node in edge} == {"b0", "b1", "b2", "b3"}
+        assert cuts == [(ring_a, 0), (ring_b, 0), (ring_a, 1), (ring_b, 1)]
+        assert master.solves == 2
+        oracle = self.oracle(network, cuts)
+        assert_same_model(master, oracle)
+        assert write_model(master.model) == write_model(oracle.model)
+
+    def test_a_block_added_later_starts_with_the_pool(self):
+        network = load_doc(two_rings_doc())
+        master, cuts = self.one_round(network)
+        first = len(cuts)
+        added = DamageScenario(2, frozenset(sorted(network.damageable_lines())[:1]))
+        assert added.damaged_line_ids
+        master.add_scenario(added)
+        assert cuts[first:] == [(cycle, 2) for cycle in master.cycles]
+        oracle = self.oracle(network, cuts[:first])
+        oracle.add_scenario(added)
         for cycle, sid in cuts[first:]:
             oracle.add_cycle_cut(cycle, sid)
         assert_same_model(master, oracle)
