@@ -79,14 +79,6 @@ def _check_keys(raw: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
-def _as(kind, value, where: str):
-    """``kind(value)``, or a ConfigError naming ``where``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} has a malformed value: {value!r}") from None
-
-
 # the JSON values a dataclass field of each type accepts; a JSON true or
 # false is never a number here, although Python's bool is an int
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(None),)}
@@ -102,14 +94,17 @@ def _checked(value, hint, where: str):
     return value
 
 
-def _pick(raw, cls, section: str):
-    """``cls(**raw)`` for one config section, every value first checked
-    against its field's type, so a wrong type is an error naming the key."""
+def _pick(doc: dict, cls, section: str, **defaults):
+    """``cls(**defaults, **doc[section])``, an absent section read as empty.
+    A present section must be a JSON object, and each of its values is
+    checked against its field's type, so a wrong type is an error naming the
+    key."""
+    raw = doc.get(section, {})
     _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
     hints = typing.get_type_hints(cls)
     for key, value in raw.items():
         _checked(value, hints[key], f"config key '{section}.{key}'")
-    return cls(**raw)
+    return cls(**{**defaults, **raw})
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
@@ -126,18 +121,18 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     base = path.parent
     flags = vars(overrides) if overrides is not None else {}  # this subcommand's flags
 
-    frag_raw = _as(dict, doc.get("fragility") or {}, "config section 'fragility'")
-    frag_raw.setdefault("seed", _checked(doc.get("seed", 0), int, "config key 'seed'"))
-    if flags.get("seed") is not None:
-        frag_raw["seed"] = flags["seed"]  # explicit flag beats any configured seed
+    seed = _checked(doc.get("seed", 0), int, "config key 'seed'")
     try:
-        fragility = _pick(frag_raw, FragilityParams, "fragility")
-        design = _pick(doc.get("design") or {}, DesignParams, "design")
-        solver = _pick(doc.get("solver") or {}, SolverOptions, "solver")
+        fragility = _pick(doc, FragilityParams, "fragility", seed=seed)
+        design = _pick(doc, DesignParams, "design")
+        solver = _pick(doc, SolverOptions, "solver")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if flags.get("seed") is not None:
+        # an explicit flag beats any configured seed
+        fragility = replace(fragility, seed=flags["seed"])
 
-    sweep = doc.get("sweep") or {}
+    sweep = doc.get("sweep", {})
     _check_keys(sweep, SWEEP_KEYS, "config section 'sweep'")
 
     def axis(key: str) -> list[float]:
@@ -147,15 +142,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
             raise ConfigError(f"{where} has a malformed value: {values!r}")
         return [float(_checked(x, float, where)) for x in values]
 
+    scenarios_file = _checked(doc.get("scenarios_file"), str | None,
+                              "config key 'scenarios_file'")
     cfg = RunConfig(
-        network=base / _as(Path, doc["network"], "config key 'network'"),
-        output_dir=base / _as(Path, doc.get("output_dir", "out"), "config key 'output_dir'"),
+        network=base / _checked(doc["network"], str, "config key 'network'"),
+        output_dir=base / _checked(doc.get("output_dir", "out"), str, "config key 'output_dir'"),
         jobs=_checked(doc.get("jobs", 1), int, "config key 'jobs'"),
         fragility=fragility,
         design=design,
         solver=solver,
-        scenarios_file=(base / _as(Path, doc["scenarios_file"], "config key 'scenarios_file'")
-                        if doc.get("scenarios_file") else None),
+        scenarios_file=base / scenarios_file if scenarios_file else None,
         sweep_total_fractions=axis("total_fractions"),
         sweep_mg_rates=axis("mg_variable_cost_rates"),
     )

@@ -289,13 +289,11 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                 active.append(worst.id)
     state.active = active
 
-    if template is None:
-        template = ScenarioTemplate(network, params)
     t0 = time.monotonic()
     master = build_master(network, [by_id[i] for i in active], params,
                           objective=objective, cost_budget=cost_budget,
                           template=template)
-    master.pool_cycles(_independent_cycles(template.reduced.nodes, template.reduced.edges))
+    master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
     build_time = time.monotonic() - t0
     pooled = solves = 0
     for _ in range(len(scenarios)):
@@ -316,7 +314,7 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         verdicts = evaluate_distinct(
             remaining,
             lambda scen: evaluate_design(design, network, scen, params, options,
-                                         template=template),
+                                         template=master.template),
             jobs,
         )
         verify_time = time.monotonic() - t_verify

@@ -92,7 +92,6 @@ class DesignParams:
     beta_line: float = 1.0               # and for ordinary lines
     vmin_sq: float = 0.9025              # 0.95**2, squared per-unit
     vmax_sq: float = 1.1025              # 1.05**2
-    octagon_scale: float = OCTAGON_SCALE
     mg_fixed_cost_override: float | None = None
     mg_rate_override: float | None = None    # $/kW of per-phase capacity
     line_cost_scale: float = 1.0
@@ -144,16 +143,15 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class OctagonGeometry:
-    """Octagon inscribed in the apparent-power circle of radius ``capacity``.
+    """Octagon inscribed in the apparent-power circle of radius ``capacity``,
+    as ``octagon_points(capacity)`` builds it.
 
     Edges are tangent to the inner circle of radius r = capacity*cos(pi/8);
     vertices lie on the capacity circle, so feasibility inside the octagon
     implies true thermal feasibility.
     """
 
-    capacity: float
     radius: float
-    axis_bound: float
     diagonal_coord: float  # tangency points at (+-diagonal_coord, +-diagonal_coord)
 
     def diagonal_points(self) -> tuple[tuple[float, float], ...]:
@@ -176,20 +174,12 @@ class OctagonGeometry:
             (-r, -t), (-t, -r), (t, -r), (r, -t),
         )
 
-    def contains(self, p: float, q: float, tol: float = 1e-12) -> bool:
-        return all(a * p + b * q <= rhs + tol for a, b, rhs in self.half_planes())
 
-
-def octagon_points(capacity: float, scale: float = OCTAGON_SCALE) -> OctagonGeometry:
+def octagon_points(capacity: float) -> OctagonGeometry:
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    r = capacity * scale
-    return OctagonGeometry(
-        capacity=capacity,
-        radius=r,
-        axis_bound=r,
-        diagonal_coord=r / math.sqrt(2.0),
-    )
+    r = capacity * OCTAGON_SCALE
+    return OctagonGeometry(radius=r, diagonal_coord=r / math.sqrt(2.0))
 
 
 def npv_capacity_cost(rating_kva: float, rate: float, eta: float, years: int) -> float:
@@ -364,25 +354,22 @@ def rotated_impedance(line: Line, k: Phase, k2: Phase) -> complex:
 
 
 class ScenarioFormulation:
-    """Operational constraint emitters for one undamaged scenario block.
+    """Operational constraint emitters for one undamaged scenario block,
+    every variable and row name ending in ``suffix``.
 
     Damage is not emitted here: ``ScenarioTemplate`` compiles the emitters'
-    rows once and patches each scenario's damage into a copy.
+    rows once, with the empty suffix, and patches each scenario's damage and
+    name suffix into a copy.
     """
 
     def __init__(self, model: MilpModel, network: Network, params: DesignParams,
-                 scenario: DamageScenario, reduced: ReducedGraph,
-                 first_stage: FirstStage) -> None:
-        if scenario.damaged_line_ids:
-            raise ValueError("the emitters build an undamaged block; "
-                             "ScenarioTemplate.stack applies damage")
+                 suffix: str, reduced: ReducedGraph, first_stage: FirstStage) -> None:
         self.model = model
         self.network = network
         self.params = params
-        self.scenario = scenario
         self.reduced = reduced
         self.first_stage = first_stage
-        self.suffix = f":s{scenario.id}"
+        self.suffix = suffix
         self.vars = ScenarioVars()
         self.resilience_rows: list[int] = []
         self.switch_rows: dict[str, int] = {}  # line -> its sw row
@@ -393,7 +380,7 @@ class ScenarioFormulation:
     # -- variables -----------------------------------------------------------
 
     def octagon(self, line: Line, k: Phase) -> OctagonGeometry:
-        return octagon_points(line.capacity_pu[k], self.params.octagon_scale)
+        return octagon_points(line.capacity_pu[k])
 
     def _allocate(self) -> None:
         m, net, sfx = self.model, self.network, self.suffix
@@ -699,7 +686,6 @@ class ScenarioBlock:
     resilience rows."""
 
     scenario: DamageScenario
-    reduced: ReducedGraph
     vars: ScenarioVars
     resilience_rows: list[int]
 
@@ -726,20 +712,19 @@ class ScenarioTemplate:
         self.network = network
         self.params = params
         self.reduced = aggregate_parallel_edges(network)
-        blk = ScenarioFormulation(model, network, params, DamageScenario(0, frozenset()),
-                                  self.reduced, self.first_stage)
+        blk = ScenarioFormulation(model, network, params, "", self.reduced,
+                                  self.first_stage)
         blk.add_all()
         rows, var_names, row_names = model.rows(), model.var_names, model.row_names
-        cut = len(blk.suffix)  # every block name ends with the suffix
         n = self.n_first
         self.first_columns = (model.lb[:n], model.ub[:n], model.kinds[:n],
                               tuple(var_names[:n]))
         self.first_rows = rows.slice(0, first_rows)
         self.first_row_names = tuple(row_names[:first_rows])
         self.lb, self.ub, self.kinds = model.lb[n:], model.ub[n:], model.kinds[n:]
-        self.var_stems = tuple(name[:-cut] for name in var_names[n:])
+        self.var_stems = tuple(var_names[n:])
         self.rows = rows.slice(first_rows, len(rows))
-        self.row_stems = tuple(name[:-cut] for name in row_names[first_rows:])
+        self.row_stems = tuple(row_names[first_rows:])
         self.vars = blk.vars
         self.resilience_rows = [r - first_rows for r in blk.resilience_rows]
         self.switch_rows = {lid: r - first_rows for lid, r in blk.switch_rows.items()}
@@ -820,7 +805,7 @@ class ScenarioTemplate:
         # the first block of a model sits where the template's does, and
         # shares its (read-only) index maps
         return ScenarioBlock(
-            scenario, self.reduced, self.vars if shift == 0 else _shifted(self.vars, shift),
+            scenario, self.vars if shift == 0 else _shifted(self.vars, shift),
             [first_row + r + int(np.sum(at <= r)) for r in self.resilience_rows],
         )
 

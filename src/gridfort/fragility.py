@@ -121,13 +121,16 @@ def load_scenarios(text: str, network: Network | None = None) -> list[DamageScen
     seen: set[int] = set()
     for i, raw in enumerate(doc["scenarios"]):
         if not (isinstance(raw, dict) and {"id", "damaged_line_ids"} <= raw.keys()
-                and isinstance(raw["damaged_line_ids"], list)):
-            raise ValueError(f"scenario entry {i} needs an 'id' and a 'damaged_line_ids' list")
-        sid = int(raw["id"])
+                and isinstance(raw["id"], int) and not isinstance(raw["id"], bool)
+                and isinstance(raw["damaged_line_ids"], list)
+                and all(isinstance(x, str) for x in raw["damaged_line_ids"])):
+            raise ValueError(f"scenario entry {i} needs an integer 'id' and a "
+                             f"'damaged_line_ids' list of line ids")
+        sid = raw["id"]
         if sid in seen:
             raise ValueError(f"duplicate scenario id {sid}")
         seen.add(sid)
-        damaged = frozenset(str(x) for x in raw["damaged_line_ids"])
+        damaged = frozenset(raw["damaged_line_ids"])
         if network is not None:
             allowed = set(network.damageable_lines())
             bad = sorted(damaged - allowed)

@@ -72,6 +72,9 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.rel_gap < 0 or self.int_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.backend not in ("builtin", "external"):
+            raise ValueError(f"solver backend must be 'builtin' or 'external', "
+                             f"got {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -326,28 +329,6 @@ class MilpModel:
                                    names[i]))
         return out
 
-    def binaries(self) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == BINARY]
-
-    def constraint_violations(self, values: np.ndarray, tol: float = 1e-6):
-        """All (constraint name, violation) pairs exceeding ``tol``."""
-        out = []
-        for con in self.constraints:
-            lhs = sum(c * values[ix] for ix, c in con.coeffs.items())
-            if con.sense == LESS:
-                v = lhs - con.rhs
-            elif con.sense == GREATER:
-                v = con.rhs - lhs
-            else:
-                v = abs(lhs - con.rhs)
-            if v > tol:
-                out.append((con.name, v))
-        var_names = self.var_names
-        for ix in range(self.num_variables):
-            if values[ix] < self.lb[ix] - tol or values[ix] > self.ub[ix] + tol:
-                out.append((f"bound:{var_names[ix]}", 0.0))
-        return out
-
 
 def _own_names(segments: list) -> list:
     """The trailing list segment, appended to for names given one by one."""
@@ -403,8 +384,6 @@ def solve(model: MilpModel, options: SolverOptions | None = None) -> Solution:
     options = options or SolverOptions()
     if options.backend == "external":
         return _solve_external(model, options)
-    if options.backend != "builtin":
-        raise SolverError(f"unknown solver backend {options.backend!r}")
     return _solve_highs(model, options)
 
 
@@ -450,7 +429,7 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
                     solve_time=time.monotonic() - t0, message=res.message)
 
 
-def solve_lp_relaxation(model: MilpModel, options: SolverOptions | None = None) -> Solution:
+def solve_lp_relaxation(model: MilpModel) -> Solution:
     """Relax binaries to [0, 1]; the optimum is a valid MILP lower bound.
 
     Variables fixed by their bounds are substituted into the row bounds, so

@@ -103,15 +103,6 @@ class UnitSystem:
             return value / self.base_kv
         raise ValueError(f"unknown per-unit kind {kind!r}")
 
-    def from_pu(self, value, kind: str):
-        if kind == "power":
-            return value * self.base_kva
-        if kind == "impedance":
-            return value * (1000.0 * self.base_kv**2) / self.base_kva
-        if kind == "voltage":
-            return value * self.base_kv
-        raise ValueError(f"unknown per-unit kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -222,9 +213,6 @@ class Network:
     @property
     def substations(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.buses.values() if b.is_substation)
-
-    def critical_loads(self) -> tuple[str, ...]:
-        return tuple(l.id for l in self.loads.values() if l.is_critical)
 
     def damageable_lines(self) -> tuple[str, ...]:
         return tuple(

@@ -7,7 +7,6 @@ drive the CLI's nonzero-exit contract.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -81,9 +80,6 @@ class AuditReport:
             "violations": [v.to_dict() for v in self.violations],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def check_radiality(state: OperationState, network: Network):
     """True iff the closed-line subgraph, parallel lines collapsed, is a forest;
@@ -96,7 +92,7 @@ def check_radiality(state: OperationState, network: Network):
     return False, tuple(basis[0])
 
 
-def _island_anchor(component: set[str], network: Network, state: OperationState):
+def _island_anchor(component: set[str], network: Network):
     """Highest-capacity microgrid bus of an island, if the island has any."""
     best = None
     best_cap = -1.0
@@ -110,8 +106,10 @@ def _island_anchor(component: set[str], network: Network, state: OperationState)
     return best
 
 
-def recompute_voltages(state: OperationState, network: Network, params: DesignParams):
-    """Sweep the linear voltage drop over closed lines from each source.
+def recompute_voltages(state: OperationState, network: Network):
+    """Sweep the linear voltage drop over closed lines from each source,
+    from the state's flows and the lines' impedances alone; ``audit``
+    checks the result against the design's voltage band.
 
     Substation-fed components anchor at the substation reference; islands
     anchor at their largest microgrid bus, using the state's value for that
@@ -136,7 +134,7 @@ def recompute_voltages(state: OperationState, network: Network, params: DesignPa
             # absolute cross-check
             anchors = [(b, network.buses[b].v_ref or 1.0) for b in subs]
         else:
-            anchor = _island_anchor(component, network, state)
+            anchor = _island_anchor(component, network)
             if anchor is None:
                 has_closed_line = any(
                     key[0] in component and key[1] in component for key in lines_between
@@ -257,7 +255,7 @@ def audit(state: OperationState, network: Network, params: DesignParams,
     vmin_mag, vmax_mag = math.sqrt(params.vmin_sq), math.sqrt(params.vmax_sq)
     # de-energized islands reported by recompute_voltages are legal states
     # (forced-closed lines downstream of damage); they carry no voltage checks
-    recomputed, discrepancy, _ = recompute_voltages(state, network, params)
+    recomputed, discrepancy, _ = recompute_voltages(state, network)
     if discrepancy > VOLTAGE_MATCH_TOL:
         violations.append(Violation("voltage_mismatch", "network", discrepancy))
     v_lo, v_hi = math.inf, -math.inf

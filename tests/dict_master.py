@@ -139,8 +139,8 @@ class DictMaster:
 
     def add_scenario(self, scenario: DamageScenario) -> None:
         m, net = self.model, self.network
-        blk = ScenarioFormulation(m, net, self.params, DamageScenario(scenario.id, frozenset()),
-                                  self.reduced, self.first_stage)
+        blk = ScenarioFormulation(m, net, self.params, f":s{scenario.id}", self.reduced,
+                                  self.first_stage)
         sfx, v = blk.suffix, blk.vars
         for lid in sorted(net.lines):
             damaged = lid in scenario.damaged_line_ids

@@ -184,7 +184,7 @@ class TestVoltageFidelity:
                         worst_util = max(
                             worst_util, abs(flow) / net.lines[lid].capacity_pu[phase]
                         )
-                volts, disc, _ = recompute_voltages(state, net, params)
+                volts, disc, _ = recompute_voltages(state, net)
                 worst_disc = max(worst_disc, disc)
                 for _, v_sq in volts.items():
                     mag = math.sqrt(max(v_sq, 0.0))

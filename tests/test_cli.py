@@ -88,6 +88,11 @@ class TestConfigKeys:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_empty_scenarios_file_means_sampled_scenarios(self, tmp_path, value):
+        cfg = write_config(tmp_path, scenarios_file=value)
+        assert main(["design", "--config", str(cfg)]) == 0
+
     def test_zero_jobs_flag_is_an_input_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["design", "--config", str(cfg), "--jobs", "0"]) == 2
@@ -477,13 +482,33 @@ class TestMalformedInput:
         (lambda _: {"jobs": True}, "jobs"),
         (lambda _: {"sweep": {"total_fractions": "12"}}, "total_fractions"),
         (lambda _: {"sweep": {"total_fractions": [True]}}, "total_fractions"),
+        (lambda _: {"fragility": [["scenario_count", 2],
+                                  ["line_failure_prob_override", 0.2]]}, "fragility"),
+        (lambda _: {"design": []}, "design"),
+        (lambda _: {"solver": 0}, "solver"),
+        (lambda _: {"sweep": False}, "sweep"),
+        (lambda _: {"solver": {"backend": "gurobi"}}, "backend"),
+        (_scenario_file({"scenarios": [{"id": None, "damaged_line_ids": []}]}),
+         "scenario entry 0"),
+        (_scenario_file({"scenarios": [{"id": 0, "damaged_line_ids": []},
+                                       {"id": 1.7, "damaged_line_ids": []}]}),
+         "scenario entry 1"),
+        (_scenario_file({"scenarios": [{"id": 0, "damaged_line_ids": []},
+                                       {"id": True, "damaged_line_ids": []}]}),
+         "scenario entry 1"),
+        (_scenario_file({"scenarios": [{"id": 0, "damaged_line_ids": []},
+                                       {"id": 1, "damaged_line_ids": [["L1"]]}]}),
+         "scenario entry 1"),
     ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
             "config-sweep-axis", "network-bus-phases", "network-base-kva",
             "network-null-base-kva", "solver-time-limit", "solver-rel-gap",
             "design-critical-fraction", "fragility-scenario-count",
             "scenarios-key", "scenario-damage", "config-seed-fraction",
             "config-seed-string", "config-jobs-fraction", "config-jobs-flag",
-            "config-sweep-axis-string", "config-sweep-axis-flag"])
+            "config-sweep-axis-string", "config-sweep-axis-flag",
+            "config-fragility-pairs", "config-design-list", "config-solver-number",
+            "config-sweep-false", "solver-unknown-backend", "scenario-null-id",
+            "scenario-fractional-id", "scenario-bool-id", "scenario-nested-line-id"])
     def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides(tmp_path))
         assert main(["design", "--config", str(cfg)]) == 2

