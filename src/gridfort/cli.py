@@ -521,8 +521,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, NetworkError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (ConfigError, NetworkError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

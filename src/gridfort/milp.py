@@ -11,6 +11,20 @@ third-party MILP solver process needed). The external adapter exchanges MPS
 model files and a plain solution file with any solver wrapped behind a
 subprocess command template.
 
+Every in-process solve turns off HiGHS's feasibility-jump primal heuristic
+(``mip_heuristic_run_feasibility_jump``). HiGHS presolve shrinks a case30
+verification model (943 rows x 567 columns) to a few dozen rows, and on a
+feasible one the heuristic took about 40% of the solve: 14.1 ms per solve
+with it, 8.6 ms without, the median over 20 such models (HiGHS 1.12, scipy
+1.17, 2-vCPU VM). It finds feasible points only, so it changes no
+optimality or infeasibility proof: only which feasible point a pure
+feasibility solve returns. scipy's ``milp`` passes the option to HiGHS
+verbatim with a ``RuntimeWarning``; a HiGHS without the option skips it
+with an ``OptimizeWarning``. Both are silenced by filters that match this
+option only (``_ignore_option_warnings``), not by
+``warnings.catch_warnings``, which is not thread-safe: the solves of a
+verification may run on threads.
+
 Cuts are injected by appending rows and re-solving; there is no callback
 API, so the builtin and file-based external backends behave identically.
 """
@@ -23,13 +37,15 @@ import os
 import re
 import subprocess
 import tempfile
+import threading
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, linprog
 from scipy.optimize import milp as scipy_milp
 
 __all__ = [
@@ -342,6 +358,33 @@ def _own_names(segments: list) -> list:
 # ---------------------------------------------------------------------------
 
 _FEAS_EPS = 1e-9
+_NO_FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+# (message, category, module) of the warnings that option brings: scipy's
+# for an option it passes on verbatim, raised from this module's call, and
+# that of an older HiGHS that lacks the option and skips it
+_OPTION_WARNINGS = (
+    (re.escape(f"Unrecognized options detected: {{'{_NO_FEASIBILITY_JUMP}'}}"),
+     RuntimeWarning, re.escape(__name__) + r"\Z"),
+    (f".*{_NO_FEASIBILITY_JUMP}", OptimizeWarning, ""),
+)
+_FILTERS_LOCK = threading.Lock()
+
+
+def _ignore_option_warnings() -> None:
+    """Put filters that ignore ``_OPTION_WARNINGS`` first in
+    ``warnings.filters`` if they are missing. Called before each solve, not
+    once at import: leaving a ``warnings.catch_warnings`` block restores the
+    filters it began with, and pytest runs its start-up and each test in
+    one."""
+    with _FILTERS_LOCK:
+        for message, category, module in _OPTION_WARNINGS:
+            # the entry warnings.filterwarnings makes of these arguments
+            entry = ("ignore", re.compile(message, re.I), category,
+                     re.compile(module) if module else None, 0)
+            if entry not in warnings.filters:
+                warnings.filterwarnings("ignore", message, category, module)
+
+
 _LINPROG_OPTS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
@@ -391,7 +434,9 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
     """HiGHS branch-and-cut on the whole model, in process."""
     t0 = time.monotonic()
     lp = _compile(model)
-    highs_opts = {"disp": False, "presolve": True, "mip_rel_gap": options.rel_gap}
+    _ignore_option_warnings()
+    highs_opts = {"disp": False, "presolve": True, "mip_rel_gap": options.rel_gap,
+                  _NO_FEASIBILITY_JUMP: False}
     if options.time_limit is not None:
         highs_opts["time_limit"] = options.time_limit
     if options.node_limit is not None:

@@ -517,6 +517,29 @@ class TestMalformedInput:
         assert field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,overrides,flag", [
+        ("scenarios", {"network": ""}, None),
+        ("design", {"network": ""}, None),
+        ("design", {"scenarios_file": "sd"}, None),
+        ("evaluate", {}, "--design"),
+        ("validate", {}, "--design"),
+    ], ids=["scenarios-network", "design-network", "design-scenarios-file",
+            "evaluate-design", "validate-design"])
+    def test_directory_is_an_input_error(self, tmp_path, capsys, command, overrides,
+                                         flag):
+        """A path that names a directory: "" is the config's own directory."""
+        (tmp_path / "sd").mkdir()
+        cfg = write_config(tmp_path, **overrides)
+        argv = [command, "--config", str(cfg)]
+        if flag:
+            argv += [flag, str(tmp_path / "sd")]
+        directory = tmp_path if overrides.get("network") == "" else tmp_path / "sd"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"'{directory}'" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExternalInfeasibility:
     def test_infeasible_verification_matches_builtin(self, tmp_path, monkeypatch):

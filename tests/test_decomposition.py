@@ -18,10 +18,12 @@ from gridfort import (
     separate_cycles,
 )
 import gridfort.decomposition
+import gridfort.milp
 from gridfort.decomposition import solve_with_cycle_cuts
 from gridfort.formulation import MasterProblem, make_design
 from gridfort.milp import SolverError, solve
 from gridfort.model import adjacency, aggregate_parallel_edges, components
+from gridfort.validate import audit
 
 from conftest import FIXTURES, c, load_doc, two_bus_doc, two_rings_doc, z1
 from netgen import enumerate_optimum, random_instance
@@ -239,6 +241,52 @@ class TestEvaluateDesign:
         rev = [evaluate_design(design, case5, s, params, EXACT).to_dict()
                for s in reversed(scens)]
         assert fwd == list(reversed(rev))
+
+    def test_feasibility_jump_setting_changes_no_verdict(self, case30, monkeypatch):
+        """HiGHS runs without its feasibility-jump heuristic. That may change
+        the feasible point a verification returns, but no verdict: checked
+        against the same solves with the option stripped, on the failing
+        first-iteration design, for every distinct damage set."""
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=20, seed=1))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        real_evaluate = gridfort.decomposition.evaluate_design
+        designs = []
+
+        def recording(design, *args, **kwargs):
+            designs.append(design)
+            return real_evaluate(design, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
+        _, state = sbd_design(case30, scens, params, EXACT)
+        monkeypatch.undo()
+        assert len(state.iterations) >= 2
+        first = designs[0]
+        distinct = list({s.damaged_line_ids: s for s in scens}.values())
+
+        real_milp = gridfort.milp.scipy_milp
+        passed = []
+
+        def stripped(*args, options, **kwargs):
+            passed.append(options.pop("mip_heuristic_run_feasibility_jump"))
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(gridfort.milp, "scipy_milp", stripped)
+        before = [evaluate_design(first, case30, s, params, EXACT) for s in distinct]
+        monkeypatch.undo()
+        after = [evaluate_design(first, case30, s, params, EXACT) for s in distinct]
+
+        assert passed and all(value is False for value in passed)
+        assert not all(v.feasible for v in after)
+        for old, new in zip(before, after):
+            assert (old.feasible, old.shortfall_critical, old.shortfall_total) == (
+                new.feasible, new.shortfall_critical, new.shortfall_total)
+            for verdict in (old, new):
+                # an infeasible verdict's point misses the targets, nothing else
+                missed = (set() if verdict.feasible
+                          else {"critical_service", "total_service"})
+                report = audit(verdict.state, case30, params, first)
+                assert {v.kind for v in report.violations} <= missed
 
 
 def meshed_triangle():

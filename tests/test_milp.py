@@ -4,10 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, OptimizeWarning
+from scipy.optimize import milp as scipy_milp
 
 from gridfort.milp import (
     BINARY,
@@ -114,6 +117,63 @@ class TestSolve:
             assert np.all(ax >= lp.row_lo - tol) and np.all(ax <= lp.row_hi + tol)
             assert np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
             assert set(x[lp.binary].tolist()) <= {0.0, 1.0}
+
+
+JUMP_OPTION = "mip_heuristic_run_feasibility_jump"
+
+
+class TestOptionWarnings:
+    """HiGHS runs with its feasibility jump off, an option scipy passes on
+    with a warning; gridfort.milp silences exactly that warning."""
+
+    def test_solve_under_error_filter_raises_nothing(self):
+        with warnings.catch_warnings():
+            # no filter of gridfort.milp is in place here
+            warnings.resetwarnings()
+            warnings.simplefilter("error")
+            assert solve(binary_pair_model(), EXACT).status == "optimal"
+            assert solve(single_var_model(), EXACT).objective == pytest.approx(3.0)
+
+    def test_filter_is_narrow(self):
+        with warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.simplefilter("error")
+            solve(single_var_model(), EXACT)
+            with pytest.raises(RuntimeWarning, match="foreign"):
+                warnings.warn("foreign", RuntimeWarning)
+            # the same option, passed from another module
+            with pytest.raises(RuntimeWarning, match=JUMP_OPTION):
+                scipy_milp(np.ones(1), bounds=Bounds(0, 1), options={JUMP_OPTION: False})
+            # another option, from gridfort.milp
+            with pytest.raises(RuntimeWarning, match="other_option"):
+                warnings.warn_explicit(
+                    "Unrecognized options detected: {'other_option'}. These will be "
+                    "passed to HiGHS verbatim.", RuntimeWarning, "milp.py", 1,
+                    module="gridfort.milp")
+            # a HiGHS without the option skips it with a warning naming it
+            warnings.warn(f"Unrecognized options detected: {{'{JUMP_OPTION}': False}}",
+                          OptimizeWarning)
+            with pytest.raises(OptimizeWarning, match="other_option"):
+                warnings.warn("Unrecognized options detected: {'other_option': False}",
+                              OptimizeWarning)
+
+    def test_command_line_error_filter(self):
+        """``python -W error`` turns every warning into an error from
+        start-up on; a solve still warns of nothing."""
+        script = ("from gridfort.milp import MilpModel, solve, GREATER, BINARY\n"
+                  "m = MilpModel()\n"
+                  "x = m.add_variable('x', kind=BINARY)\n"
+                  "m.add_constraint({x: 1.0}, GREATER, 1.0)\n"
+                  "m.set_objective({x: 1.0})\n"
+                  "print(solve(m).status)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "optimal"
+        assert done.stderr == ""
 
 
 class TestLpRelaxation:
