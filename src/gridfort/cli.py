@@ -347,12 +347,13 @@ def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     verdicts = _verdicts(design, network, scens, cfg, {},
                          ScenarioTemplate(network, cfg.design))
     _dump_json([v.to_dict() for v in verdicts], cfg.output_dir / "evaluation.json")
-    crit = [v.critical_fraction for v in verdicts]
-    tot = [v.total_fraction for v in verdicts]
+    # a feasible verdict's served fractions are one arbitrary feasible
+    # point's, so the summary reports shortfalls only
     n_bad = sum(1 for v in verdicts if not v.feasible)
-    print(f"evaluated {len(verdicts)} scenarios: {n_bad} infeasible")
-    print(f"  critical fraction min/mean {min(crit):.4f}/{statistics.fmean(crit):.4f}")
-    print(f"  total fraction    min/mean {min(tot):.4f}/{statistics.fmean(tot):.4f}")
+    crit = max(v.shortfall_critical for v in verdicts)
+    tot = max(v.shortfall_total for v in verdicts)
+    print(f"evaluated {len(verdicts)} scenarios: {n_bad} infeasible, "
+          f"worst shortfall critical/total {crit:.4f}/{tot:.4f}")
     return EXIT_OK
 
 
@@ -382,15 +383,9 @@ def _sweep_cell(args: tuple) -> dict:
     t0 = time.monotonic()
     row = {"gamma": params.total_fraction, "mg_cost_per_kw": params.mg_rate_override}
     try:
-        template = ScenarioTemplate(network, params)
-        design, state = sbd_design(network, scens, params, options, template=template)
-        # canonical tie-break: among cost-optimal designs, the one with the
-        # least installed microgrid capacity; warm-started from the scenarios
-        # the cost pass already found binding
-        budget = design.cost.total / 1000.0 + 1e-6
-        design, _ = sbd_design(network, scens, params, options,
-                               objective="microgrid_kw", cost_budget=budget,
-                               initial_active=state.active, template=template)
+        # tie-break: the least installed microgrid capacity among designs
+        # that cost no more than the cost pass's
+        design, _ = sbd_design(network, scens, params, options, tie_break=True)
         row.update(
             status="ok",
             total_cost=design.cost.total,

@@ -89,7 +89,8 @@ class IterationRecord:
     wall_time: float
     verify_solves: int  # distinct damage sets solved by the verification
     verify_time: float
-    build_time: float   # assembling the master's new block (the whole master first)
+    build_time: float   # assembling the master's new block (the whole master first,
+                        # the budget row and kW objective when the kW pass starts)
     solve_time: float   # the master's solve, over all cut rounds
     master_solves: int  # solves of the master, cut rounds included
     cuts_added: int     # cycles added to the pool (the seeded basis first)
@@ -248,9 +249,7 @@ def evaluate_distinct(scenarios: list[DamageScenario], evaluate,
 
 def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                options: SolverOptions | None = None, jobs: int = 1, *,
-               objective: str = "cost", cost_budget: float | None = None,
-               initial_active: list[int] | None = None,
-               template: ScenarioTemplate | None = None):
+               tie_break: bool = False, template: ScenarioTemplate | None = None):
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add the lowest-id infeasible scenario to the
     subset each iteration: one master, built once, gains its block and keeps
@@ -261,11 +260,17 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     The master and every verification model are assembled from ``template``,
     compiled here when absent.
 
-    Returns (Design, SbdState); the verdicts of the last iteration carry
-    their operating points, earlier ones do not. Raises InfeasibleDesignError
-    naming the first scenario whose requirements are unattainable with every
-    upgrade applied, and SolverError when a solve ends without a decisive
-    answer.
+    With ``tie_break``, once a design verifies the same loop goes on over the
+    same master under ``MasterProblem.minimize_microgrid_kw``, with a budget
+    of that design's cost + 1e-6 k$: the least-kW design within the budget.
+    This pass is exact as the cost pass is, since pooled cycle cuts hold
+    whatever the objective, so the master still relaxes the full problem.
+
+    Returns (Design, SbdState), the state holding every iteration of both
+    passes; the verdicts of the last iteration carry their operating points,
+    earlier ones do not. Raises InfeasibleDesignError naming the first
+    scenario whose requirements are unattainable with every upgrade applied,
+    and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
     by_id = {s.id: s for s in scenarios}
@@ -274,29 +279,24 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     baseline = min(by_id)
     state = SbdState()
 
-    if initial_active:
-        active = list(dict.fromkeys(initial_active))
-        unknown = [i for i in active if i not in by_id]
-        if unknown:
-            raise ValueError(f"initial_active references unknown scenarios: {unknown}")
-    else:
-        active = [baseline]
-        rest = [s for s in scenarios if s.id != baseline]
-        if rest:
-            # warm pick: the scenario with the most damage
-            worst = max(rest, key=lambda s: (len(s.damaged_line_ids), -s.id))
-            if worst.damaged_line_ids:
-                active.append(worst.id)
+    active = [baseline]
+    rest = [s for s in scenarios if s.id != baseline]
+    if rest:
+        # warm pick: the scenario with the most damage
+        worst = max(rest, key=lambda s: (len(s.damaged_line_ids), -s.id))
+        if worst.damaged_line_ids:
+            active.append(worst.id)
     state.active = active
 
     t0 = time.monotonic()
     master = build_master(network, [by_id[i] for i in active], params,
-                          objective=objective, cost_budget=cost_budget,
                           template=template)
     master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
     build_time = time.monotonic() - t0
     pooled = solves = 0
-    for _ in range(len(scenarios)):
+    # each failing iteration adds a scenario not yet in the master, and each
+    # pass ends in one iteration that verifies
+    for _ in range(len(scenarios) - len(active) + 1 + tie_break):
         t_solve = time.monotonic()
         sol = solve_with_cycle_cuts(master, options)
         solve_time = time.monotonic() - t_solve
@@ -336,11 +336,15 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             cuts_added=len(master.cycles) - pooled,
         ))
         pooled, solves = len(master.cycles), master.solves
-        if not infeasible:
-            return design, state
-        nxt = min(infeasible)
-        active.append(nxt)
         t0 = time.monotonic()
-        master.add_scenario(by_id[nxt])
+        if infeasible:
+            nxt = min(infeasible)
+            active.append(nxt)
+            master.add_scenario(by_id[nxt])
+        elif tie_break:  # the kW pass goes on over this master
+            tie_break = False
+            master.minimize_microgrid_kw(design.cost.total / 1000.0 + 1e-6)
+        else:
+            return design, state
         build_time = time.monotonic() - t0
     raise RuntimeError("decomposition failed to converge within |S| iterations")

@@ -890,6 +890,25 @@ class MasterProblem:
                 self.model.set_rhs(row, 0.0)
         self.model.set_objective(_served_objective(self.network, self.blocks))
 
+    def minimize_microgrid_kw(self, cost_budget: float) -> None:
+        """Least installed microgrid kW among designs that cost at most
+        ``cost_budget`` k$, over the same rows and cuts plus a budget row.
+        The row and the objective are first-stage only, so blocks added
+        later leave them valid. An epsilon cost term (far below the 100 kW
+        step granularity) keeps every upgrade binary objective-bearing so
+        the search stays guided, without ever changing the kW ranking."""
+        cost = _cost_coefficients(self.network, self.params, self.first_stage)
+        self.model.add_constraint(cost, LESS, cost_budget, "cost_budget")
+        obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
+        for gid, ixs in self.first_stage.steps.items():
+            mg = self.network.microgrids[gid]
+            if mg.is_existing:
+                continue
+            w = mg.step_capacity_kva * len(self.network.buses[mg.bus].phases)
+            for ix in ixs:
+                obj[ix] = obj.get(ix, 0.0) + w
+        self.model.set_objective(obj)
+
     def design_from_solution(self, solution: Solution) -> Design:
         vals = solution.values
         built = [lid for lid, ix in self.first_stage.build.items() if vals[ix] > 0.5]
@@ -987,16 +1006,14 @@ def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
 
 def build_master(network: Network, scenarios: list[DamageScenario],
                  params: DesignParams, *, fixed_design: Design | None = None,
-                 objective: str = "cost", cost_budget: float | None = None,
                  template: ScenarioTemplate | None = None) -> MasterProblem:
     """Assemble the two-stage design MILP over the given scenario set, one
     ``MasterProblem.add_scenario`` block each, from ``template`` (compiled
     here when absent).
 
-    objective: "cost" minimizes upgrade cost (the design problem);
-    "microgrid_kw" minimizes installed microgrid kW (tie-break canonicalization,
-    normally combined with ``cost_budget`` in k$). Both are first-stage only,
-    so blocks added later leave them valid.
+    The objective is the upgrade cost in k$, first-stage only, so blocks
+    added later leave it valid. ``MasterProblem.minimize_microgrid_kw`` and
+    ``maximize_served`` swap it for another over the same rows.
     """
     if not scenarios:
         raise ValueError("at least one scenario (the baseline) is required")
@@ -1012,29 +1029,7 @@ def build_master(network: Network, scenarios: list[DamageScenario],
     master = MasterProblem(model, template, {})
     for scen in scenarios:
         master.add_scenario(scen)
-
-    cost = _cost_coefficients(network, params, fs)
-    if cost_budget is not None:
-        model.add_constraint(cost, LESS, cost_budget, "cost_budget")
-
-    if objective == "cost":
-        model.set_objective(cost)
-    elif objective == "microgrid_kw":
-        # minimize installed capacity; an epsilon cost term (far below the
-        # 100 kW step granularity) keeps every upgrade binary objective-bearing
-        # so the search stays guided, without ever changing the kW ranking
-        obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
-        for gid, ixs in fs.steps.items():
-            mg = network.microgrids[gid]
-            if mg.is_existing:
-                continue
-            w = mg.step_capacity_kva * len(network.buses[mg.bus].phases)
-            for ix in ixs:
-                obj[ix] = obj.get(ix, 0.0) + w
-        model.set_objective(obj)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
+    model.set_objective(_cost_coefficients(network, params, fs))
     return master
 
 
@@ -1059,8 +1054,8 @@ def _served_objective(network: Network, blocks) -> dict[int, float]:
 
 def master_dimensions(network: Network, scenarios: list[DamageScenario],
                       params: DesignParams) -> dict[str, int]:
-    """Exact variable/constraint counts of build_master with the default
-    objective, before any lazy cycle cuts or optional budget row."""
+    """Exact variable/constraint counts of build_master, before any cycle
+    cut or budget row."""
     net = network
     reduced = aggregate_parallel_edges(net)
     n_cand = sum(1 for l in net.lines.values() if l.is_candidate)

@@ -110,8 +110,7 @@ def compile_dict(model: DictModel) -> dict[str, np.ndarray]:
 class DictMaster:
     """The design MILP built row by row; the arguments are ``build_master``'s."""
 
-    def __init__(self, network, scenarios, params, *, fixed_design=None,
-                 objective="cost", cost_budget=None) -> None:
+    def __init__(self, network, scenarios, params, *, fixed_design=None) -> None:
         self.model = DictModel(name="upgrade")
         self.network, self.params = network, params
         self.first_stage = fs = _build_first_stage(self.model, network)
@@ -121,21 +120,7 @@ class DictMaster:
         self.blocks: dict[int, ScenarioFormulation] = {}
         for scen in scenarios:
             self.add_scenario(scen)
-        cost = _cost_coefficients(network, params, fs)
-        if cost_budget is not None:
-            self.model.add_constraint(cost, LESS, cost_budget, "cost_budget")
-        if objective == "cost":
-            self.model.set_objective(cost)
-        else:
-            obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
-            for gid, ixs in fs.steps.items():
-                mg = network.microgrids[gid]
-                if mg.is_existing:
-                    continue
-                w = mg.step_capacity_kva * len(network.buses[mg.bus].phases)
-                for ix in ixs:
-                    obj[ix] = obj.get(ix, 0.0) + w
-            self.model.set_objective(obj)
+        self.model.set_objective(_cost_coefficients(network, params, fs))
 
     def add_scenario(self, scenario: DamageScenario) -> None:
         m, net = self.model, self.network
@@ -169,6 +154,20 @@ class DictMaster:
             {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
             f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}{blk.suffix}",
         )
+
+    def minimize_microgrid_kw(self, cost_budget) -> None:
+        fs, net = self.first_stage, self.network
+        cost = _cost_coefficients(net, self.params, fs)
+        self.model.add_constraint(cost, LESS, cost_budget, "cost_budget")
+        obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
+        for gid, ixs in fs.steps.items():
+            mg = net.microgrids[gid]
+            if mg.is_existing:
+                continue
+            w = mg.step_capacity_kva * len(net.buses[mg.bus].phases)
+            for ix in ixs:
+                obj[ix] = obj.get(ix, 0.0) + w
+        self.model.set_objective(obj)
 
     def maximize_served(self) -> None:
         for blk in self.blocks.values():

@@ -9,8 +9,17 @@ from pathlib import Path
 import pytest
 
 import gridfort.cli
-from gridfort import DamageScenario, FragilityParams, sample_scenarios, save_scenarios
+import gridfort.decomposition
+from gridfort import (
+    DamageScenario,
+    DesignParams,
+    FragilityParams,
+    SolverOptions,
+    sample_scenarios,
+    save_scenarios,
+)
 from gridfort.cli import main
+from gridfort.decomposition import Verdict
 from gridfort.validate import audit
 
 from conftest import FIXTURES
@@ -337,6 +346,26 @@ class TestEvaluateAndValidate:
         assert any(not v["feasible"] for v in verdicts)
         bad = [v for v in verdicts if not v["feasible"]][0]
         assert bad["shortfall_critical"] > 0.9
+
+    def test_summary_ignores_feasible_point_fractions(self, tmp_path, monkeypatch,
+                                                     capsys):
+        """A feasible verdict's fractions are one arbitrary feasible point's,
+        so verdicts that differ only there print the same summary."""
+        cfg = write_config(tmp_path)
+        design = tmp_path / "design.json"
+        design.write_text("{}")
+
+        def summary(critical, total):
+            verdicts = [Verdict(0, True, critical, total),
+                        Verdict(1, False, 0.5, 0.2, shortfall_critical=0.48,
+                                shortfall_total=0.1)]
+            monkeypatch.setattr(gridfort.cli, "_verdicts", lambda *args: verdicts)
+            assert main(["evaluate", "--config", str(cfg), "--design", str(design)]) == 0
+            return capsys.readouterr().out
+
+        first = summary(1.0, 0.335)
+        assert first == summary(0.99, 0.9)
+        assert "1 infeasible, worst shortfall critical/total 0.4800/0.1000" in first
 
     def test_evaluate_out_of_sample_scenarios(self, tmp_path):
         cfg, design = self._designed(tmp_path)
@@ -727,6 +756,26 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "(4 cells, 1 failed)" in captured.out
         assert "RuntimeError: cell crashed" in captured.err
+
+    def test_cell_builds_one_design_master(self, tmp_path, monkeypatch):
+        """The kW tie-break continues on the cost pass's master; only
+        verification models are built besides it."""
+        scens = write_scenarios(tmp_path / "scens.json", [[], ["L1"], ["L3"], ["L1", "L3"]])
+        real = gridfort.decomposition.build_master
+        masters = []
+
+        def counting(*args, fixed_design=None, **kwargs):
+            if fixed_design is None:
+                masters.append(args)
+            return real(*args, fixed_design=fixed_design, **kwargs)
+
+        monkeypatch.setattr(gridfort.decomposition, "build_master", counting)
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
+                              mg_rate_override=250.0)
+        row = gridfort.cli._sweep_cell((str(FIXTURES / "case5.json"), str(scens),
+                                        params, SolverOptions(rel_gap=1e-6)))
+        assert row["status"] == "ok"
+        assert len(masters) == 1
 
     def test_sweep_without_axes_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

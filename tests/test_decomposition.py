@@ -14,9 +14,11 @@ from gridfort import (
     evaluate_design,
     load_network_file,
     sample_scenarios,
+    save_scenarios,
     sbd_design,
     separate_cycles,
 )
+import gridfort.cli
 import gridfort.decomposition
 import gridfort.milp
 from gridfort.decomposition import solve_with_cycle_cuts
@@ -594,3 +596,81 @@ class TestOracleAgreement:
                 assert got == pytest.approx(expected, rel=1e-6), f"seed {seed}"
                 agreements += 1
         assert agreements >= 1
+
+
+def least_kw_extensive(net, scens, params, budget: float) -> float:
+    """The extensive form's least installed kW within ``budget`` k$, over
+    every scenario at once."""
+    master = build_master(net, scens, params)
+    master.minimize_microgrid_kw(budget)
+    sol = solve_with_cycle_cuts(master, EXACT)
+    assert sol.status == "optimal"
+    return master.design_from_solution(sol).microgrid_kw(net)
+
+
+@pytest.fixture
+def kw_budgets(monkeypatch):
+    """The budget of every kW pass run while the fixture is active."""
+    budgets = []
+    real = MasterProblem.minimize_microgrid_kw
+
+    def recording(self, cost_budget):
+        budgets.append(cost_budget)
+        return real(self, cost_budget)
+
+    monkeypatch.setattr(MasterProblem, "minimize_microgrid_kw", recording)
+    return budgets
+
+
+class TestTieBreakOracle:
+    """The kW pass, run on the cost pass's master, finds the extensive
+    form's least-kW design under the same budget."""
+
+    @pytest.mark.parametrize("rate", [100.0, 250.0, 1000.0])
+    def test_sweep_cell_on_case5(self, tmp_path, case5, kw_budgets, rate):
+        # at $250/kW the microgrid costs what hardening L1 does, a cost tie
+        # that only the kW pass settles
+        damage = [[], ["L1"], ["L3"], ["L1", "L3"]]
+        scens = [DamageScenario(i, frozenset(d)) for i, d in enumerate(damage)]
+        path = tmp_path / "scens.json"
+        path.write_text(save_scenarios(scens))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
+                              mg_rate_override=rate)
+        row = gridfort.cli._sweep_cell(
+            (str(FIXTURES / "case5.json"), str(path), params, EXACT))
+        assert row["status"] == "ok"
+        budget, = kw_budgets
+        assert row["microgrid_kw"] == least_kw_extensive(case5, scens, params, budget)
+        assert row["total_cost"] <= budget * 1000.0
+        if rate == 250.0:
+            assert row["microgrid_kw"] == 0.0
+            assert row["hardened_lines"] == 1
+
+    @pytest.mark.parametrize("free", [False, True], ids=["priced", "free"])
+    def test_generated_instances(self, kw_budgets, free):
+        """With every upgrade free, every feasible design ties on cost and
+        the kW pass alone picks one, after the cost pass took any. Its
+        design must verify on every scenario, so a kW pass that kept a
+        design some scenario rejects fails here."""
+        checked = 0
+        for seed in range(40):
+            net, scens, params = random_instance(seed)
+            if not any(not g.is_existing for g in net.microgrids.values()):
+                continue
+            if free:
+                params = replace(params, line_cost_scale=0.0, harden_cost_scale=0.0,
+                                 mg_fixed_cost_override=0.0, mg_rate_override=0.0)
+            kw_budgets.clear()
+            try:
+                design, _ = sbd_design(net, scens, params, EXACT, tie_break=True)
+            except InfeasibleDesignError:
+                continue
+            budget, = kw_budgets
+            assert design.microgrid_kw(net) == least_kw_extensive(
+                net, scens, params, budget), f"seed {seed}"
+            assert all(evaluate_design(design, net, s, params, EXACT).feasible
+                       for s in scens), f"seed {seed}"
+            checked += 1
+            if checked >= 6:
+                break
+        assert checked >= 6

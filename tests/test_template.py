@@ -50,7 +50,7 @@ def damaged_scenarios(network, count=4, seed=5, prob=0.3):
 
 VARIANTS = {
     "cost": {},
-    "microgrid_kw": {"objective": "microgrid_kw", "cost_budget": 300.0},
+    "microgrid_kw": {"microgrid_kw": 300.0},
     "fixed_design": {"fixed_design": True},
     "maximize_served": {"fixed_design": True, "maximize_served": True},
 }
@@ -59,6 +59,7 @@ VARIANTS = {
 def build_pair(network, scenarios, params, variant):
     kwargs = dict(VARIANTS[variant])
     served = kwargs.pop("maximize_served", False)
+    budget = kwargs.pop("microgrid_kw", None)
     if kwargs.pop("fixed_design", False):
         hard = sorted(network.damageable_lines())[:1]
         kwargs["fixed_design"] = make_design(network, params, [], hard, {})
@@ -67,6 +68,9 @@ def build_pair(network, scenarios, params, variant):
     if served:
         master.maximize_served()
         oracle.maximize_served()
+    if budget is not None:
+        master.minimize_microgrid_kw(budget)
+        oracle.minimize_microgrid_kw(budget)
     return master, oracle
 
 
