@@ -89,8 +89,11 @@ class TestConfigKeys:
          "total_fraction"),
         ({"jobs": 0}, "jobs"),
         ({"sweep": ["total_fractions"]}, "sweep"),
+        ({"solver": {"time_limit": -1}}, "time_limit"),
+        ({"solver": {"node_limit": -1}}, "node_limit"),
     ], ids=["misspelled-section", "removed-vns-section", "misspelled-sweep-key",
-            "zero-jobs", "sweep-not-an-object"])
+            "zero-jobs", "sweep-not-an-object", "negative-time-limit",
+            "negative-node-limit"])
     def test_bad_key_is_an_input_error(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)
         assert main(["design", "--config", str(cfg)]) == 2

@@ -9,9 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, OptimizeWarning
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning
 from scipy.optimize import milp as scipy_milp
 
+import gridfort.milp
+from gridfort import (
+    DesignParams,
+    FragilityParams,
+    build_master,
+    evaluate_design,
+    sample_scenarios,
+)
+from gridfort.decomposition import solve_with_cycle_cuts
+from gridfort.formulation import make_design
 from gridfort.milp import (
     BINARY,
     EQUAL,
@@ -26,6 +36,7 @@ from gridfort.milp import (
     solve_lp_relaxation,
     write_model,
     _compile,
+    _free_columns,
 )
 
 from mps_reader import read_mps
@@ -226,8 +237,9 @@ def _random_model(rng: random.Random, n_bin: int, n_cont: int, n_rows: int) -> M
 
 
 def _enumerate_optimum(m: MilpModel):
-    """All binary assignments with an LP over the continuous remainder."""
-    binaries = [i for i, k in enumerate(m.kinds) if k == BINARY]
+    """All assignments of the binaries not fixed, with an LP over the
+    continuous remainder."""
+    binaries = [i for i, k in enumerate(m.kinds) if k == BINARY and m.lb[i] != m.ub[i]]
     best = math.inf
     feasible = False
     saved = (list(m.lb), list(m.ub))
@@ -286,6 +298,152 @@ class TestEnumerationEquivalence:
             milp = solve(m, EXACT)
             if lp.status == "optimal" and milp.status == "optimal":
                 assert lp.objective <= milp.objective + 1e-7
+
+
+def _fix_some(rng: random.Random, m: MilpModel) -> list[int]:
+    """Fix a random proper subset of the columns, each at a value its bounds
+    allow; returns their indexes."""
+    fixed = rng.sample(range(m.num_variables), k=rng.randint(1, m.num_variables // 2))
+    for ix in fixed:
+        if m.kinds[ix] == BINARY:
+            m.fix_variable(ix, float(rng.randint(0, 1)))
+        else:
+            m.fix_variable(ix, rng.choice([0.0, 2.5, m.ub[ix]]))
+    return fixed
+
+
+def _highs_on_the_whole_model(m: MilpModel, **options):
+    """HiGHS on every column, fixed ones included, as gridfort once ran it."""
+    lp = _compile(m)
+    return scipy_milp(lp.c, integrality=lp.binary.astype(np.uint8),
+                      bounds=Bounds(lp.lb, lp.ub),
+                      constraints=LinearConstraint(lp.A, lp.row_lo, lp.row_hi),
+                      options=options)
+
+
+class TestFixedColumns:
+    """HiGHS gets the free columns only: a fixed column is substituted at its
+    bound and comes back in ``values`` exactly at it."""
+
+    def test_matches_enumeration_and_the_whole_model(self):
+        rng = random.Random(1313)
+        checked = infeasible = 0
+        for trial in range(80):
+            m = _random_model(rng, n_bin=rng.randint(2, 8),
+                              n_cont=rng.randint(1, 3), n_rows=rng.randint(2, 7))
+            fixed = _fix_some(rng, m)
+            expected = _enumerate_optimum(m)
+            whole = _highs_on_the_whole_model(m, mip_rel_gap=EXACT.rel_gap)
+            sol = solve(m, EXACT)
+            if expected is None:
+                assert sol.status == "infeasible" and whole.status == 2, f"trial {trial}"
+                infeasible += 1
+                continue
+            assert sol.status == "optimal" and whole.status == 0, f"trial {trial}"
+            assert sol.objective == pytest.approx(expected, abs=1e-7), f"trial {trial}"
+            assert sol.objective == pytest.approx(whole.fun, abs=1e-7), f"trial {trial}"
+            assert sol.bound <= sol.objective, f"trial {trial}"
+            assert sol.gap <= EXACT.rel_gap, f"trial {trial}"
+            assert len(sol.values) == m.num_variables
+            assert all(sol.values[ix] == m.lb[ix] for ix in fixed), f"trial {trial}"
+            checked += 1
+        assert checked >= 15 and infeasible >= 15
+
+    def test_violated_row_without_free_column_is_infeasible(self):
+        m = MilpModel()
+        x = m.add_variable("x", kind=BINARY)
+        y = m.add_variable("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 1.0}, LESS, 4.0)
+        m.add_constraint({x: 2.0}, GREATER, 1.5)
+        m.fix_variable(x, 0.0)
+        m.set_objective({y: -1.0})
+        assert solve(m, EXACT).status == "infeasible"
+        assert solve_lp_relaxation(m).status == "infeasible"
+        m.fix_variable(x, 1.0)
+        assert solve(m, EXACT).objective == pytest.approx(-3.0)
+
+    @pytest.mark.parametrize("miss", [0.0, 0.5e-6, 0.99e-6, 1.01e-6, 2e-6, 1e-3])
+    def test_row_without_free_column_has_the_tolerance_of_highs(self, miss):
+        """Such a row is checked and dropped before HiGHS sees the model; the
+        verdict is the one HiGHS gives on the whole model."""
+        m = MilpModel()
+        x = m.add_variable("x", kind=BINARY)
+        y = m.add_variable("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 1.0}, LESS, 4.0)
+        m.add_constraint({x: 1.0}, LESS, -miss)
+        m.fix_variable(x, 0.0)
+        m.set_objective({y: -1.0})
+        whole = _highs_on_the_whole_model(m)
+        assert whole.status in (0, 2)
+        assert solve(m, EXACT).status == ("optimal" if whole.status == 0 else "infeasible")
+
+    @pytest.mark.parametrize("rhs,status", [(4.0, "optimal"), (3.0, "infeasible")])
+    def test_every_column_fixed(self, rhs, status):
+        m = MilpModel()
+        x = m.add_variable("x", kind=BINARY)
+        y = m.add_variable("y", 0.0, 5.0)
+        m.add_constraint({x: 1.0, y: 1.0}, LESS, rhs)
+        m.fix_variable(x, 1.0)
+        m.fix_variable(y, 2.5)
+        m.set_objective({x: 3.0, y: -2.0})
+        for sol in (solve(m, EXACT), solve_lp_relaxation(m)):
+            assert sol.status == status
+            if status == "optimal":
+                assert sol.objective == pytest.approx(3.0 - 5.0)
+                assert sol.bound == pytest.approx(3.0 - 5.0)
+                assert sol.values.tolist() == [1.0, 2.5]
+
+    def test_highs_gets_no_fixed_column(self, monkeypatch, case30):
+        """On a case30 master and a case30 verification with its best-effort
+        re-solve."""
+        handed = []  # the column bounds and rows of each model handed to HiGHS
+
+        def recording(c, **kwargs):
+            handed.append((kwargs["bounds"].lb, kwargs["bounds"].ub,
+                           kwargs["constraints"].A))
+            with warnings.catch_warnings():  # scipy's, now raised from here
+                warnings.filterwarnings("ignore", f".*{JUMP_OPTION}", RuntimeWarning)
+                return scipy_milp(c, **kwargs)
+
+        monkeypatch.setattr(gridfort.milp, "scipy_milp", recording)
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+        master = build_master(case30, scens[:2], params)
+        assert solve_with_cycle_cuts(master, EXACT).status == "optimal"
+        n_master = len(handed)
+        verdict = evaluate_design(make_design(case30, params, [], [], {}), case30,
+                                  scens[1], params, EXACT)
+        assert not verdict.feasible  # so the best-effort model was solved too
+        assert n_master >= 1 and len(handed) >= n_master + 2
+        assert all(not np.any(lb == ub) for lb, ub, _ in handed)
+        assert all(np.all(np.diff(A.indptr) > 0) for _, _, A in handed)
+
+    def test_objective_constant_only_in_feasibility_checks(self, case30):
+        """The fixed columns carry no objective in a master, its kW pass or a
+        best-effort model, so HiGHS's gap test sees the whole objective; a
+        verification's objective lies on fixed columns only."""
+        scens = sample_scenarios(case30, FragilityParams(
+            line_failure_prob_override=0.2, scenario_count=4, seed=42))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+
+        def split(model):
+            lp = _compile(model)
+            free = lp.lb != lp.ub
+            return lp.c[free], lp.c[~free], _free_columns(lp, 1e-6)[2]
+
+        master = build_master(case30, scens, params)
+        fixed_objectives = [split(master.model)[1]]
+        master.minimize_microgrid_kw(1000.0)
+        fixed_objectives.append(split(master.model)[1])
+        design = make_design(case30, params, [], ["T4"], {})
+        check = build_master(case30, [scens[1]], params, fixed_design=design)
+        free_c, _, constant = split(check.model)
+        assert not free_c.any()
+        assert constant == pytest.approx(design.cost.total / 1000.0)
+        check.maximize_served()
+        fixed_objectives.append(split(check.model)[1])
+        assert not any(c.any() for c in fixed_objectives)
 
 
 class TestMpsWriter:
