@@ -53,11 +53,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: the default ``jobs``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 @dataclass
 class RunConfig:
     network: Path
     output_dir: Path
-    jobs: int = 1
+    jobs: int = field(default_factory=_usable_cpus)
     fragility: FragilityParams = field(default_factory=FragilityParams)
     design: DesignParams = field(default_factory=DesignParams)
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -147,7 +155,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     cfg = RunConfig(
         network=base / _checked(doc["network"], str, "config key 'network'"),
         output_dir=base / _checked(doc.get("output_dir", "out"), str, "config key 'output_dir'"),
-        jobs=_checked(doc.get("jobs", 1), int, "config key 'jobs'"),
+        jobs=(_checked(doc["jobs"], int, "config key 'jobs'") if "jobs" in doc
+              else _usable_cpus()),
         fragility=fragility,
         design=design,
         solver=solver,
@@ -272,18 +281,18 @@ def cmd_scenarios(cfg: RunConfig) -> int:
 
 def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
               solved: dict[int, Verdict], template: ScenarioTemplate) -> list[Verdict]:
-    """Verdict of every scenario, solved once per distinct damage set; a
-    damage set that ``solved`` (id -> verdict carrying its state) covers is
-    restated from it instead."""
-
-    def evaluate(scen):
+    """Verdict of every scenario, solved once per distinct damage set over
+    ``cfg.jobs`` processes; a damage set that ``solved`` (id -> verdict
+    carrying its state) covers is restated from it instead."""
+    known: dict[frozenset[str], Verdict] = {}
+    for scen in scens:
         if scen.id in solved:
-            return solved[scen.id]
-        return evaluate_design(design, network, scen, cfg.design, cfg.solver,
-                               template=template)
-
-    # solved scenarios first, so each damage set they cover takes their verdict
-    by_id = evaluate_distinct(sorted(scens, key=lambda s: s.id not in solved), evaluate)
+            known.setdefault(scen.damaged_line_ids, solved[scen.id])
+    by_id = evaluate_distinct(
+        scens,
+        lambda scen: evaluate_design(design, network, scen, cfg.design, cfg.solver,
+                                     template=template),
+        cfg.jobs, known)
     return [by_id[s.id] for s in scens]
 
 
@@ -488,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--seed", type=int, default=None)
-        if name in ("design", "sweep"):
-            p.add_argument("--jobs", type=int, default=None)
         if name != "scenarios":
+            p.add_argument("--jobs", type=int, default=None,
+                           help="processes to solve on (default: the usable CPUs)")
             p.add_argument("--solver", choices=("builtin", "external"), default=None)
         p.add_argument("--out", default=None, help="output directory override")
         if name in ("evaluate", "validate"):

@@ -18,8 +18,10 @@ an empty pool.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from gridfort.formulation import (
@@ -94,6 +96,9 @@ class IterationRecord:
     solve_time: float   # the master's solve, over all cut rounds
     master_solves: int  # solves of the master, cut rounds included
     cuts_added: int     # cycles added to the pool (the seeded basis first)
+    master_bound: float  # the final master solve's dual bound,
+    master_gap: float    # its relative gap (Solution.gap)
+    master_nodes: int    # and its branch-and-bound nodes
 
 
 @dataclass
@@ -115,6 +120,9 @@ class SbdState:
                 "solve_s": rec.solve_time,
                 "master_solves": rec.master_solves,
                 "cuts_added": rec.cuts_added,
+                "master_bound": rec.master_bound,
+                "master_gap": rec.master_gap,
+                "master_nodes": rec.master_nodes,
             }
             for rec in self.iterations
         ]
@@ -223,27 +231,120 @@ def _restated(verdict: Verdict, scenario_id: int) -> Verdict:
     return replace(verdict, scenario_id=scenario_id, state=state)
 
 
-def evaluate_distinct(scenarios: list[DamageScenario], evaluate,
-                      jobs: int = 1) -> dict[int, Verdict]:
+def _run_share(evaluate, items: list) -> tuple[list, Exception | None]:
+    """``evaluate`` over ``items`` in order, up to the first failure: the
+    results before it and the failure (None when every call returned)."""
+    done = []
+    try:
+        for item in items:
+            done.append(evaluate(item))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _fork_share(evaluate, items: list) -> tuple[int, int]:
+    """Start a helper process that runs ``_run_share(evaluate, items)`` and
+    pickles its outcome into a pipe; returns (pid, the pipe's read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read)
+        os.close(write)
+        raise SolverError(f"cannot start a verification helper process: {exc}") from None
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:  # the helper: it leaves through os._exit only, running no cleanup
+        os.close(read)
+        done, failure = _run_share(evaluate, items)
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure))
+            except Exception:  # a failure that does not survive pickling
+                failure = RuntimeError(f"{type(failure).__name__}: {failure}")
+        with open(write, "wb") as pipe:
+            pickle.dump((done, failure), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect_share(pid: int, read: int) -> tuple[list, Exception | None]:
+    """Read and reap one helper of ``_fork_share``. A helper that ended
+    without sending its outcome fails its whole share with a SolverError."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
+        return pickle.loads(data)
+    how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+           else f"exit status {os.waitstatus_to_exitcode(status)}")
+    return [], SolverError(f"verification helper process {pid} ended without "
+                           f"a result ({how})")
+
+
+def _fan_out(evaluate, items: list, jobs: int) -> list:
+    """``[evaluate(item) for item in items]``, the items dealt round-robin
+    over ``min(jobs, len(items) // 2)`` processes: this one and a forked
+    helper for each further share. A fork costs about as much as two
+    solves, hence at least two items per process; without ``os.fork`` the
+    items run here, in order.
+
+    Raises the failure that comes first in list order, as the serial loop
+    would, and reaps every helper on every path."""
+    shares = min(jobs, len(items) // 2) if hasattr(os, "fork") else 1
+    if shares < 2:
+        return [evaluate(item) for item in items]
+    helpers: list[tuple[int, int]] = []
+    try:
+        for k in range(1, shares):
+            helpers.append(_fork_share(evaluate, items[k::shares]))
+        outcomes = [_run_share(evaluate, items[::shares])]
+        while helpers:
+            outcomes.append(_collect_share(*helpers.pop(0)))
+    finally:
+        for pid, read in helpers:  # left only when this process was interrupted
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+    failures = [(k + len(done) * shares, failure)
+                for k, (done, failure) in enumerate(outcomes) if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for k, (done, _) in enumerate(outcomes):
+        results[k::shares] = done
+    return results
+
+
+def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
+                      known: dict[frozenset[str], Verdict] | None = None
+                      ) -> dict[int, Verdict]:
     """Verdicts of all ``scenarios``, keyed by id in list order, calling
-    ``evaluate(scenario)`` once per distinct damage set.
+    ``evaluate(scenario)`` once per distinct damage set not in ``known``
+    (damage set -> a verdict already solved for it).
 
     The first scenario carrying a damage set is solved; every later one gets
     a copy of its verdict and state under its own id. This is exact:
     ``build_master`` assembles a one-scenario model the same way for equal
     damage, differing only in names the solver never sees, so the solver
-    returns the same point. With ``jobs > 1`` the solves run on a thread
-    pool.
+    returns the same point. With ``jobs > 1`` the solves are dealt over up
+    to ``jobs`` processes, at least two per process, this one and forked
+    helpers that send their verdicts back through pipes. A verdict depends
+    on its design and scenario only, so the result does not depend on
+    ``jobs``, and neither does the failure raised: the first in list order.
     """
+    solved = dict(known or {})
     todo: dict[frozenset[str], DamageScenario] = {}
     for scen in scenarios:
-        todo.setdefault(scen.damaged_line_ids, scen)
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, todo.values()))
-    else:
-        results = [evaluate(s) for s in todo.values()]
-    solved = dict(zip(todo, results))
+        if scen.damaged_line_ids not in solved:
+            todo.setdefault(scen.damaged_line_ids, scen)
+    solved.update(zip(todo, _fan_out(evaluate, list(todo.values()), jobs)))
     return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 
@@ -256,7 +357,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     its cut pool. The pool starts with the cycle basis of the reduced graph,
     every candidate line included, since every scenario must operate
     radially on it. Verification solves each distinct damage set of the
-    remaining scenarios once (``evaluate_distinct``), on ``jobs`` threads.
+    remaining scenarios once (``evaluate_distinct``), over up to ``jobs``
+    processes; the result does not depend on ``jobs``.
     The master and every verification model are assembled from ``template``,
     compiled here when absent.
 
@@ -334,6 +436,9 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             solve_time=solve_time,
             master_solves=master.solves - solves,
             cuts_added=len(master.cycles) - pooled,
+            master_bound=sol.bound,
+            master_gap=sol.gap,
+            master_nodes=sol.nodes,
         ))
         pooled, solves = len(master.cycles), master.solves
         t0 = time.monotonic()

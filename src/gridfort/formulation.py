@@ -701,7 +701,8 @@ class ScenarioTemplate:
     ``ScenarioVars``, its resilience rows, and each line's ``sw`` and
     ``redlink`` rows, where damage is patched in. Names are kept as stems
     and completed only when a model's names are asked for. It is read-only
-    after construction, so threads may share it.
+    after construction, so threads may share it, and the helper processes
+    of a verification fan-out use the copy they were forked with.
     """
 
     def __init__(self, network: Network, params: DesignParams) -> None:

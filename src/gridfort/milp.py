@@ -34,8 +34,14 @@ feasibility solve returns. scipy's ``milp`` passes the option to HiGHS
 verbatim with a ``RuntimeWarning``; a HiGHS without the option skips it
 with an ``OptimizeWarning``. Both are silenced by filters that match this
 option only (``_ignore_option_warnings``), not by
-``warnings.catch_warnings``, which is not thread-safe: the solves of a
-verification may run on threads.
+``warnings.catch_warnings``, which is not thread-safe: a library caller may
+solve on several threads.
+
+HiGHS 1.12 ``printf``s some debug lines to the process's standard output
+during MIP solves (``HighsMipSolverData::transformNewIntegerFeasibleSolution
+tmpSolver.run();``) whatever its output options say. So file descriptor 1
+points at ``os.devnull`` while HiGHS runs (``_stdout_silenced``); anything
+another thread writes to fd 1 meanwhile is lost too.
 
 Cuts are injected by appending rows and re-solving; there is no callback
 API, so the builtin and file-based external backends behave identically.
@@ -43,6 +49,7 @@ API, so the builtin and file-based external backends behave identically.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -52,6 +59,7 @@ import tempfile
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -405,6 +413,47 @@ def _ignore_option_warnings() -> None:
                 warnings.filterwarnings("ignore", message, category, module)
 
 
+try:
+    _c_fflush = ctypes.CDLL(None).fflush
+    _c_fflush.argtypes, _c_fflush.restype = [ctypes.c_void_p], ctypes.c_int
+except (OSError, AttributeError, TypeError):  # no C library to reach this way
+    _c_fflush = None
+_STDOUT_LOCK = threading.Lock()
+_silenced = 0        # HiGHS calls in flight, on any thread
+_saved_stdout = None  # a duplicate of fd 1 as it was before the first of them
+
+
+@contextmanager
+def _stdout_silenced():
+    """File descriptor 1 pointed at ``os.devnull`` for the duration. Calls
+    on several threads share one swap, undone when the last one leaves;
+    C stdio is flushed before that, so what HiGHS left in its buffer goes to
+    ``os.devnull`` too. Without an open fd 1 nothing is swapped."""
+    global _silenced, _saved_stdout
+    with _STDOUT_LOCK:
+        if not _silenced:
+            try:
+                _saved_stdout = os.dup(1)
+            except OSError:
+                _saved_stdout = None
+            else:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.close(null)
+        _silenced += 1
+    try:
+        yield
+    finally:
+        with _STDOUT_LOCK:
+            _silenced -= 1
+            if not _silenced and _saved_stdout is not None:
+                if _c_fflush is not None:
+                    _c_fflush(None)
+                os.dup2(_saved_stdout, 1)
+                os.close(_saved_stdout)
+                _saved_stdout = None
+
+
 _LINPROG_OPTS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
@@ -507,13 +556,14 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
         highs_opts["time_limit"] = options.time_limit
     if options.node_limit is not None:
         highs_opts["node_limit"] = options.node_limit
-    res = scipy_milp(
-        lp.c,
-        integrality=lp.binary.astype(np.uint8),
-        bounds=Bounds(lp.lb, lp.ub),
-        constraints=LinearConstraint(lp.A, lp.row_lo, lp.row_hi),
-        options=highs_opts,
-    )
+    with _stdout_silenced():
+        res = scipy_milp(
+            lp.c,
+            integrality=lp.binary.astype(np.uint8),
+            bounds=Bounds(lp.lb, lp.ub),
+            constraints=LinearConstraint(lp.A, lp.row_lo, lp.row_hi),
+            options=highs_opts,
+        )
     nodes = int(res.mip_node_count or 0)
     if res.status == 0:
         status = "optimal"
@@ -560,16 +610,17 @@ def solve_lp_relaxation(model: MilpModel) -> Solution:
     ge = np.isfinite(lo) & ~eq
     A_ub = sp.vstack([A[le], -A[ge]], format="csr")
     b_ub = np.concatenate([hi[le], -lo[ge]])
-    res = linprog(
-        lp.c,
-        A_ub=A_ub if A_ub.shape[0] else None,
-        b_ub=b_ub if A_ub.shape[0] else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=lo[eq] if eq.any() else None,
-        bounds=np.column_stack([lp.lb, lp.ub]),
-        method="highs",
-        options=_LINPROG_OPTS,
-    )
+    with _stdout_silenced():
+        res = linprog(
+            lp.c,
+            A_ub=A_ub if A_ub.shape[0] else None,
+            b_ub=b_ub if A_ub.shape[0] else None,
+            A_eq=A[eq] if eq.any() else None,
+            b_eq=lo[eq] if eq.any() else None,
+            bounds=np.column_stack([lp.lb, lp.ub]),
+            method="highs",
+            options=_LINPROG_OPTS,
+        )
     dt = time.monotonic() - t0
     if res.status == 0:
         x = full.lb.copy()

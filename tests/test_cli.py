@@ -114,10 +114,8 @@ class TestConfigKeys:
 
 class TestSubcommandFlags:
     @pytest.mark.parametrize("argv", [
-        ["validate", "--design", "design.json", "--jobs", "2"],
-        ["evaluate", "--design", "design.json", "--jobs", "2"],
         ["scenarios", "--solver", "external"],
-    ], ids=["validate-jobs", "evaluate-jobs", "scenarios-solver"])
+    ], ids=["scenarios-solver"])
     def test_flag_without_effect_is_a_usage_error(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path)
         (tmp_path / "design.json").write_text(json.dumps(
@@ -295,6 +293,47 @@ class TestIterationLog:
         assert all(rec["master_solves"] >= 1 for rec in log)
         assert sum(rec["cuts_added"] for rec in log) == len(design_master.cycles)
         assert log[0]["cuts_added"] > 0  # the seeded cycle basis
+
+    def test_records_the_final_master_solve(self, tmp_path, monkeypatch):
+        masters, finals = [], []
+        real_build = gridfort.decomposition.build_master
+        real_solve = gridfort.decomposition.solve_with_cycle_cuts
+
+        def recording_build(*args, **kwargs):
+            master = real_build(*args, **kwargs)
+            masters.append(master)
+            return master
+
+        def recording_solve(master, options=None):
+            sol = real_solve(master, options)
+            if master is masters[0]:  # the design master, built first
+                finals.append(sol)
+            return sol
+
+        monkeypatch.setattr(gridfort.decomposition, "build_master", recording_build)
+        monkeypatch.setattr(gridfort.decomposition, "solve_with_cycle_cuts",
+                            recording_solve)
+        shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
+        cfg = write_config(tmp_path, network="case30.json", seed=2,
+                           fragility={"line_failure_prob_override": 0.2,
+                                      "scenario_count": 8},
+                           design={"critical_fraction": 0.98, "total_fraction": 0.3})
+        fields = ("master_bound", "master_gap", "master_nodes")
+        logged = {}
+        for jobs in (1, 2):
+            masters.clear()
+            finals.clear()
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["design", "--config", str(cfg), "--jobs", str(jobs),
+                         "--out", str(out)]) == 0
+            log = json.loads((out / "sbd_log.json").read_text())["iterations"]
+            assert len(log) == len(finals) >= 2
+            for rec, sol in zip(log, finals):
+                assert tuple(rec[f] for f in fields) == (sol.bound, sol.gap, sol.nodes)
+                assert rec["master_bound"] <= sol.objective
+                assert 0.0 <= rec["master_gap"] <= 1e-6  # the configured rel_gap
+            logged[jobs] = [[rec[f] for f in fields] for rec in log]
+        assert logged[1] == logged[2]
 
 
 class TestSolverFailures:
@@ -626,17 +665,20 @@ class TestDistinctDamage:
         gridfort.cli._dump_json(rows, tmp_path / "expected.json")
         assert {v.feasible for v in verdicts} == {True, False}
 
-        solved = []
+        log = tmp_path / "solved.txt"
 
         def counting(design, network, scenario, *args, **kwargs):
-            solved.append(scenario.damaged_line_ids)
+            # a file, so that the calls of forked helper processes count too
+            with open(log, "a") as fh:
+                fh.write(",".join(sorted(scenario.damaged_line_ids)) + "\n")
             return real(design, network, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
+        # four damage sets over two processes
         assert main([command, "--config", str(cfg_path), "--design", str(design_path),
-                     "--scenarios", str(scens_path)]) == code
-        assert sorted(solved, key=sorted) == sorted(
-            {frozenset(d) for d in self.DAMAGE}, key=sorted)
+                     "--scenarios", str(scens_path), "--jobs", "2"]) == code
+        assert sorted(log.read_text().splitlines()) == sorted(
+            {",".join(sorted(d)) for d in self.DAMAGE})
         assert ((tmp_path / "out" / output).read_bytes()
                 == (tmp_path / "expected.json").read_bytes())
 
@@ -724,8 +766,9 @@ class TestSweepCommand:
             return real_cell(args)
 
         monkeypatch.setattr(gridfort.cli, "_sweep_cell", crash_on_third)
+        # pinned serial: a local function cannot be pickled to the cell pool
         with pytest.raises(RuntimeError, match="cell crashed"):
-            main(["sweep", "--config", str(cfg)])
+            main(["sweep", "--config", str(cfg), "--jobs", "1"])
         cells = tmp_path / "out" / "cells"
         assert sorted(p.name for p in cells.iterdir()) == [
             "cell_g0_r0.json", "cell_g0_r1.json"]
@@ -747,7 +790,8 @@ class TestSweepCommand:
             return real(network, scens, params, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "sbd_design", crash_one)
-        assert main(["sweep", "--config", str(cfg)]) == 0
+        # pinned serial: the patch and the captured stderr live in this process
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
         cells = tmp_path / "out" / "cells"
         rows = {p.name: json.loads(p.read_text()) for p in cells.iterdir()}
         assert sorted(rows) == ["cell_g0_r0.json", "cell_g0_r1.json",

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -156,18 +157,24 @@ class TestDistinctDamage:
     answer under every scenario id that shares it."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_equals_scenario_by_scenario_verification(self, case30, monkeypatch, jobs):
+    def test_equals_scenario_by_scenario_verification(self, case30, monkeypatch,
+                                                       tmp_path, jobs):
         sampled = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         # the same damage again under new ids, the baseline's included
         scens = sampled + [DamageScenario(s.id + 10, s.damaged_line_ids)
                            for s in sampled]
+        by_id = {s.id: s for s in scens}
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
         real = gridfort.decomposition.evaluate_design
-        calls = []
+        log = tmp_path / "calls.txt"
+        designs = {}  # repr -> design, as this process saw them
 
         def recording(design, network, scenario, *args, **kwargs):
-            calls.append((design, scenario))
+            designs.setdefault(repr(design), design)
+            # a file, so that the calls of forked helper processes count too
+            with open(log, "a") as fh:
+                fh.write(json.dumps([repr(design), scenario.id]) + "\n")
             return real(design, network, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
@@ -175,10 +182,11 @@ class TestDistinctDamage:
         monkeypatch.undo()
 
         per_iteration = []  # (design, scenarios verified), in iteration order
-        for design, scen in calls:
-            if not per_iteration or per_iteration[-1][0] is not design:
-                per_iteration.append((design, []))
-            per_iteration[-1][1].append(scen)
+        for line in log.read_text().splitlines():
+            key, sid = json.loads(line)
+            if not per_iteration or repr(per_iteration[-1][0]) != key:
+                per_iteration.append((designs[key], []))
+            per_iteration[-1][1].append(by_id[sid])
         assert len(state.iterations) >= 2
         assert len(per_iteration) == len(state.iterations)
         for rec, (design, verified) in zip(state.iterations, per_iteration):

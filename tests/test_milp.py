@@ -187,6 +187,67 @@ class TestOptionWarnings:
         assert done.stderr == ""
 
 
+class TestSolverOutput:
+    """HiGHS writes debug lines to the process's stdout whatever its output
+    options say; gridfort keeps them out of its own stdout."""
+
+    def test_highs_debug_lines_stay_off_stdout(self):
+        # this instance makes HiGHS 1.12 print a line of
+        # HighsMipSolverData::transformNewIntegerFeasibleSolution twice
+        script = ("from netgen import random_instance\n"
+                  "from gridfort import SolverOptions, sbd_design\n"
+                  "net, scens, params = random_instance(22)\n"
+                  "design, _ = sbd_design(net, scens, params, SolverOptions(rel_gap=1e-9))\n"
+                  "import sys; sys.stderr.write(f'{design.cost.total}\\n')\n")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        float(done.stderr)  # the run reached its end
+        assert done.stdout == ""
+
+    def test_solves_without_an_open_stdout(self):
+        script = ("import sys\n"
+                  "from gridfort import SolverOptions, sbd_design\n"
+                  "from netgen import random_instance\n"
+                  "design, _ = sbd_design(*random_instance(22), SolverOptions(rel_gap=1e-9))\n"
+                  "sys.stderr.write(f'{design.cost.total}\\n')\n")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120,
+                              preexec_fn=lambda: os.close(1))
+        assert done.returncode == 0, done.stderr
+        float(done.stderr)
+
+    def test_c_stdio_buffer_is_flushed_while_silenced(self):
+        # with stdout a pipe, C stdio holds a printf in its buffer; unflushed,
+        # it would reach the pipe when the process exits
+        script = ("import ctypes\n"
+                  "from gridfort.milp import _stdout_silenced\n"
+                  "with _stdout_silenced():\n"
+                  "    ctypes.CDLL(None).printf(b'held by C stdio\\n')\n"
+                  "print('after')\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)  # which would leave C stdio unbuffered
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "after\n"
+
+    def test_stdout_is_restored_after_each_solve(self, capfd):
+        print("before", flush=True)
+        assert solve(binary_pair_model(), EXACT).status == "optimal"
+        print("after", flush=True)
+        os.write(1, b"raw\n")
+        assert capfd.readouterr().out == "before\nafter\nraw\n"
+
+
 class TestLpRelaxation:
     def test_binary_pair_relaxes_to_fraction(self):
         sol = solve_lp_relaxation(binary_pair_model())

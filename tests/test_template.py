@@ -1,6 +1,8 @@
 """Models assembled from the compiled scenario block hand HiGHS exactly the
 arrays of the row-by-row builder (``dict_master``), and carry its names."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -242,17 +244,29 @@ class TestSharedTemplate:
             master.add_scenario(DamageScenario(2, frozenset({candidate})))
         assert list(master.blocks) == [0]
 
-    def test_parallel_verification_equals_serial(self, case30):
+    def test_parallel_verification_equals_serial(self, case30, monkeypatch):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
         template = ScenarioTemplate(case30, params)
         design = make_design(case30, params, [], [], {})
         scens = damaged_scenarios(case30, 8, seed=3)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
 
         def evaluate(scen):
             return evaluate_design(design, case30, scen, params, EXACT, template=template)
 
         serial = evaluate_distinct(scens, evaluate, jobs=1)
+        monkeypatch.setattr(os, "fork", counting_fork)
         parallel = evaluate_distinct(scens, evaluate, jobs=2)
+        monkeypatch.undo()
+        # nine damage sets, so a helper process solved four of them
+        assert len({s.damaged_line_ids for s in scens}) == 9
+        assert len(forks) == 1
         assert {v.feasible for v in serial.values()} == {True, False}
         assert list(serial) == list(parallel)
         for sid, verdict in serial.items():
