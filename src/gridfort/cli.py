@@ -16,14 +16,13 @@ import sys
 import time
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from gridfort.decomposition import (
     InfeasibleDesignError,
     Verdict,
+    _fan_out,
     evaluate_design,
     evaluate_distinct,
     sbd_design,
@@ -383,12 +382,9 @@ def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     return EXIT_OK if not dirty else EXIT_VIOLATIONS
 
 
-def _sweep_cell(args: tuple) -> dict:
-    """One sweep cell: (network path, scenario path, DesignParams carrying the
-    cell's gamma and microgrid rate, SolverOptions) -> its row."""
-    network_path, scenario_path, params, options = args
-    network = load_network_file(network_path)
-    scens = load_scenarios_file(scenario_path, network)
+def _sweep_cell(network: Network, scens, params: DesignParams,
+                options: SolverOptions) -> dict:
+    """The row of the sweep cell whose gamma and microgrid rate ``params`` carry."""
     t0 = time.monotonic()
     row = {"gamma": params.total_fraction, "mg_cost_per_kw": params.mg_rate_override}
     try:
@@ -425,14 +421,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep requires nonempty total_fractions and "
                           "mg_variable_cost_rates axes")
     network = load_network_file(cfg.network)
-    if cfg.scenarios_file is not None:
-        scenario_path = cfg.scenarios_file
-    else:
+    scens = _load_scenarios(cfg, network)
+    if cfg.scenarios_file is None:
         # one shared draw: every cell sees the same damage (common random numbers)
-        scens = sample_scenarios(network, cfg.fragility)
-        scenario_path = cfg.output_dir / "scenarios.json"
-        scenario_path.parent.mkdir(parents=True, exist_ok=True)
-        scenario_path.write_text(
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        (cfg.output_dir / "scenarios.json").write_text(
             save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
         )
     cells_dir = cfg.output_dir / "cells"
@@ -443,19 +436,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for gi, gamma in enumerate(cfg.sweep_total_fractions)
         for ri, rate in enumerate(cfg.sweep_mg_rates)
     ]
-    pending = [t for t in tasks if not t[2].exists()]
-    args = [
-        (str(cfg.network), str(scenario_path),
-         replace(cfg.design, total_fraction=gamma, mg_rate_override=rate), cfg.solver)
-        for gamma, rate, _ in pending
-    ]
-    # each cell lands on disk as soon as it (and every cell before it) is
-    # done, so a crash or kill keeps the finished cells for the next run
-    parallel = cfg.jobs > 1 and len(pending) > 1
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if parallel else nullcontext() as pool:
-        results = pool.map(_sweep_cell, args) if parallel else map(_sweep_cell, args)
-        for (_, _, cell_path), row in zip(pending, results):
-            _dump_json(row, cell_path)
+    pending = [(replace(cfg.design, total_fraction=gamma, mg_rate_override=rate), path)
+               for gamma, rate, path in tasks if not path.exists()]
+
+    def run_cell(task) -> None:
+        params, cell_path = task
+        _dump_json(_sweep_cell(network, scens, params, cfg.solver), cell_path)
+
+    # the process that runs a cell writes it as soon as it is done, so a
+    # crash or kill keeps the finished cells for the next run
+    _fan_out(run_cell, pending, min(cfg.jobs, len(pending)))
 
     out_rows = [json.loads(cell_path.read_text()) for _, _, cell_path in tasks]
     csv_lines = [",".join(SWEEP_COLUMNS)]

@@ -21,8 +21,14 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
+
+try:
+    import fcntl
+except ImportError:  # no POSIX record locks: every fan-out runs serially
+    fcntl = None
 
 from gridfort.formulation import (
     Design,
@@ -34,7 +40,7 @@ from gridfort.formulation import (
 from gridfort.fragility import DamageScenario
 from gridfort.milp import Solution, SolverError, SolverOptions, solve
 from gridfort.model import adjacency, cycle_basis
-from gridfort.validate import OperationState
+from gridfort.validate import OperationState, served_fractions
 
 __all__ = [
     "Verdict",
@@ -213,12 +219,13 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
         what = "best-effort " + what
     if sol.status != "optimal":
         raise _not_proven(what, sol)
-    crit, tot = master.served_fractions(sol, scenario.id)
+    state = master.operation_state(sol, scenario.id)
+    crit, tot = served_fractions(state, network)
     return Verdict(
         scenario.id, feasible, crit, tot,
         shortfall_critical=0.0 if feasible else max(0.0, params.critical_fraction - crit),
         shortfall_total=0.0 if feasible else max(0.0, params.total_fraction - tot),
-        state=master.operation_state(sol, scenario.id),
+        state=state,
     )
 
 
@@ -231,40 +238,60 @@ def _restated(verdict: Verdict, scenario_id: int) -> Verdict:
     return replace(verdict, scenario_id=scenario_id, state=state)
 
 
-def _run_share(evaluate, items: list) -> tuple[list, Exception | None]:
-    """``evaluate`` over ``items`` in order, up to the first failure: the
-    results before it and the failure (None when every call returned)."""
-    done = []
+def _take(counter: int, n: int, stop: bool = False) -> int:
+    """The next position of ``n`` nobody has taken, ``n`` once none is left
+    or after a call with ``stop``: a count in the file ``counter``, kept under
+    ``fcntl.lockf``, whose lock the kernel drops when its holder dies."""
+    fcntl.lockf(counter, fcntl.LOCK_EX)
     try:
-        for item in items:
-            done.append(evaluate(item))
-    except Exception as exc:
-        return done, exc
+        pos = min(int.from_bytes(os.pread(counter, 8, 0), "little"), n)
+        os.pwrite(counter, (n if stop else pos + 1).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(counter, fcntl.LOCK_UN)
+    return pos
+
+
+def _run_taken(evaluate, items: list, counter: int, parent: int | None = None):
+    """``evaluate`` over the positions this process takes, up to its first
+    failure, which ends the dealing: the (position, result) pairs and the
+    (position, failure) or None. A helper stops once ``parent`` is gone."""
+    done = []
+    while parent is None or os.getppid() == parent:
+        pos = _take(counter, len(items))
+        if pos == len(items):
+            break
+        try:
+            done.append((pos, evaluate(items[pos])))
+        except Exception as exc:
+            _take(counter, len(items), stop=True)
+            return done, (pos, exc)
     return done, None
 
 
-def _fork_share(evaluate, items: list) -> tuple[int, int]:
-    """Start a helper process that runs ``_run_share(evaluate, items)`` and
-    pickles its outcome into a pipe; returns (pid, the pipe's read end)."""
+def _fork_helper(evaluate, items: list, counter: int) -> tuple[int, int]:
+    """Start a helper process that runs ``_run_taken`` and pickles its
+    outcome into a pipe; returns (pid, the pipe's read end)."""
+    parent = os.getpid()
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError as exc:
         os.close(read)
         os.close(write)
-        raise SolverError(f"cannot start a verification helper process: {exc}") from None
+        raise SolverError(f"cannot start a helper process: {exc}") from None
     if pid:
         os.close(write)
         return pid, read
     code = 1
     try:  # the helper: it leaves through os._exit only, running no cleanup
         os.close(read)
-        done, failure = _run_share(evaluate, items)
+        done, failure = _run_taken(evaluate, items, counter, parent)
         if failure is not None:
+            pos, exc = failure
             try:
-                pickle.loads(pickle.dumps(failure))
+                pickle.loads(pickle.dumps(exc))
             except Exception:  # a failure that does not survive pickling
-                failure = RuntimeError(f"{type(failure).__name__}: {failure}")
+                failure = pos, RuntimeError(f"{type(exc).__name__}: {exc}")
         with open(write, "wb") as pipe:
             pickle.dump((done, failure), pipe)
         code = 0
@@ -272,9 +299,9 @@ def _fork_share(evaluate, items: list) -> tuple[int, int]:
         os._exit(code)
 
 
-def _collect_share(pid: int, read: int) -> tuple[list, Exception | None]:
-    """Read and reap one helper of ``_fork_share``. A helper that ended
-    without sending its outcome fails its whole share with a SolverError."""
+def _collect(pid: int, read: int):
+    """Read and reap one helper of ``_fork_helper``. A helper that ended
+    without sending its outcome is a SolverError at position -1."""
     try:
         with open(read, "rb") as pipe:
             data = pipe.read()
@@ -284,42 +311,40 @@ def _collect_share(pid: int, read: int) -> tuple[list, Exception | None]:
         return pickle.loads(data)
     how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
            else f"exit status {os.waitstatus_to_exitcode(status)}")
-    return [], SolverError(f"verification helper process {pid} ended without "
-                           f"a result ({how})")
+    return [], (-1, SolverError(f"helper process {pid} ended without a result ({how})"))
 
 
-def _fan_out(evaluate, items: list, jobs: int) -> list:
-    """``[evaluate(item) for item in items]``, the items dealt round-robin
-    over ``min(jobs, len(items) // 2)`` processes: this one and a forked
-    helper for each further share. A fork costs about as much as two
-    solves, hence at least two items per process; without ``os.fork`` the
-    items run here, in order.
+def _fan_out(evaluate, items: list, processes: int) -> list:
+    """``[evaluate(item) for item in items]`` over ``processes`` processes:
+    this one and forked helpers, each taking the next position nobody has
+    taken (``_take``), so uneven items spread as they finish. Helpers pickle
+    their results back through pipes; results merge by position. Without
+    ``os.fork`` or ``fcntl`` the items run here, in order.
 
-    Raises the failure that comes first in list order, as the serial loop
-    would, and reaps every helper on every path."""
-    shares = min(jobs, len(items) // 2) if hasattr(os, "fork") else 1
-    if shares < 2:
+    Raises a SolverError for a helper that ended without a result, else the
+    failure first in list order, as the serial loop would, and reaps every
+    helper on every path."""
+    if processes < 2 or fcntl is None or not hasattr(os, "fork"):
         return [evaluate(item) for item in items]
     helpers: list[tuple[int, int]] = []
-    try:
-        for k in range(1, shares):
-            helpers.append(_fork_share(evaluate, items[k::shares]))
-        outcomes = [_run_share(evaluate, items[::shares])]
-        while helpers:
-            outcomes.append(_collect_share(*helpers.pop(0)))
-    finally:
-        for pid, read in helpers:  # left only when this process was interrupted
-            os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            os.waitpid(pid, 0)
-    failures = [(k + len(done) * shares, failure)
-                for k, (done, failure) in enumerate(outcomes) if failure is not None]
+    with tempfile.TemporaryFile() as count:
+        counter = count.fileno()
+        try:
+            for _ in range(1, processes):
+                helpers.append(_fork_helper(evaluate, items, counter))
+            outcomes = [_run_taken(evaluate, items, counter)]
+            while helpers:
+                outcomes.append(_collect(*helpers.pop(0)))
+        finally:
+            for pid, read in helpers:  # left only when this process was interrupted
+                os.kill(pid, signal.SIGKILL)
+                os.close(read)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    results = [None] * len(items)
-    for k, (done, _) in enumerate(outcomes):
-        results[k::shares] = done
-    return results
+    results = dict(pair for done, _ in outcomes for pair in done)
+    return [results[pos] for pos in range(len(items))]
 
 
 def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
@@ -333,18 +358,18 @@ def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
     a copy of its verdict and state under its own id. This is exact:
     ``build_master`` assembles a one-scenario model the same way for equal
     damage, differing only in names the solver never sees, so the solver
-    returns the same point. With ``jobs > 1`` the solves are dealt over up
-    to ``jobs`` processes, at least two per process, this one and forked
-    helpers that send their verdicts back through pipes. A verdict depends
-    on its design and scenario only, so the result does not depend on
-    ``jobs``, and neither does the failure raised: the first in list order.
+    returns the same point. The solves are dealt over ``min(jobs, sets // 2)``
+    processes (``_fan_out``), since a fork costs about two solves. A verdict
+    depends on its design and scenario only, so the result does not depend
+    on ``jobs``, and neither does the failure raised: the first in list order.
     """
     solved = dict(known or {})
     todo: dict[frozenset[str], DamageScenario] = {}
     for scen in scenarios:
         if scen.damaged_line_ids not in solved:
             todo.setdefault(scen.damaged_line_ids, scen)
-    solved.update(zip(todo, _fan_out(evaluate, list(todo.values()), jobs)))
+    sets = list(todo.values())
+    solved.update(zip(todo, _fan_out(evaluate, sets, min(jobs, len(sets) // 2))))
     return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 

@@ -702,7 +702,8 @@ class ScenarioTemplate:
     ``redlink`` rows, where damage is patched in. Names are kept as stems
     and completed only when a model's names are asked for. It is read-only
     after construction, so threads may share it, and the helper processes
-    of a verification fan-out use the copy they were forked with.
+    of a fan-out (``decomposition._fan_out``) use the copy they were forked
+    with.
     """
 
     def __init__(self, network: Network, params: DesignParams) -> None:
@@ -920,24 +921,6 @@ class MasterProblem:
             if not self.network.microgrids[gid].is_existing
         }
         return make_design(self.network, self.params, built, hardened, steps)
-
-    def served_fractions(self, solution: Solution, scenario_id: int) -> tuple[float, float]:
-        vals = solution.values
-        blk = self.blocks[scenario_id]
-        crit_served = crit_total = served = total = 0.0
-        for lid, yix in blk.vars.y.items():
-            load = self.network.loads[lid]
-            d = load.total_real_pu()
-            on = vals[yix] > 0.5
-            total += d
-            served += d if on else 0.0
-            if load.is_critical:
-                crit_total += d
-                crit_served += d if on else 0.0
-        return (
-            crit_served / crit_total if crit_total > 0 else 1.0,
-            served / total if total > 0 else 1.0,
-        )
 
     def operation_state(self, solution: Solution, scenario_id: int):
         from gridfort.validate import OperationState

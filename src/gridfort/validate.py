@@ -20,6 +20,7 @@ __all__ = [
     "AuditReport",
     "check_radiality",
     "recompute_voltages",
+    "served_fractions",
     "audit",
 ]
 
@@ -185,7 +186,8 @@ def recompute_voltages(state: OperationState, network: Network):
     return voltages, discrepancy, flagged
 
 
-def _served_fractions(state: OperationState, network: Network):
+def served_fractions(state: OperationState, network: Network) -> tuple[float, float]:
+    """The shares of critical and of total real demand ``state`` serves."""
     crit_served = crit_total = served = total = 0.0
     for load in network.loads.values():
         d = load.total_real_pu()
@@ -296,7 +298,7 @@ def audit(state: OperationState, network: Network, params: DesignParams,
                               max(abs(residual.real), abs(residual.imag)))
                 )
 
-    crit_frac, tot_frac = _served_fractions(state, network)
+    crit_frac, tot_frac = served_fractions(state, network)
     if crit_frac < params.critical_fraction - FRACTION_TOL:
         violations.append(
             Violation("critical_service", "network", params.critical_fraction - crit_frac)

@@ -759,14 +759,14 @@ class TestSweepCommand:
         real_cell = gridfort.cli._sweep_cell
         calls = []
 
-        def crash_on_third(args):
+        def crash_on_third(*args):
             calls.append(args)
             if len(calls) == 3:
                 raise RuntimeError("cell crashed")
-            return real_cell(args)
+            return real_cell(*args)
 
         monkeypatch.setattr(gridfort.cli, "_sweep_cell", crash_on_third)
-        # pinned serial: a local function cannot be pickled to the cell pool
+        # pinned serial: each process counts only the calls it makes
         with pytest.raises(RuntimeError, match="cell crashed"):
             main(["sweep", "--config", str(cfg), "--jobs", "1"])
         cells = tmp_path / "out" / "cells"
@@ -819,8 +819,10 @@ class TestSweepCommand:
         monkeypatch.setattr(gridfort.decomposition, "build_master", counting)
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
                               mg_rate_override=250.0)
-        row = gridfort.cli._sweep_cell((str(FIXTURES / "case5.json"), str(scens),
-                                        params, SolverOptions(rel_gap=1e-6)))
+        network = gridfort.cli.load_network_file(FIXTURES / "case5.json")
+        row = gridfort.cli._sweep_cell(network,
+                                       gridfort.cli.load_scenarios_file(scens, network),
+                                       params, SolverOptions(rel_gap=1e-6))
         assert row["status"] == "ok"
         assert len(masters) == 1
 

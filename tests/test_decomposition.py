@@ -15,7 +15,6 @@ from gridfort import (
     evaluate_design,
     load_network_file,
     sample_scenarios,
-    save_scenarios,
     sbd_design,
     separate_cycles,
 )
@@ -635,17 +634,14 @@ class TestTieBreakOracle:
     form's least-kW design under the same budget."""
 
     @pytest.mark.parametrize("rate", [100.0, 250.0, 1000.0])
-    def test_sweep_cell_on_case5(self, tmp_path, case5, kw_budgets, rate):
+    def test_sweep_cell_on_case5(self, case5, kw_budgets, rate):
         # at $250/kW the microgrid costs what hardening L1 does, a cost tie
         # that only the kW pass settles
         damage = [[], ["L1"], ["L3"], ["L1", "L3"]]
         scens = [DamageScenario(i, frozenset(d)) for i, d in enumerate(damage)]
-        path = tmp_path / "scens.json"
-        path.write_text(save_scenarios(scens))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
                               mg_rate_override=rate)
-        row = gridfort.cli._sweep_cell(
-            (str(FIXTURES / "case5.json"), str(path), params, EXACT))
+        row = gridfort.cli._sweep_cell(case5, scens, params, EXACT)
         assert row["status"] == "ok"
         budget, = kw_budgets
         assert row["microgrid_kw"] == least_kw_extensive(case5, scens, params, budget)
