@@ -4,9 +4,13 @@ and design evaluation against held-out scenarios.
 The decomposition designs against a growing active scenario subset and
 verifies the candidate design on all remaining scenarios; because the subset
 optimum is a lower bound on the full optimum, a design feasible everywhere is
-exactly optimal for the full scenario set. That argument needs every master
-solve proven optimal and every verification decisive, so a solver limit or
-failure raises ``SolverError`` instead of counting as "infeasible".
+exactly optimal for the full scenario set, whatever the subset. The subset
+starts as the most damaged scenario alone, the undamaged baseline being
+verified like the rest, and failing iteration k adds up to 2**(k-1) of the
+infeasible scenarios, so a run with many conflicting scenarios needs few
+masters. That argument needs every master solve proven optimal and every
+verification decisive, so a solver limit or failure raises ``SolverError``
+instead of counting as "infeasible".
 
 Radiality is enforced by cycle cuts on the reduced graph, which every
 scenario block shares. A model keeps one pool of cut cycles
@@ -377,13 +381,21 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
                options: SolverOptions | None = None, jobs: int = 1, *,
                tie_break: bool = False, template: ScenarioTemplate | None = None):
     """Scenario-based decomposition: design against a growing active subset,
-    verify on the rest, and add the lowest-id infeasible scenario to the
-    subset each iteration: one master, built once, gains its block and keeps
-    its cut pool. The pool starts with the cycle basis of the reduced graph,
-    every candidate line included, since every scenario must operate
-    radially on it. Verification solves each distinct damage set of the
-    remaining scenarios once (``evaluate_distinct``), over up to ``jobs``
-    processes; the result does not depend on ``jobs``.
+    verify on the rest, and add infeasible scenarios to the subset: one
+    master, built once, gains their blocks and keeps its cut pool.
+
+    The first master holds one scenario, the most damaged (lowest id among
+    equals; the baseline when no scenario has damage), and every other
+    scenario is verified, the baseline too. Failing iteration k adds up to
+    2**(k-1) scenarios: the lowest-id infeasible ones, one per distinct damage
+    set. Any active set gives an exact answer, since the subset optimum bounds
+    the full one from below; the rule depends on the verdicts only, so the
+    run does not depend on ``jobs``.
+
+    The pool starts with the cycle basis of the reduced graph, every
+    candidate line included, since every scenario must operate radially on
+    it. Verification solves each distinct damage set of the remaining
+    scenarios once (``evaluate_distinct``), over up to ``jobs`` processes.
     The master and every verification model are assembled from ``template``,
     compiled here when absent.
 
@@ -395,43 +407,39 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
 
     Returns (Design, SbdState), the state holding every iteration of both
     passes; the verdicts of the last iteration carry their operating points,
-    earlier ones do not. Raises InfeasibleDesignError naming the first
-    scenario whose requirements are unattainable with every upgrade applied,
-    and SolverError when a solve ends without a decisive answer.
+    earlier ones do not. Raises InfeasibleDesignError when no design serves
+    the master's scenarios together even with every upgrade applied, naming
+    the lowest id among those added last; and SolverError when a solve ends
+    without a decisive answer.
     """
     options = options or SolverOptions()
     by_id = {s.id: s for s in scenarios}
     if len(by_id) != len(scenarios):
         raise ValueError("duplicate scenario ids")
-    baseline = min(by_id)
     state = SbdState()
 
-    active = [baseline]
-    rest = [s for s in scenarios if s.id != baseline]
-    if rest:
-        # warm pick: the scenario with the most damage
-        worst = max(rest, key=lambda s: (len(s.damaged_line_ids), -s.id))
-        if worst.damaged_line_ids:
-            active.append(worst.id)
+    # warm pick: the scenario with the most damage
+    worst = max(scenarios, key=lambda s: (len(s.damaged_line_ids), -s.id))
+    added = [worst.id]
+    active = list(added)
     state.active = active
 
     t0 = time.monotonic()
-    master = build_master(network, [by_id[i] for i in active], params,
-                          template=template)
+    master = build_master(network, [worst], params, template=template)
     master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
     build_time = time.monotonic() - t0
     pooled = solves = 0
-    # each failing iteration adds a scenario not yet in the master, and each
-    # pass ends in one iteration that verifies
+    # each failing iteration adds at least one scenario not yet in the
+    # master, and each pass ends in one iteration that verifies
     for _ in range(len(scenarios) - len(active) + 1 + tie_break):
         t_solve = time.monotonic()
         sol = solve_with_cycle_cuts(master, options)
         solve_time = time.monotonic() - t_solve
         if sol.status == "infeasible":
             raise InfeasibleDesignError(
-                active[-1],
-                f"resilience targets unattainable: scenario {active[-1]} cannot "
-                f"be served even with all upgrades applied",
+                added[0],
+                f"resilience targets unattainable: the master's scenarios {active} "
+                f"cannot be served together even with all upgrades applied",
             )
         if sol.status != "optimal":
             raise _not_proven(f"master solve over scenarios {active}", sol)
@@ -468,9 +476,14 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         pooled, solves = len(master.cycles), master.solves
         t0 = time.monotonic()
         if infeasible:
-            nxt = min(infeasible)
-            active.append(nxt)
-            master.add_scenario(by_id[nxt])
+            # the lowest-id infeasible scenario of each damage set, in id order
+            first: dict[frozenset[str], int] = {}
+            for sid in sorted(infeasible):
+                first.setdefault(by_id[sid].damaged_line_ids, sid)
+            added = list(first.values())[:2 ** (len(state.iterations) - 1)]
+            for sid in added:
+                active.append(sid)
+                master.add_scenario(by_id[sid])
         elif tie_break:  # the kW pass goes on over this master
             tie_break = False
             master.minimize_microgrid_kw(design.cost.total / 1000.0 + 1e-6)

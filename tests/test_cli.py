@@ -188,9 +188,12 @@ class TestDesignCommand:
     def test_audit_solves_only_the_final_master_scenarios(self, tmp_path, monkeypatch):
         """Each final-master damage set without a verified twin is solved
         once; the others are restated from the final verification."""
-        damage = [[], ["L1", "L3"], ["L1"], []]
+        damage = [[], ["L1"], ["L3"], ["L3"]]
         write_scenarios(tmp_path / "scens.json", damage)
-        cfg = write_config(tmp_path, scenarios_file="scens.json")
+        # the first master holds scenario 1 alone; at a total fraction of 0.9
+        # its design fails 2 and 3, which share L3, so the master gains 2 only
+        cfg = write_config(tmp_path, scenarios_file="scens.json",
+                           design={"critical_fraction": 0.98, "total_fraction": 0.9})
         real = gridfort.cli.evaluate_design
         solved = []
 
@@ -208,7 +211,8 @@ class TestDesignCommand:
             if frozenset(damage[sid]) not in verified:
                 expected.setdefault(frozenset(damage[sid]), sid)
         # the input covers both cases: a master scenario with a verified twin
-        # (0, undamaged like 3) and one without (1)
+        # (2, damaged like 3) and one without (1)
+        assert master == [1, 2]
         assert 0 < len(expected) < len(master)
         assert sorted(solved) == sorted(expected.values())
         rows = json.loads((tmp_path / "out" / "audit.json").read_text())

@@ -65,6 +65,9 @@ class TestSbd:
         design, state = sbd_design(case5, scens, params, EXACT)
         assert design.cost.total == 0.0
         assert len(state.iterations) == 1
+        # without damage, the master holds the baseline alone
+        assert state.iterations[0].active == (0,)
+        assert sorted(state.iterations[0].verdicts) == [1, 2]
 
     def test_dominant_scenario_keeps_active_set_small(self, case5):
         scens = [
@@ -149,6 +152,88 @@ class TestSbd:
         assert design.cost.total == 0.0
         assert design.built_lines == ()
         assert design.hardened_lines == ()
+
+
+def star_doc(lines: dict[str, bool]) -> dict:
+    """Radial lines ``id -> hardenable`` from the substation, each damageable
+    and feeding a bus of its own with a critical load; no microgrid."""
+    doc = two_bus_doc()
+    doc["buses"] = [{"id": "sub", "phases": "a", "is_substation": True}]
+    doc["buses"] += [{"id": f"b{lid}", "phases": "a"} for lid in lines]
+    doc["lines"] = [
+        {"id": lid, "from": "sub", "to": f"b{lid}", "phases": "a", "length_km": 1.0,
+         "impedance": z1(0.1, 0.2), "capacity_kva": 500.0, "damageable": True,
+         "hardenable": hardenable, "harden_cost": 10_000.0}
+        for lid, hardenable in lines.items()]
+    doc["loads"] = [{"id": f"ld{lid}", "bus": f"b{lid}", "is_critical": True,
+                     "demand_kva": {"a": c(50.0, 10.0)}} for lid in lines]
+    return doc
+
+
+class TestActiveSet:
+    """The first master holds the most damaged scenario alone, and failing
+    iteration k adds the lowest-id infeasible scenario of each damage set, at
+    most 2**(k-1) of them."""
+
+    CASE30 = FragilityParams(line_failure_prob_override=0.2, scenario_count=8, seed=2)
+    PARAMS = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+
+    def test_first_master_holds_no_baseline_block(self, case30, monkeypatch):
+        first_blocks = []
+        real = gridfort.decomposition.solve_with_cycle_cuts
+
+        def recording(master, options=None):
+            if not first_blocks:
+                first_blocks.append(list(master.blocks))
+            return real(master, options)
+
+        monkeypatch.setattr(gridfort.decomposition, "solve_with_cycle_cuts", recording)
+        scens = sample_scenarios(case30, self.CASE30)
+        _, state = sbd_design(case30, scens, self.PARAMS, EXACT)
+        worst = max(scens, key=lambda s: (len(s.damaged_line_ids), -s.id))
+        assert worst.damaged_line_ids and worst.id != 0
+        assert first_blocks == [[worst.id]]
+        first = state.iterations[0]
+        assert first.active == (worst.id,)
+        assert first.verdicts[0].feasible  # the baseline, verified
+
+    def test_failing_iterations_add_doubling_batches(self, case30):
+        scens = sample_scenarios(case30, self.CASE30)
+        by_id = {s.id: s for s in scens}
+        _, state = sbd_design(case30, scens, self.PARAMS, EXACT, jobs=1)
+        sizes = []
+        for k, (rec, nxt) in enumerate(zip(state.iterations, state.iterations[1:]), 1):
+            infeasible = sorted(sid for sid, v in rec.verdicts.items() if not v.feasible)
+            first = {}
+            for sid in infeasible:
+                first.setdefault(by_id[sid].damaged_line_ids, sid)
+            added = list(nxt.active[len(rec.active):])
+            assert nxt.active[:len(rec.active)] == rec.active
+            assert added == list(first.values())[:2 ** (k - 1)]
+            sizes.append((len(added), len(first)))
+        # iteration 1 adds one of several sets, iteration 2 a batch of two
+        assert sizes[:2] == [(1, 5), (2, 2)]
+        _, forked = sbd_design(case30, scens, self.PARAMS, EXACT, jobs=3)
+        assert ([rec.active for rec in forked.iterations]
+                == [rec.active for rec in state.iterations])
+
+    def test_unattainable_batch_names_its_lowest_id(self):
+        """Iteration 2 adds scenarios 2 and 3 together, and neither can be
+        served: the error names 2, the one a rule adding one scenario per
+        iteration would have named."""
+        net = load_doc(star_doc({"l1": True, "l2": True, "l3": False, "l4": False,
+                                 "l5": True}))
+        scens = [BASELINE,
+                 DamageScenario(1, frozenset({"l1"})),
+                 DamageScenario(2, frozenset({"l3"})),
+                 DamageScenario(3, frozenset({"l4"})),
+                 DamageScenario(4, frozenset({"l2", "l5"}))]
+        params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
+        with pytest.raises(InfeasibleDesignError,
+                           match=r"the master's scenarios \[4, 1, 2, 3\] cannot be "
+                                 r"served together") as err:
+            sbd_design(net, scens, params, EXACT)
+        assert err.value.scenario_id == 2
 
 
 class TestDistinctDamage:

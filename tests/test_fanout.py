@@ -27,7 +27,7 @@ from conftest import FIXTURES
 
 REPO = Path(__file__).resolve().parent.parent
 # case30 with eight sampled scenarios over eight damage sets: three SBD
-# iterations verifying 7, 6 and 5 sets, so every --jobs 2 or 3 run forks
+# iterations verifying 7, 6 and 4 sets, so every --jobs 2 or 3 run forks
 CASE30_CONFIG = {
     "network": "case30.json", "output_dir": "out", "seed": 2,
     "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 8},
@@ -271,8 +271,12 @@ class TestCommands:
         cfg = case30_config(tmp_path)
         code, _, _ = self.run(capfd, ["design", "--config", str(cfg), "--jobs", "1000000"])
         assert code == 0
-        # at most one process per two of the 7, 6, 5 and 1 sets solved
-        assert 0 < len(forks) <= 2 + 2 + 1
+        log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())
+        assert [rec["verify_solves"] for rec in log["iterations"]] == [7, 6, 4]
+        # at most one process per two of the sets solved: 7, 6 and 4 by the
+        # three verifications, and 4 by the audit (master scenarios 1, 3, 4
+        # and 8, none with a verified twin)
+        assert 0 < len(forks) <= 2 + 2 + 1 + 1
         assert_reaped(forks)
 
     def test_helper_failure_is_reported_as_at_one_job(self, tmp_path, capfd, monkeypatch):
