@@ -223,9 +223,7 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
     lines = network.lines.values()
     built = line_ids("built_lines", {l.id for l in lines if l.is_candidate},
                      "candidates")
-    hardened = line_ids("hardened_lines",
-                        {l.id for l in lines
-                         if l.hardenable and l.damageable and not l.is_candidate},
+    hardened = line_ids("hardened_lines", set(network.hardenable_lines()),
                         "hardenable, damageable existing lines")
     steps = doc.get("microgrid_steps") or {}
     if not isinstance(steps, dict):

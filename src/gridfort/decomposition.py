@@ -113,7 +113,6 @@ class IterationRecord:
 
 @dataclass
 class SbdState:
-    active: list[int] = field(default_factory=list)
     iterations: list[IterationRecord] = field(default_factory=list)
 
     def log_records(self) -> list[dict]:
@@ -422,7 +421,6 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     worst = max(scenarios, key=lambda s: (len(s.damaged_line_ids), -s.id))
     added = [worst.id]
     active = list(added)
-    state.active = active
 
     t0 = time.monotonic()
     master = build_master(network, [worst], params, template=template)

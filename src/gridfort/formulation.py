@@ -298,10 +298,8 @@ def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
         line = network.lines[lid]
         if line.is_candidate:
             fs.build[lid] = model.add_variable(f"build:{lid}", 0.0, 1.0, BINARY)
-    for lid in sorted(network.lines):
-        line = network.lines[lid]
-        if line.hardenable and line.damageable and not line.is_candidate:
-            fs.harden[lid] = model.add_variable(f"harden:{lid}", 0.0, 1.0, BINARY)
+    for lid in sorted(network.hardenable_lines()):
+        fs.harden[lid] = model.add_variable(f"harden:{lid}", 0.0, 1.0, BINARY)
     for gid in sorted(network.microgrids):
         fs.steps[gid], _ = microgrid_step_encoding(model, network.microgrids[gid])
     return fs
@@ -408,10 +406,7 @@ class ScenarioFormulation:
             )
         for bid in sorted(net.buses):
             bus = net.buses[bid]
-            mg_cap = sum(
-                net.microgrids[g].step_capacity_pu * net.microgrids[g].max_steps
-                for g in net.microgrids_at(bid)
-            )
+            mg_cap = net.microgrid_capacity_pu(bid)
             cap_re = mg_cap + (self._sub_cap_re if bus.is_substation else 0.0)
             cap_im = mg_cap + (self._sub_cap_im if bus.is_substation else 0.0)
             for k in bus.phases:
@@ -1043,10 +1038,7 @@ def master_dimensions(network: Network, scenarios: list[DamageScenario],
     net = network
     reduced = aggregate_parallel_edges(net)
     n_cand = sum(1 for l in net.lines.values() if l.is_candidate)
-    n_hard = sum(
-        1 for l in net.lines.values()
-        if l.hardenable and l.damageable and not l.is_candidate
-    )
+    n_hard = len(net.hardenable_lines())
     n_steps = sum(g.max_steps for g in net.microgrids.values())
     line_phases = sum(len(l.phases) for l in net.lines.values())
     multi_line_phases = sum(

@@ -57,10 +57,9 @@ import re
 import subprocess
 import tempfile
 import threading
-import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,12 +119,16 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's outcome. ``bound`` is a proven lower bound on the objective:
+    HiGHS's ``mip_dual_bound``, or the objective of an optimum reported
+    without one. It is None when HiGHS reports none for a solve that is not
+    optimal, as it may at a time or node limit."""
+
     status: str  # optimal | infeasible | unbounded | feasible_limit | error
     values: np.ndarray | None = None
     objective: float | None = None
     bound: float | None = None
     nodes: int = 0
-    solve_time: float = 0.0
     message: str = ""
 
     @property
@@ -539,16 +542,16 @@ def _free_columns(lp: _Compiled, tol: float) -> tuple[_Compiled, np.ndarray, flo
 
 
 def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
-    """HiGHS branch-and-cut on the model's free columns, in process."""
-    t0 = time.monotonic()
+    """HiGHS branch-and-cut on the model's free columns, in process. A time
+    or node limit ends the solve: its status is ``feasible_limit`` and its
+    bound whatever HiGHS proved by then."""
     full = _compile(model)
     reduced = _free_columns(full, _MIP_FEASIBILITY_TOL)
     if reduced is None:
-        return Solution("infeasible", solve_time=time.monotonic() - t0)
+        return Solution("infeasible")
     lp, free, offset = reduced
     if not free.any():
-        return Solution("optimal", full.lb.copy(), offset, offset,
-                        solve_time=time.monotonic() - t0)
+        return Solution("optimal", full.lb.copy(), offset, offset)
     _ignore_option_warnings()
     highs_opts = {"disp": False, "presolve": True, "mip_rel_gap": options.rel_gap,
                   _NO_FEASIBILITY_JUMP: False}
@@ -584,26 +587,19 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
         bound = float(bound) + offset
     else:
         bound = objective if status == "optimal" else None
-    if bound is None and status == "feasible_limit":
-        relaxed = solve_lp_relaxation(model)
-        if relaxed.status == "optimal":
-            bound = relaxed.objective
-    return Solution(status, values, objective, bound, nodes=nodes,
-                    solve_time=time.monotonic() - t0, message=res.message)
+    return Solution(status, values, objective, bound, nodes=nodes, message=res.message)
 
 
 def solve_lp_relaxation(model: MilpModel) -> Solution:
     """Relax binaries to [0, 1]; the optimum is a valid MILP lower bound.
     The LP carries the free columns only (``_free_columns``)."""
-    t0 = time.monotonic()
     full = _compile(model)
     reduced = _free_columns(full, _LINPROG_OPTS["primal_feasibility_tolerance"])
     if reduced is None:
-        return Solution("infeasible", solve_time=time.monotonic() - t0)
+        return Solution("infeasible")
     lp, free, offset = reduced
     if not free.any():
-        return Solution("optimal", full.lb.copy(), offset, offset, nodes=1,
-                        solve_time=time.monotonic() - t0)
+        return Solution("optimal", full.lb.copy(), offset, offset, nodes=1)
     A, lo, hi = lp.A, lp.row_lo, lp.row_hi
     eq = lo == hi
     le = np.isfinite(hi) & ~eq
@@ -621,14 +617,13 @@ def solve_lp_relaxation(model: MilpModel) -> Solution:
             method="highs",
             options=_LINPROG_OPTS,
         )
-    dt = time.monotonic() - t0
     if res.status == 0:
         x = full.lb.copy()
         x[free] = res.x
         obj = float(res.fun) + offset
-        return Solution("optimal", x, obj, obj, nodes=1, solve_time=dt)
+        return Solution("optimal", x, obj, obj, nodes=1)
     status = {2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-    return Solution(status, solve_time=dt, message=res.message)
+    return Solution(status, message=res.message)
 
 
 # ---------------------------------------------------------------------------
@@ -646,28 +641,33 @@ def _mps_name(name: str) -> str:
     return clean
 
 
-def write_model(model: MilpModel, name: str | None = None) -> str:
+def _mps_names(names: list[str]) -> list[str]:
+    """``names`` as the MPS file spells them: each cleaned by ``_mps_name``,
+    and one that repeats an earlier cleaned name suffixed ``.{position}``."""
+    out: list[str] = []
+    seen: set[str] = set()
+    for i, name in enumerate(names):
+        clean = _mps_name(name)
+        if clean in seen:
+            clean = f"{clean}.{i}"
+        seen.add(clean)
+        out.append(clean)
+    return out
+
+
+def write_model(model: MilpModel) -> str:
     """Serialize to MPS text (free layout, fixed section structure).
 
     Zero coefficients are omitted; a variable that appears nowhere gets a
-    single zero objective entry so its column is still declared.
+    single zero objective entry so its column is still declared. Names
+    follow ``_mps_names``.
     """
     rows: list[str] = []
-    var_names = [_mps_name(v) for v in model.var_names]
-    if len(set(var_names)) != len(var_names):
-        for i, v in enumerate(var_names):
-            var_names[i] = f"{v}.{i}"
+    var_names = _mps_names(model.var_names)
     constraints = model.constraints
-    con_names = []
-    seen = set()
-    for i, con in enumerate(constraints):
-        cn = _mps_name(con.name)
-        if cn in seen:
-            cn = f"{cn}.{i}"
-        seen.add(cn)
-        con_names.append(cn)
+    con_names = _mps_names([con.name for con in constraints])
 
-    rows.append(f"NAME          {_mps_name(name or model.name)}")
+    rows.append(f"NAME          {_mps_name(model.name)}")
     rows.append("ROWS")
     rows.append(" N  OBJ")
     sense_tag = {LESS: "L", GREATER: "G", EQUAL: "E"}
@@ -708,26 +708,18 @@ def write_model(model: MilpModel, name: str | None = None) -> str:
     for ix in range(model.num_variables):
         vn = var_names[ix]
         lo, hi = model.lb[ix], model.ub[ix]
-        if model.kinds[ix] == BINARY:
-            if lo == hi:
-                rows.append(f" FX BND  {vn}  {lo!r}")
-            else:
-                if lo != 0.0:
-                    rows.append(f" LO BND  {vn}  {lo!r}")
-                rows.append(f" UP BND  {vn}  {hi!r}")
-        else:
-            if lo == hi:
-                rows.append(f" FX BND  {vn}  {lo!r}")
-                continue
-            if math.isinf(lo) and math.isinf(hi):
-                rows.append(f" FR BND  {vn}")
-                continue
-            if math.isinf(lo):
-                rows.append(f" MI BND  {vn}")
-            elif lo != 0.0:
-                rows.append(f" LO BND  {vn}  {lo!r}")
-            if not math.isinf(hi):
-                rows.append(f" UP BND  {vn}  {hi!r}")
+        if lo == hi:
+            rows.append(f" FX BND  {vn}  {lo!r}")
+            continue
+        if math.isinf(lo) and math.isinf(hi):
+            rows.append(f" FR BND  {vn}")
+            continue
+        if math.isinf(lo):
+            rows.append(f" MI BND  {vn}")
+        elif lo != 0.0:
+            rows.append(f" LO BND  {vn}  {lo!r}")
+        if not math.isinf(hi):
+            rows.append(f" UP BND  {vn}  {hi!r}")
     rows.append("ENDATA")
     return "\n".join(rows) + "\n"
 
@@ -742,7 +734,8 @@ def parse_external_solution(text: str, model: MilpModel,
 
     Accepted format: '#'-prefixed comment lines, one of which must state
     ``Objective value = <float>``; every other nonempty line is
-    ``<variable name> <value>``. Variables absent from the file default to 0.
+    ``<variable name> <value>``, the name as ``write_model`` spells it
+    (``_mps_names``). Variables absent from the file default to 0.
     Binary values must be integral within the integrality tolerance and are
     rounded. A comment line ``# Status = infeasible`` instead reports a
     model proven infeasible, whatever else the file holds.
@@ -752,7 +745,7 @@ def parse_external_solution(text: str, model: MilpModel,
     options = options or SolverOptions()
     objective: float | None = None
     values = np.zeros(model.num_variables)
-    mps_to_ix = {_mps_name(v): i for i, v in enumerate(model.var_names)}
+    mps_to_ix = {v: i for i, v in enumerate(_mps_names(model.var_names))}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -793,7 +786,6 @@ def _solve_external(model: MilpModel, options: SolverOptions) -> Solution:
             "external backend selected but no solver command configured "
             f"(set SolverOptions.external_command or ${ENV_SOLVER_CMD})"
         )
-    t0 = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="gridfort-milp-") as tmp:
         model_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
@@ -806,5 +798,4 @@ def _solve_external(model: MilpModel, options: SolverOptions) -> Solution:
             )
         if not sol_path.exists():
             raise SolverError("external solver produced no solution file")
-        sol = parse_external_solution(sol_path.read_text(), model, options)
-    return replace(sol, solve_time=time.monotonic() - t0)
+        return parse_external_solution(sol_path.read_text(), model, options)

@@ -99,8 +99,6 @@ class UnitSystem:
             return value / self.base_kva
         if kind == "impedance":
             return value * self.base_kva / (1000.0 * self.base_kv**2)
-        if kind == "voltage":
-            return value / self.base_kv
         raise ValueError(f"unknown per-unit kind {kind!r}")
 
 
@@ -217,6 +215,20 @@ class Network:
     def damageable_lines(self) -> tuple[str, ...]:
         return tuple(
             l.id for l in self.lines.values() if l.damageable and not l.is_candidate
+        )
+
+    def hardenable_lines(self) -> tuple[str, ...]:
+        """The existing lines a design may harden: damageable and hardenable."""
+        return tuple(
+            l.id for l in self.lines.values()
+            if l.hardenable and l.damageable and not l.is_candidate
+        )
+
+    def microgrid_capacity_pu(self, bus_id: str) -> float:
+        """Full-build capacity of the microgrids at a bus, per phase."""
+        return sum(
+            self.microgrids[g].step_capacity_pu * self.microgrids[g].max_steps
+            for g in self.microgrids_at(bus_id)
         )
 
 

@@ -98,10 +98,7 @@ def _island_anchor(component: set[str], network: Network):
     best = None
     best_cap = -1.0
     for bid in sorted(component):
-        cap = sum(
-            network.microgrids[g].step_capacity_pu * network.microgrids[g].max_steps
-            for g in network.microgrids_at(bid)
-        )
+        cap = network.microgrid_capacity_pu(bid)
         if cap > best_cap and network.microgrids_at(bid):
             best, best_cap = bid, cap
     return best

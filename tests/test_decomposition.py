@@ -77,7 +77,7 @@ class TestSbd:
         ]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design, state = sbd_design(case5, scens, params, EXACT)
-        assert set(state.active) <= {0, 2}
+        assert set(state.iterations[-1].active) <= {0, 2}
         # the dominant scenario alone prices the design
         single = sbd_design(case5, [BASELINE, scens[2]], params, EXACT)[0]
         assert design.cost.total == single.cost.total == pytest.approx(50_000.0)

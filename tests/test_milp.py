@@ -91,7 +91,10 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0)
 
-    def test_time_limit_reports_feasible_limit(self):
+    @staticmethod
+    def solve_to_limit(monkeypatch, options):
+        """Solve a 14-binary chain cover under ``options``. A limit must end
+        the solve: any LP raises, and the bound must be HiGHS's own."""
         m = MilpModel()
         n = 14
         for i in range(n):
@@ -99,21 +102,36 @@ class TestSolve:
         for i in range(0, n - 1):
             m.add_constraint({i: 1.0, i + 1: 1.0}, GREATER, 0.5, f"pair{i}")
         m.set_objective({i: 1.0 + 0.01 * i for i in range(n)})
-        sol = solve(m, SolverOptions(time_limit=0.0))
-        assert sol.status == "feasible_limit"
-        assert sol.bound is not None
+        results = []
 
-    def test_node_limit_reports_feasible_limit(self):
-        m = MilpModel()
-        n = 14
-        for i in range(n):
-            m.add_variable(f"b{i}", kind=BINARY)
-        for i in range(0, n - 1):
-            m.add_constraint({i: 1.0, i + 1: 1.0}, GREATER, 0.5, f"pair{i}")
-        m.set_objective({i: 1.0 + 0.01 * i for i in range(n)})
-        sol = solve(m, SolverOptions(node_limit=0))
+        def highs(*args, **kwargs):
+            # gridfort's filter for its HiGHS option matches its own calls only
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                results.append(scipy_milp(*args, **kwargs))
+            return results[-1]
+
+        def linprog(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(gridfort.milp, "scipy_milp", highs)
+        monkeypatch.setattr(gridfort.milp, "linprog", linprog)
+        sol = solve(m, options)
+        (res,) = results
+        bound = res.mip_dual_bound
+        if bound is None or not math.isfinite(bound):
+            bound = None
+        return sol, bound
+
+    def test_time_limit_reports_feasible_limit(self, monkeypatch):
+        sol, highs_bound = self.solve_to_limit(monkeypatch, SolverOptions(time_limit=0.0))
         assert sol.status == "feasible_limit"
-        assert sol.bound is not None
+        assert sol.bound == highs_bound
+
+    def test_node_limit_reports_feasible_limit(self, monkeypatch):
+        sol, highs_bound = self.solve_to_limit(monkeypatch, SolverOptions(node_limit=0))
+        assert sol.status == "feasible_limit"
+        assert sol.bound == highs_bound
 
     def test_optimal_solution_satisfies_all_constraints(self):
         rng = random.Random(11)
@@ -552,6 +570,17 @@ class TestMpsWriter:
         assert " G  ge" in text
         assert " E  eq" in text
 
+    def test_only_a_repeated_name_is_suffixed(self):
+        m = MilpModel()
+        for name in ("a b", "a_b", "c"):
+            m.add_variable(name, 0.0, 1.0)
+        m.add_constraint({0: 1.0}, LESS, 1.0, "r 1")
+        m.add_constraint({1: 1.0}, LESS, 1.0, "r_1")
+        m.set_objective({2: 1.0})
+        lines = write_model(m).splitlines()
+        columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+        assert [l.split()[0] for l in columns] == ["a_b", "a_b.1", "c"]
+        assert " L  r_1" in lines and " L  r_1.1" in lines
 
     def test_long_names_stable_across_hash_seeds(self):
         import gridfort
@@ -637,6 +666,26 @@ class TestExternalAdapter:
         sol = solve(binary_pair_model(), options)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0)
+
+    def test_names_that_clean_alike_round_trip(self):
+        """``a b`` and ``a_b`` both clean to ``a_b``; the solution file names
+        them as the MPS file does, and each value reaches its own column."""
+        m = MilpModel()
+        x = m.add_variable("a b", kind=BINARY)
+        y = m.add_variable("a_b", 0.0, 5.0)
+        m.add_constraint({x: 1.0, y: 1.0}, GREATER, 1.5, "cover 1")
+        m.add_constraint({y: 1.0}, LESS, 4.0, "cover_1")
+        m.set_objective({x: 1.0, y: 2.0})
+        fake = Path(__file__).parent / "fake_solver.py"
+        external = solve(m, SolverOptions(
+            backend="external",
+            external_command=f"{sys.executable} {fake} {{model}} {{solution}}",
+        ))
+        builtin = solve(m, EXACT)
+        assert external.status == builtin.status == "optimal"
+        assert builtin.objective == pytest.approx(2.0)
+        assert external.objective == pytest.approx(builtin.objective)
+        assert external.values == pytest.approx(builtin.values)
 
     def test_unconfigured_external_backend_errors(self, monkeypatch):
         monkeypatch.delenv("GRIDFORT_SOLVER_CMD", raising=False)
