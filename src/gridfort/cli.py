@@ -327,10 +327,12 @@ def cmd_design(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     _dump_json(design_to_dict(design), cfg.output_dir / "design.json")
     _dump_json({"iterations": state.log_records()}, cfg.output_dir / "sbd_log.json")
-    # the final verification already solved every scenario outside the master,
-    # and with it each master scenario that shares one's damage
+    # every scenario has its verdict already: the final master's own point
+    # for its scenarios, the final verification's for the rest, so the
+    # audit solves nothing
     verdicts, reports = _audit_all(design, network, scens, cfg,
-                                   state.iterations[-1].verdicts, template)
+                                   {**state.iterations[-1].verdicts,
+                                    **state.master_verdicts}, template)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     _print_design_summary(design, network)
     dirty = [r for r in reports if not r.clean]

@@ -114,6 +114,9 @@ class IterationRecord:
 @dataclass
 class SbdState:
     iterations: list[IterationRecord] = field(default_factory=list)
+    # the final master's own feasible verdicts, one per active scenario, each
+    # carrying the block's operating point under the returned design
+    master_verdicts: dict[int, Verdict] = field(default_factory=dict)
 
     def log_records(self) -> list[dict]:
         return [
@@ -222,10 +225,17 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
         what = "best-effort " + what
     if sol.status != "optimal":
         raise _not_proven(what, sol)
-    state = master.operation_state(sol, scenario.id)
+    return _verdict_at(master.operation_state(sol, scenario.id), network, params,
+                       feasible)
+
+
+def _verdict_at(state: OperationState, network, params: DesignParams,
+                feasible: bool) -> Verdict:
+    """The verdict that rests on ``state``: its served fractions and, unless
+    ``feasible``, its shortfalls from the targets."""
     crit, tot = served_fractions(state, network)
     return Verdict(
-        scenario.id, feasible, crit, tot,
+        state.scenario_id, feasible, crit, tot,
         shortfall_critical=0.0 if feasible else max(0.0, params.critical_fraction - crit),
         shortfall_total=0.0 if feasible else max(0.0, params.total_fraction - tot),
         state=state,
@@ -394,9 +404,12 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     The pool starts with the cycle basis of the reduced graph, every
     candidate line included, since every scenario must operate radially on
     it. Verification solves each distinct damage set of the remaining
-    scenarios once (``evaluate_distinct``), over up to ``jobs`` processes.
-    The master and every verification model are assembled from ``template``,
-    compiled here when absent.
+    scenarios once (``evaluate_distinct``), over up to ``jobs`` processes,
+    except the damage set of an active scenario: the master's solution holds
+    a feasible operating point for it under the design, and the verdict
+    resting on that point is restated instead. The master and every
+    verification model are assembled from ``template``, compiled here when
+    absent.
 
     With ``tie_break``, once a design verifies the same loop goes on over the
     same master under ``MasterProblem.minimize_microgrid_kw``, with a budget
@@ -406,10 +419,12 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
 
     Returns (Design, SbdState), the state holding every iteration of both
     passes; the verdicts of the last iteration carry their operating points,
-    earlier ones do not. Raises InfeasibleDesignError when no design serves
-    the master's scenarios together even with every upgrade applied, naming
-    the lowest id among those added last; and SolverError when a solve ends
-    without a decisive answer.
+    earlier ones do not, and ``SbdState.master_verdicts`` holds the final
+    master's verdict for each active scenario, with its point. Raises
+    InfeasibleDesignError when no design serves the master's scenarios
+    together even with every upgrade applied, naming the lowest id among
+    those added last; and SolverError when a solve ends without a decisive
+    answer.
     """
     options = options or SolverOptions()
     by_id = {s.id: s for s in scenarios}
@@ -442,13 +457,18 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         if sol.status != "optimal":
             raise _not_proven(f"master solve over scenarios {active}", sol)
         design = master.design_from_solution(sol)
+        # each block's point proves its scenario, and every scenario sharing
+        # its damage, feasible under the design: those need no verification
+        proved = {sid: _verdict_at(master.operation_state(sol, sid), network, params, True)
+                  for sid in active}
+        known = {by_id[sid].damaged_line_ids: v for sid, v in proved.items()}
         remaining = [s for s in scenarios if s.id not in active]
         t_verify = time.monotonic()
         verdicts = evaluate_distinct(
             remaining,
             lambda scen: evaluate_design(design, network, scen, params, options,
                                          template=master.template),
-            jobs,
+            jobs, known,
         )
         verify_time = time.monotonic() - t_verify
         infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
@@ -461,7 +481,7 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             cost=design.cost.total,
             verdicts=verdicts,
             wall_time=time.monotonic() - t0,
-            verify_solves=len({s.damaged_line_ids for s in remaining}),
+            verify_solves=len({s.damaged_line_ids for s in remaining} - known.keys()),
             verify_time=verify_time,
             build_time=build_time,
             solve_time=solve_time,
@@ -486,6 +506,7 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             tie_break = False
             master.minimize_microgrid_kw(design.cost.total / 1000.0 + 1e-6)
         else:
+            state.master_verdicts = proved
             return design, state
         build_time = time.monotonic() - t0
     raise RuntimeError("decomposition failed to converge within |S| iterations")

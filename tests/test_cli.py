@@ -185,9 +185,9 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "design.json").read_bytes() == first
 
-    def test_audit_solves_only_the_final_master_scenarios(self, tmp_path, monkeypatch):
-        """Each final-master damage set without a verified twin is solved
-        once; the others are restated from the final verification."""
+    def test_audit_solves_no_scenario(self, tmp_path, monkeypatch):
+        """The final master's own operating points cover its scenarios and
+        the final verification covers the rest, so the audit solves nothing."""
         damage = [[], ["L1"], ["L3"], ["L3"]]
         write_scenarios(tmp_path / "scens.json", damage)
         # the first master holds scenario 1 alone; at a total fraction of 0.9
@@ -204,21 +204,22 @@ class TestDesignCommand:
         monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
         assert main(["design", "--config", str(cfg)]) == 0
         final = json.loads((tmp_path / "out" / "sbd_log.json").read_text())["iterations"][-1]
-        verified = {frozenset(damage[int(sid)]) for sid in final["verdicts"]}
-        master = final["active_scenarios"]
-        expected = {}
-        for sid in sorted(master):
-            if frozenset(damage[sid]) not in verified:
-                expected.setdefault(frozenset(damage[sid]), sid)
-        # the input covers both cases: a master scenario with a verified twin
+        # the input covers a master scenario with a twin outside the master
         # (2, damaged like 3) and one without (1)
-        assert master == [1, 2]
-        assert 0 < len(expected) < len(master)
-        assert sorted(solved) == sorted(expected.values())
+        assert final["active_scenarios"] == [1, 2]
+        assert sorted(final["verdicts"]) == ["0", "3"]
+        assert solved == []
         rows = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert [r["scenario_id"] for r in rows] == list(range(len(damage)))
+        assert all(r["radial"] and not r["violations"] for r in rows)
+        # the twin's row restates the master's point for 2
+        assert rows[3] == {**rows[2], "scenario_id": 3}
 
     def test_design_audit_equals_validate_audit(self, tmp_path):
+        """Outside the final master's damage sets, ``design`` audits the
+        final verification's points, which ``validate`` solves again; on
+        those sets it audits the master's own points, which may differ from
+        the ones ``validate`` finds, and both must be clean."""
         shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
         cfg = write_config(
             tmp_path, network="case30.json",
@@ -230,8 +231,19 @@ class TestDesignCommand:
         assert len(log["iterations"]) >= 2
         assert main(["validate", "--config", str(cfg), "--design",
                      str(out / "design.json"), "--out", str(tmp_path / "validated")]) == 0
-        assert ((tmp_path / "validated" / "audit.json").read_bytes()
-                == (out / "audit.json").read_bytes())
+        network = gridfort.cli.load_network_file(tmp_path / "case30.json")
+        damage = {s.id: s.damaged_line_ids for s in gridfort.cli._load_scenarios(
+            gridfort.cli.load_config(cfg), network)}
+        master = {damage[sid] for sid in log["iterations"][-1]["active_scenarios"]}
+        designed = json.loads((out / "audit.json").read_text())
+        validated = json.loads((tmp_path / "validated" / "audit.json").read_text())
+        assert [r["scenario_id"] for r in designed] == sorted(damage)
+        assert [r["scenario_id"] for r in validated] == sorted(damage)
+        outside = [(a, b) for a, b in zip(designed, validated)
+                   if damage[a["scenario_id"]] not in master]
+        assert 0 < len(outside) < len(damage)
+        assert all(a == b for a, b in outside)
+        assert all(r["radial"] and not r["violations"] for r in designed + validated)
 
 
 class TestIterationLog:
@@ -252,7 +264,10 @@ class TestIterationLog:
         assert len(log["iterations"]) >= 2
         for rec in log["iterations"]:
             remaining = [s for s in scens if s.id not in rec["active_scenarios"]]
-            assert rec["verify_solves"] == len({s.damaged_line_ids for s in remaining})
+            # the master's own points cover the sets of its scenarios' twins
+            active = {s.damaged_line_ids for s in scens if s.id in rec["active_scenarios"]}
+            assert rec["verify_solves"] == len(
+                {s.damaged_line_ids for s in remaining} - active)
             assert rec["verify_solves"] < len(remaining) == len(rec["verdicts"])
             assert 0.0 < rec["verify_s"] <= rec["wall_time_s"]
 
@@ -909,8 +924,6 @@ class TestBenchmarkTracerHooks:
     module attribute; a rename must fail here, not silently zero its metrics."""
 
     def test_traced_design_run_sees_verification_and_audit(self, tmp_path):
-        # the worst-damage scenario 1 enters the master and no verified
-        # scenario shares its damage, so the audit must solve it again
         write_scenarios(tmp_path / "scens.json", [[], ["L1", "L3"], ["L1"], []])
         cfg = write_config(tmp_path, scenarios_file="scens.json")
         script = textwrap.dedent("""
@@ -925,14 +938,26 @@ class TestBenchmarkTracerHooks:
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(REPO / "src"), str(REPO / "perfbench")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "design", "--config", str(cfg)],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout.strip().splitlines()[-1])
-        assert result["code"] == 0
-        assert result["metrics"]["decomposition.verify_calls"] > 0
-        assert result["metrics"]["cli.audit_resolve_calls"] > 0
+
+        def traced(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv, "--config", str(cfg)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            result = json.loads(done.stdout.strip().splitlines()[-1])
+            assert result["code"] == 0
+            return result["metrics"]
+
+        design = traced("design")
+        assert design["decomposition.verify_calls"] > 0
+        assert design["validate.audit_calls"] > 0
+        # the design run's audit rests on points already found; validate
+        # solves every damage set through the audit's hook
+        assert design["cli.audit_resolve_calls"] == 0
+        validate = traced("validate", "--design", str(tmp_path / "out" / "design.json"),
+                          "--out", str(tmp_path / "validated"))
+        assert validate["cli.audit_resolve_calls"] == 3
+        assert validate["validate.audit_calls"] == 3
 
 
 class TestRuntimeDependencies:

@@ -217,6 +217,53 @@ class TestActiveSet:
         assert ([rec.active for rec in forked.iterations]
                 == [rec.active for rec in state.iterations])
 
+    def test_master_points_pass_the_audit(self, case30):
+        scens = sample_scenarios(case30, self.CASE30)
+        design, state = sbd_design(case30, scens, self.PARAMS, EXACT)
+        assert len(state.iterations) >= 3
+        assert sorted(state.master_verdicts) == sorted(state.iterations[-1].active)
+        for sid, verdict in state.master_verdicts.items():
+            assert verdict.feasible and verdict.state.scenario_id == sid
+            assert audit(verdict.state, case30, self.PARAMS, design).clean
+
+    def test_a_twin_of_an_active_scenario_is_not_verified(self, case30, monkeypatch,
+                                                           tmp_path):
+        """A scenario damaged like one in the master takes its verdict from
+        the master's point: adding a twin of every damaged scenario adds no
+        verification solve, and moves neither the active sets nor the design."""
+        scens = sample_scenarios(case30, self.CASE30)
+        twin_of = {s.id + 100: s.id for s in scens if s.damaged_line_ids}
+        with_twins = scens + [DamageScenario(tid, scens[sid].damaged_line_ids)
+                              for tid, sid in twin_of.items()]
+        design, plain = sbd_design(case30, scens, self.PARAMS, EXACT)
+        real = gridfort.decomposition.evaluate_design
+        log = tmp_path / "calls.txt"
+
+        def recording(design, network, scenario, *args, **kwargs):
+            # a file, so that the calls of forked helper processes count too
+            with open(log, "a") as fh:
+                fh.write(f"{scenario.id}\n")
+            return real(design, network, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
+        for jobs in (1, 3):
+            log.write_text("")
+            got, state = sbd_design(case30, with_twins, self.PARAMS, EXACT, jobs=jobs)
+            assert got == design
+            assert ([rec.active for rec in state.iterations]
+                    == [rec.active for rec in plain.iterations])
+            assert ([rec.verify_solves for rec in state.iterations]
+                    == [rec.verify_solves for rec in plain.iterations])
+            evaluated = [int(line) for line in log.read_text().split()]
+            assert len(evaluated) == sum(rec.verify_solves for rec in state.iterations)
+            assert not set(evaluated) & set(twin_of)
+            final = state.iterations[-1]
+            for sid in final.active:
+                twin = sid + 100
+                assert final.verdicts[twin].to_dict() == {
+                    **state.master_verdicts[sid].to_dict(), "scenario_id": twin}
+                assert final.verdicts[twin].state.scenario_id == twin
+
     def test_unattainable_batch_names_its_lowest_id(self):
         """Iteration 2 adds scenarios 2 and 3 together, and neither can be
         served: the error names 2, the one a rule adding one scenario per
@@ -275,8 +322,10 @@ class TestDistinctDamage:
         assert len(per_iteration) == len(state.iterations)
         for rec, (design, verified) in zip(state.iterations, per_iteration):
             remaining = [s for s in scens if s.id not in rec.active]
+            # a set in the master is proved by the master's own point
+            active = {by_id[sid].damaged_line_ids for sid in rec.active}
             solved = Counter(s.damaged_line_ids for s in verified)
-            assert set(solved) == {s.damaged_line_ids for s in remaining}
+            assert set(solved) == {s.damaged_line_ids for s in remaining} - active
             assert set(solved.values()) == {1}
             assert rec.verify_solves == len(solved) < len(remaining)
             assert sorted(rec.verdicts) == sorted(s.id for s in remaining)
@@ -284,6 +333,9 @@ class TestDistinctDamage:
             for scen in remaining:
                 alone = real(design, case30, scen, params, EXACT)
                 got = rec.verdicts[scen.id]
+                if scen.damaged_line_ids in active:
+                    assert got.feasible and alone.feasible
+                    continue
                 assert got.to_dict() == alone.to_dict()
                 if final:
                     assert got.state.scenario_id == scen.id
