@@ -142,12 +142,19 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     sweep = doc.get("sweep", {})
     _check_keys(sweep, SWEEP_KEYS, "config section 'sweep'")
 
-    def axis(key: str) -> list[float]:
+    def axis(key: str, param: str) -> list[float]:
+        """The axis ``key``, each value checked as the ``param`` of a cell."""
         where = f"config key 'sweep.{key}'"
         values = sweep.get(key, [])
         if not isinstance(values, list):
             raise ConfigError(f"{where} has a malformed value: {values!r}")
-        return [float(_checked(x, float, where)) for x in values]
+        values = [float(_checked(x, float, where)) for x in values]
+        try:
+            for x in values:
+                replace(design, **{param: x})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        return values
 
     scenarios_file = _checked(doc.get("scenarios_file"), str | None,
                               "config key 'scenarios_file'")
@@ -160,8 +167,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         design=design,
         solver=solver,
         scenarios_file=base / scenarios_file if scenarios_file else None,
-        sweep_total_fractions=axis("total_fractions"),
-        sweep_mg_rates=axis("mg_variable_cost_rates"),
+        sweep_total_fractions=axis("total_fractions", "total_fraction"),
+        sweep_mg_rates=axis("mg_variable_cost_rates", "mg_rate_override"),
     )
     if flags.get("out") is not None:
         cfg.output_dir = Path(flags["out"])
@@ -276,42 +283,37 @@ def cmd_scenarios(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verdicts(design: Design, network: Network, scens, cfg: RunConfig,
-              solved: dict[int, Verdict], template: ScenarioTemplate) -> list[Verdict]:
+def _verdicts(design: Design, network: Network, scens, cfg: RunConfig) -> list[Verdict]:
     """Verdict of every scenario, solved once per distinct damage set over
-    ``cfg.jobs`` processes; a damage set that ``solved`` (id -> verdict
-    carrying its state) covers is restated from it instead."""
-    known: dict[frozenset[str], Verdict] = {}
-    for scen in scens:
-        if scen.id in solved:
-            known.setdefault(scen.damaged_line_ids, solved[scen.id])
+    ``cfg.jobs`` processes."""
+    template = ScenarioTemplate(network, cfg.design)
     by_id = evaluate_distinct(
         scens,
         lambda scen: evaluate_design(design, network, scen, cfg.design, cfg.solver,
                                      template=template),
-        cfg.jobs, known)
+        cfg.jobs)
     return [by_id[s.id] for s in scens]
 
 
-def _audit_all(design: Design, network: Network, scens, cfg: RunConfig,
-               solved: dict[int, Verdict], template: ScenarioTemplate):
-    """Verdict and independent audit of every scenario (see ``_verdicts``).
+def _audit_all(design: Design, network: Network, verdicts: list[Verdict],
+               params: DesignParams) -> list[AuditReport]:
+    """Independent audit of each verdict's operating point.
 
     Scenarios sharing a damage set share their operating point apart from
     its id, which the audit only copies into its report: the first of each
     damage set is audited, and its report restated under the others' ids."""
-    verdicts = _verdicts(design, network, scens, cfg, solved, template)
     audited: dict[frozenset[str], AuditReport] = {}
     reports = []
-    for scen, verdict in zip(scens, verdicts):
-        twin = audited.get(scen.damaged_line_ids)
+    for verdict in verdicts:
+        damage = verdict.state.damaged_lines
+        twin = audited.get(damage)
         if twin is None:
-            report = audited[scen.damaged_line_ids] = audit(
-                verdict.state, network, cfg.design, design)
+            report = audited[damage] = audit(verdict.state, network, params, design)
         else:
-            report = replace(twin, scenario_id=scen.id, violations=list(twin.violations))
+            report = replace(twin, scenario_id=verdict.scenario_id,
+                             violations=list(twin.violations))
         reports.append(report)
-    return verdicts, reports
+    return reports
 
 
 def cmd_design(cfg: RunConfig) -> int:
@@ -327,19 +329,12 @@ def cmd_design(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     _dump_json(design_to_dict(design), cfg.output_dir / "design.json")
     _dump_json({"iterations": state.log_records()}, cfg.output_dir / "sbd_log.json")
-    # every scenario has its verdict already: the final master's own point
-    # for its scenarios, the final verification's for the rest, so the
-    # audit solves nothing
-    verdicts, reports = _audit_all(design, network, scens, cfg,
-                                   {**state.iterations[-1].verdicts,
-                                    **state.master_verdicts}, template)
+    # every scenario's final verdict carries the operating point it rests
+    # on, so the audit solves nothing
+    reports = _audit_all(design, network, list(state.verdicts.values()), cfg.design)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     _print_design_summary(design, network)
     dirty = [r for r in reports if not r.clean]
-    infeasible = [v for v in verdicts if not v.feasible]
-    if infeasible:
-        print(f"{len(infeasible)} scenario(s) infeasible after design", file=sys.stderr)
-        return EXIT_INFEASIBLE
     if dirty:
         print(f"audit violations in {len(dirty)} scenario(s)", file=sys.stderr)
         return EXIT_VIOLATIONS
@@ -347,13 +342,19 @@ def cmd_design(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) -> int:
+def _evaluated(cfg: RunConfig, design_path: Path, scenario_path: Path | None):
+    """(network, design, verdicts): the design file's design and every
+    scenario's verdict under it (``_verdicts``), the scenarios read from
+    ``scenario_path`` when given, else as ``design`` reads them."""
     network = load_network_file(cfg.network)
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    verdicts = _verdicts(design, network, scens, cfg, {},
-                         ScenarioTemplate(network, cfg.design))
+    return network, design, _verdicts(design, network, scens, cfg)
+
+
+def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) -> int:
+    _, _, verdicts = _evaluated(cfg, design_path, scenario_path)
     _dump_json([v.to_dict() for v in verdicts], cfg.output_dir / "evaluation.json")
     # a feasible verdict's served fractions are one arbitrary feasible
     # point's, so the summary reports shortfalls only
@@ -366,12 +367,8 @@ def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
 
 
 def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) -> int:
-    network = load_network_file(cfg.network)
-    design = design_from_file(design_path, network, cfg.design)
-    scens = (load_scenarios_file(scenario_path, network) if scenario_path
-             else _load_scenarios(cfg, network))
-    _, reports = _audit_all(design, network, scens, cfg, {},
-                            ScenarioTemplate(network, cfg.design))
+    network, design, verdicts = _evaluated(cfg, design_path, scenario_path)
+    reports = _audit_all(design, network, verdicts, cfg.design)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     dirty = [r for r in reports if not r.clean]
     for rep in dirty:

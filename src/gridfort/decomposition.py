@@ -78,7 +78,7 @@ class Verdict:
     shortfall_critical: float = 0.0
     shortfall_total: float = 0.0
     # the operating point the verdict rests on; not part of the verdict's
-    # value, and sbd_design drops it from every iteration but the last
+    # value, and sbd_design keeps it in SbdState.verdicts only
     state: OperationState | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
@@ -114,9 +114,11 @@ class IterationRecord:
 @dataclass
 class SbdState:
     iterations: list[IterationRecord] = field(default_factory=list)
-    # the final master's own feasible verdicts, one per active scenario, each
-    # carrying the block's operating point under the returned design
-    master_verdicts: dict[int, Verdict] = field(default_factory=dict)
+    # every scenario's final verdict under the returned design, keyed by id
+    # in scenario order, each carrying its operating point: the final
+    # master's for an active scenario and its twins, the final
+    # verification's for every other
+    verdicts: dict[int, Verdict] = field(default_factory=dict)
 
     def log_records(self) -> list[dict]:
         return [
@@ -418,9 +420,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     whatever the objective, so the master still relaxes the full problem.
 
     Returns (Design, SbdState), the state holding every iteration of both
-    passes; the verdicts of the last iteration carry their operating points,
-    earlier ones do not, and ``SbdState.master_verdicts`` holds the final
-    master's verdict for each active scenario, with its point. Raises
+    passes, whose verdicts carry no operating points, and every scenario's
+    final verdict with its point (``SbdState.verdicts``). Raises
     InfeasibleDesignError when no design serves the master's scenarios
     together even with every upgrade applied, naming the lowest id among
     those added last; and SolverError when a solve ends without a decisive
@@ -472,14 +473,11 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         )
         verify_time = time.monotonic() - t_verify
         infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
-        if infeasible:
-            # only the final verification keeps its operating points
-            verdicts = {sid: replace(v, state=None) for sid, v in verdicts.items()}
         state.iterations.append(IterationRecord(
             index=len(state.iterations) + 1,
             active=tuple(active),
             cost=design.cost.total,
-            verdicts=verdicts,
+            verdicts={sid: replace(v, state=None) for sid, v in verdicts.items()},
             wall_time=time.monotonic() - t0,
             verify_solves=len({s.damaged_line_ids for s in remaining} - known.keys()),
             verify_time=verify_time,
@@ -506,7 +504,8 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
             tie_break = False
             master.minimize_microgrid_kw(design.cost.total / 1000.0 + 1e-6)
         else:
-            state.master_verdicts = proved
+            final = {**verdicts, **proved}
+            state.verdicts = {s.id: final[s.id] for s in scenarios}
             return design, state
         build_time = time.monotonic() - t0
     raise RuntimeError("decomposition failed to converge within |S| iterations")

@@ -107,6 +107,11 @@ class DesignParams:
         for b in (self.beta_transformer, self.beta_line):
             if not (0.0 < b <= 1.0):
                 raise ValueError("imbalance beta must lie in (0, 1]")
+        for key in ("mg_fixed_cost_override", "mg_rate_override", "line_cost_scale",
+                    "harden_cost_scale"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
 
     @property
     def big_m(self) -> float:

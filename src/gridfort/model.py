@@ -581,6 +581,9 @@ def _validate(net: Network) -> None:
                 raise NetworkError(f"{owner}: candidate lines must carry a switch")
             if line.damageable:
                 raise NetworkError(f"{owner}: candidate lines are not damageable")
+            if line.construction_cost < 0:
+                raise NetworkError(f"{owner}: construction_cost must be nonnegative, "
+                                   f"got {line.construction_cost}")
         elif line.construction_cost != 0.0:
             raise NetworkError(f"{owner}: existing lines have zero construction cost")
         if line.hardenable and line.harden_cost < 0:
@@ -603,6 +606,10 @@ def _validate(net: Network) -> None:
             raise NetworkError(f"microgrid {mg.id!r}: step capacity must be positive")
         if mg.max_steps < 1:
             raise NetworkError(f"microgrid {mg.id!r}: max_steps must be >= 1")
+        for key in ("fixed_cost", "variable_cost_rate"):
+            if getattr(mg, key) < 0:
+                raise NetworkError(f"microgrid {mg.id!r}: {key} must be nonnegative, "
+                                   f"got {getattr(mg, key)}")
         if mg.is_existing and (mg.fixed_cost != 0.0 or mg.variable_cost_rate != 0.0):
             raise NetworkError(f"microgrid {mg.id!r}: existing units carry no cost")
 

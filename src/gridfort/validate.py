@@ -1,8 +1,9 @@
 """Independent audit of a solved scenario operation: radiality, true circular
 thermal limits (strictly stronger than the solver's octagon), voltage
-recomputation in the same linearized physics, flow balance, and resilience
-accounting. Violations are data, not errors; reports serialize to JSON and
-drive the CLI's nonzero-exit contract.
+recomputation in the same linearized physics, generation within the
+design's microgrid capacity, flow balance, and resilience accounting.
+Violations are data, not errors; reports serialize to JSON and drive the
+CLI's nonzero-exit contract.
 """
 
 from __future__ import annotations
@@ -269,10 +270,21 @@ def audit(state: OperationState, network: Network, params: DesignParams,
     if not recomputed:
         v_lo = v_hi = 1.0
 
+    steps = dict(design.microgrid_steps)
     for bid in sorted(network.buses):
         bus = network.buses[bid]
         for k in bus.phases:
             gen = state.dispatch.get((bid, k), 0j)
+            if gen and not bus.is_substation:
+                # real and imaginary dispatch lie in [0, the per-phase
+                # microgrid capacity the design gives the bus]: existing
+                # units in full, a design's units by their steps
+                mgs = [network.microgrids[g] for g in network.microgrids_at(bid)]
+                cap = sum(mg.step_capacity_pu * (mg.max_steps if mg.is_existing
+                                                 else steps.get(mg.id, 0)) for mg in mgs)
+                excess = max(-gen.real, -gen.imag, gen.real - cap, gen.imag - cap)
+                if excess > BALANCE_TOL:
+                    violations.append(Violation("generation", f"{bid}:{k.value}", excess))
             demand = sum(
                 (
                     network.loads[l].demand_pu.get(k, 0j)

@@ -631,6 +631,51 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
 
+def _negative_network_cost(section, key):
+    def overrides(tmp_path):
+        doc = json.loads((FIXTURES / "case5.json").read_text())
+        if section == "lines":  # a candidate copy of L1
+            doc["lines"].append({**doc["lines"][0], "id": "N1", "status": "candidate_new",
+                                 "damageable": False, "hardenable": False})
+        doc[section][-1][key] = -1.0
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        return {"network": "bad.json"}
+    return overrides
+
+
+class TestNegativePrices:
+    """A negative price is an input error that names its field, found
+    before any file is written."""
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("overrides,field", [
+        (lambda _: {"design": {"mg_rate_override": -500.0}}, "mg_rate_override"),
+        (lambda _: {"design": {"mg_fixed_cost_override": -1.0}}, "mg_fixed_cost_override"),
+        (lambda _: {"design": {"line_cost_scale": -1.0}}, "line_cost_scale"),
+        (lambda _: {"design": {"harden_cost_scale": -0.5}}, "harden_cost_scale"),
+        (lambda _: {"sweep": {"total_fractions": [0.1],
+                              "mg_variable_cost_rates": [100.0, -1000.0]}},
+         "mg_variable_cost_rates"),
+        (lambda _: {"sweep": {"total_fractions": [0.1, 1.5],
+                              "mg_variable_cost_rates": [100.0]}}, "total_fractions"),
+        (lambda _: {"sweep": {"total_fractions": [-0.1],
+                              "mg_variable_cost_rates": [100.0]}}, "total_fractions"),
+        (_negative_network_cost("lines", "construction_cost"), "construction_cost"),
+        (_negative_network_cost("microgrids", "fixed_cost"), "fixed_cost"),
+        (_negative_network_cost("microgrids", "variable_cost_rate"), "variable_cost_rate"),
+    ], ids=["mg-rate", "mg-fixed-cost", "line-cost-scale", "harden-cost-scale",
+            "sweep-rate", "sweep-fraction-above-one", "sweep-fraction-negative",
+            "construction-cost", "microgrid-fixed-cost", "microgrid-rate"])
+    def test_is_an_input_error(self, tmp_path, capsys, overrides, field, command):
+        axes = {"sweep": {"total_fractions": [0.1], "mg_variable_cost_rates": [100.0]}}
+        cfg = write_config(tmp_path, **{**axes, **overrides(tmp_path)})
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExternalInfeasibility:
     def test_infeasible_verification_matches_builtin(self, tmp_path, monkeypatch):
         """An external solver proves a verification infeasible through its
@@ -709,20 +754,19 @@ class TestDistinctDamage:
         design_path = tmp_path / "design.json"
         design_path.write_text(json.dumps(
             {"built_lines": [], "hardened_lines": ["L3"], "microgrid_steps": {}}))
-        real_verdicts = gridfort.cli._verdicts
+        real_audit_all = gridfort.cli._audit_all
         real_audit = gridfort.cli.audit
-        verdicts, audited = [], []
+        calls, audited = [], []
 
-        def recording_verdicts(design, network, *args, **kwargs):
-            result = real_verdicts(design, network, *args, **kwargs)
-            verdicts.append((design, network, result))
-            return result
+        def recording_audit_all(design, network, verdicts, params):
+            calls.append((design, network, verdicts, params))
+            return real_audit_all(design, network, verdicts, params)
 
         def counting_audit(state, *args, **kwargs):
             audited.append(state.scenario_id)
             return real_audit(state, *args, **kwargs)
 
-        monkeypatch.setattr(gridfort.cli, "_verdicts", recording_verdicts)
+        monkeypatch.setattr(gridfort.cli, "_audit_all", recording_audit_all)
         monkeypatch.setattr(gridfort.cli, "audit", counting_audit)
         argv = [command, "--config", str(cfg_path)]
         if command == "validate":
@@ -730,13 +774,30 @@ class TestDistinctDamage:
         assert main(argv) in (0, 1)
         assert len(self.DAMAGE) == 8
         assert sorted(audited) == [0, 1, 2, 5]  # the first of each damage set
-        (design, network, result), = verdicts
-        cfg = gridfort.cli.load_config(cfg_path)
+        (design, network, verdicts, params), = calls
+        assert [v.scenario_id for v in verdicts] == list(range(len(self.DAMAGE)))
         gridfort.cli._dump_json(
-            [real_audit(v.state, network, cfg.design, design).to_dict() for v in result],
+            [real_audit(v.state, network, params, design).to_dict() for v in verdicts],
             tmp_path / "expected.json")
         assert ((tmp_path / "out" / "audit.json").read_bytes()
                 == (tmp_path / "expected.json").read_bytes())
+
+    def test_design_audit_solves_nothing(self, tmp_path, monkeypatch):
+        """Every verdict a design run audits comes out of the decomposition:
+        the audit never reaches the verification path."""
+        write_scenarios(tmp_path / "scens.json", self.DAMAGE)
+        cfg_path = write_config(tmp_path, scenarios_file="scens.json")
+        real = gridfort.cli.evaluate_distinct
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gridfort.cli, "evaluate_distinct", counting)
+        assert main(["design", "--config", str(cfg_path)]) == 0
+        assert calls == []
+        assert len(json.loads((tmp_path / "out" / "audit.json").read_text())) == 8
 
 
 class TestSweepCommand:

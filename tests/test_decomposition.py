@@ -95,16 +95,20 @@ class TestSbd:
         assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
         assert len(state.iterations) >= 2
 
-    def test_only_the_final_verification_keeps_operating_points(self, case30):
+    def test_only_the_final_verdicts_keep_operating_points(self, case30):
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
         _, state = sbd_design(case30, scens, params, EXACT)
         *earlier, last = state.iterations
         assert earlier and all(rec.verdicts for rec in state.iterations)
-        assert all(v.state is None for rec in earlier for v in rec.verdicts.values())
-        assert all(v.state is not None and v.state.scenario_id == sid
-                   for sid, v in last.verdicts.items())
+        assert all(v.state is None for rec in state.iterations
+                   for v in rec.verdicts.values())
+        assert list(state.verdicts) == [s.id for s in scens]
+        assert all(v.feasible and v.state.scenario_id == sid
+                   for sid, v in state.verdicts.items())
+        # off the final master, each is the final verification's verdict
+        assert all(state.verdicts[sid] == v for sid, v in last.verdicts.items())
 
     def test_unattainable_targets_name_a_scenario(self):
         doc = two_bus_doc()
@@ -221,8 +225,11 @@ class TestActiveSet:
         scens = sample_scenarios(case30, self.CASE30)
         design, state = sbd_design(case30, scens, self.PARAMS, EXACT)
         assert len(state.iterations) >= 3
-        assert sorted(state.master_verdicts) == sorted(state.iterations[-1].active)
-        for sid, verdict in state.master_verdicts.items():
+        final = state.iterations[-1]
+        assert list(state.verdicts) == [s.id for s in scens]
+        assert sorted(set(state.verdicts) - set(final.verdicts)) == sorted(final.active)
+        for sid in final.active:
+            verdict = state.verdicts[sid]
             assert verdict.feasible and verdict.state.scenario_id == sid
             assert audit(verdict.state, case30, self.PARAMS, design).clean
 
@@ -260,9 +267,11 @@ class TestActiveSet:
             final = state.iterations[-1]
             for sid in final.active:
                 twin = sid + 100
-                assert final.verdicts[twin].to_dict() == {
-                    **state.master_verdicts[sid].to_dict(), "scenario_id": twin}
-                assert final.verdicts[twin].state.scenario_id == twin
+                assert state.verdicts[twin].to_dict() == {
+                    **state.verdicts[sid].to_dict(), "scenario_id": twin}
+                assert state.verdicts[twin].state == replace(
+                    state.verdicts[sid].state, scenario_id=twin)
+                assert final.verdicts[twin] == state.verdicts[twin]
 
     def test_unattainable_batch_names_its_lowest_id(self):
         """Iteration 2 adds scenarios 2 and 3 together, and neither can be
@@ -337,9 +346,11 @@ class TestDistinctDamage:
                     assert got.feasible and alone.feasible
                     continue
                 assert got.to_dict() == alone.to_dict()
+                assert got.state is None
                 if final:
-                    assert got.state.scenario_id == scen.id
-                    assert got.state == alone.state
+                    kept = state.verdicts[scen.id]
+                    assert kept == got and kept.state.scenario_id == scen.id
+                    assert kept.state == alone.state
 
 
 class TestEvaluateDesign:

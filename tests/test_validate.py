@@ -253,6 +253,46 @@ class TestAudit:
                        make_design(net, DesignParams(), [], [], {}))
         assert "imbalance" in {v.kind for v in report.violations}
 
+    def test_generation_checked_against_the_design(self, case5):
+        """A microgrid's dispatch audits clean under the design that builds
+        it, and is flagged under one that builds nothing."""
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        built = make_design(case5, params, [], [], {"mg_c1": 1})
+        params, state = self._solved_state(
+            case5, DamageScenario(1, frozenset({"L1"})), built)
+        assert audit(state, case5, params, built).clean
+        gen = state.dispatch[("c1", A)]
+        assert gen.real > 0.05
+        report = audit(state, case5, params, make_design(case5, params, [], [], {}))
+        assert [(v.kind, v.element) for v in report.violations] == [("generation", "c1:a")]
+        assert report.violations[0].magnitude == pytest.approx(max(gen.real, gen.imag))
+
+    @pytest.mark.parametrize("existing,steps,gen,excess", [
+        (False, 1, complex(1.5, 0.0), 0.5),    # above one step's capacity
+        (False, 1, complex(0.5, -0.2), 0.2),   # negative reactive dispatch
+        (False, 0, complex(0.0, 0.3), 0.3),    # a unit the design does not build
+        (True, 0, complex(0.9, 0.9), None),    # an existing unit counts in full
+        (True, 0, complex(1.2, 0.0), 0.2),
+    ], ids=["above-capacity", "negative-reactive", "unbuilt", "existing-in-full",
+            "above-existing"])
+    def test_generation_bounds(self, existing, steps, gen, excess):
+        doc = two_bus_doc()
+        doc["microgrids"] = [{"id": "g", "bus": "b1", "step_capacity_kva": 1000.0,
+                              "max_steps": 1, "is_existing": existing}]
+        if not existing:
+            doc["microgrids"][0].update(fixed_cost=1.0, variable_cost_rate=1.0)
+        net = load_doc(doc)
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        state = state_for(net, closed=set(), dispatch={("b1", A): gen})
+        design = make_design(net, params, [], [], {} if existing else {"g": steps})
+        flagged = [v for v in audit(state, net, params, design).violations
+                   if v.kind == "generation"]
+        if excess is None:
+            assert flagged == []
+        else:
+            assert [v.element for v in flagged] == ["b1:a"]
+            assert flagged[0].magnitude == pytest.approx(excess)
+
     def test_report_serializes(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design = make_design(case5, params, [], ["L1"], {})
