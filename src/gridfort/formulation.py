@@ -9,9 +9,9 @@ assembled from copies of that compiled block with each scenario's damage
 patched in; ``MasterProblem.add_scenario`` appends one more, cut by every
 cycle in the model's radiality cut pool (``MasterProblem.pool_cycles``).
 
-Variable naming grammar (stable across runs, used in exchange files; names
-are generated only when asked for, by the MPS writer and the model's
-``var_names`` and ``constraints`` views):
+Variable and row naming grammar (stable across runs, used in exchange
+files; names are generated only when asked for, by the MPS writer and the
+model's ``var_names`` and ``constraints`` views):
 
     build:{line}            first-stage new-line decision
     harden:{line}           first-stage hardening decision
@@ -26,6 +26,14 @@ are generated only when asked for, by the MPS writer and the model's
     sgre/sgim:{bus}:{k}:s{S}  generated power components
     sdre/sdim:{bus}:{k}:s{S}  delivered load components
     served:{load}:s{S}      all-or-none load pickup
+
+Rows carry the same scenario suffix; those of the damage rule are
+
+    sw:{line}:s{S}          energization equals availability, eline = bline
+    dmg:{line}:s{S}         the sw row of a damaged line, with the hardening
+                            copy in place of availability: eline <= hline on
+                            a switched line, eline = hline on a switchless one
+    redlink:{line}:s{S}     eline <= bredge of the line's reduced edge
 
 Objective coefficients are expressed in k$ to keep the coefficient range
 tame; reported design costs are in dollars.
@@ -376,7 +384,6 @@ class ScenarioFormulation:
         self.vars = ScenarioVars()
         self.resilience_rows: list[int] = []
         self.switch_rows: dict[str, int] = {}  # line -> its sw row
-        self.link_rows: dict[str, int] = {}    # line -> its redlink row
         self._sub_cap_re, self._sub_cap_im = _substation_capacity(network)
         self._allocate()
 
@@ -467,9 +474,10 @@ class ScenarioFormulation:
         return rows
 
     def add_switching_damage_constraints(self, line_id: str) -> list[int]:
-        """Energization tracks availability. Damage swaps availability for
-        the hardening copy in this row (``ScenarioTemplate.stack``), so an
-        unhardened damaged line is forced open."""
+        """Energization equals availability on an undamaged line. Damage
+        patches this row alone (``ScenarioTemplate.stack``): a damaged line
+        is open unless hardened, a hardened switched line stays switchable,
+        and a hardened switchless line is closed."""
         m = self.model
         e, bs = self.vars.e[line_id], self.vars.bs[line_id]
         return [m.add_constraint({e: 1.0, bs: -1.0}, EQUAL, 0.0,
@@ -601,12 +609,11 @@ class ScenarioFormulation:
         return rows
 
     def add_reduced_edge_links(self, line_id: str) -> list[int]:
-        """Reduced-edge usage dominates every original line beneath it.
-        Damage adds a row right after this one linking the energization
-        binary as well (``ScenarioTemplate.stack``), so hardened switched
-        lines cannot hide from the cycle cuts."""
+        """Reduced-edge usage dominates the energization of every original
+        line beneath it, so every closed line counts in the cycle cuts and
+        an open damaged line in none."""
         bb = self.vars.bredge[self.reduced.edge_of_line(line_id)]
-        return [self.model.add_constraint({self.vars.bs[line_id]: 1.0, bb: -1.0}, LESS,
+        return [self.model.add_constraint({self.vars.e[line_id]: 1.0, bb: -1.0}, LESS,
                                           0.0, f"redlink:{line_id}{self.suffix}")]
 
     def add_master_links(self) -> list[int]:
@@ -635,7 +642,7 @@ class ScenarioFormulation:
             self.switch_rows[lid], = self.add_switching_damage_constraints(lid)
             self.add_imbalance_constraints(lid)
             self.add_voltage_constraints(lid)
-            self.link_rows[lid], = self.add_reduced_edge_links(lid)
+            self.add_reduced_edge_links(lid)
         for bid in sorted(self.network.buses):
             self.add_load_generation_balance(bid)
         self.resilience_rows = self.add_resilience_constraints()
@@ -698,12 +705,12 @@ class ScenarioTemplate:
     undamaged block. The template keeps the first stage's columns and rows,
     the block's columns and its rows as arrays (first-stage columns as they
     are, block columns numbered from the first stage's width), the block's
-    ``ScenarioVars``, its resilience rows, and each line's ``sw`` and
-    ``redlink`` rows, where damage is patched in. Names are kept as stems
-    and completed only when a model's names are asked for. It is read-only
-    after construction, so threads may share it, and the helper processes
-    of a fan-out (``decomposition._fan_out``) use the copy they were forked
-    with.
+    ``ScenarioVars``, its resilience rows, and where each damageable line's
+    ``sw`` row is, the only row damage patches: every block has exactly the
+    template's rows. Names are kept as stems and completed only when a
+    model's names are asked for. It is read-only after construction, so
+    threads may share it, and the helper processes of a fan-out
+    (``decomposition._fan_out``) use the copy they were forked with.
     """
 
     def __init__(self, network: Network, params: DesignParams) -> None:
@@ -729,20 +736,17 @@ class ScenarioTemplate:
         self.row_stems = tuple(row_names[first_rows:])
         self.vars = blk.vars
         self.resilience_rows = [r - first_rows for r in blk.resilience_rows]
-        self.switch_rows = {lid: r - first_rows for lid, r in blk.switch_rows.items()}
-        self.link_rows = {lid: r - first_rows for lid, r in blk.link_rows.items()}
         self._moves = (self.rows.indices >= n).astype(np.int64)
-        # per damageable line: where the sw row holds the availability
-        # column, and the extra link row's entries in column order
-        self._switch_entry: dict[str, int] = {}
-        self._damage_link: dict[str, tuple] = {}
+        # per damageable line: its sw row, where that row holds the
+        # availability column, the hardening copy that replaces it, and the
+        # row's lower bound once damaged (e <= h if switched, else e = h)
+        self._damage: dict[str, tuple[int, int, int, float]] = {}
         for lid in network.damageable_lines():
-            r = self.switch_rows[lid]
+            r = blk.switch_rows[lid] - first_rows
             lo, hi = self.rows.indptr[r], self.rows.indptr[r + 1]
-            self._switch_entry[lid] = int(
-                lo + np.flatnonzero(self.rows.indices[lo:hi] == self.vars.bs[lid])[0])
-            bb = self.vars.bredge[self.reduced.edge_of_line(lid)]
-            self._damage_link[lid] = tuple(sorted(((self.vars.e[lid], 1.0), (bb, -1.0))))
+            entry = int(lo + np.flatnonzero(self.rows.indices[lo:hi] == self.vars.bs[lid])[0])
+            bound = -math.inf if network.lines[lid].has_switch else 0.0
+            self._damage[lid] = (r, entry, self.vars.hs[lid], bound)
 
     def add_first_stage(self, model: MilpModel) -> None:
         """The first-stage columns and rows, at the start of an empty model."""
@@ -754,7 +758,7 @@ class ScenarioTemplate:
         unknown = sorted(scenario.damaged_line_ids - set(lines))
         if unknown:
             raise ValueError(f"scenario {scenario.id} damages unknown lines: {unknown}")
-        bad = sorted(lid for lid in scenario.damaged_line_ids if lid not in self._switch_entry)
+        bad = sorted(lid for lid in scenario.damaged_line_ids if lid not in self._damage)
         if bad:
             raise ValueError(
                 f"scenario {scenario.id} damages candidate/non-damageable lines: {bad}"
@@ -763,12 +767,11 @@ class ScenarioTemplate:
     def stack(self, model: MilpModel, scenario: DamageScenario) -> ScenarioBlock:
         """Append one scenario's block after everything in ``model``: a copy
         of the compiled block with its columns moved to the model's width and
-        the damage patched in, in the emitters' row order. For each damaged
-        line the ``sw`` row becomes ``dmg`` (energization equals the
-        hardening copy instead of availability) and a ``redlinkd`` row
-        ``e - bredge <= 0`` follows its ``redlink`` row."""
+        the damage patched in. Each damaged line's ``sw`` row becomes ``dmg``,
+        the hardening copy taking the place of availability, and loses its
+        lower bound on a switched line; no row is added or moved."""
         self._check_damage(scenario)
-        damaged = sorted(scenario.damaged_line_ids)  # so their link rows ascend
+        damaged = scenario.damaged_line_ids
         shift = model.num_variables - self.n_first
         sfx = f":s{scenario.id}"
         first_row = model.num_constraints
@@ -776,39 +779,25 @@ class ScenarioTemplate:
                           lambda: [stem + sfx for stem in self.var_stems])
         rows = self.rows
         indices = rows.indices + shift * self._moves
-        at = np.array([self.link_rows[lid] + 1 for lid in damaged], dtype=np.int64)
+        lo = rows.lo
         if damaged:
-            indices[[self._switch_entry[lid] for lid in damaged]] = [
-                self.vars.hs[lid] + shift for lid in damaged]
-            entries = np.repeat(rows.indptr[at], 2)
-            link = [entry for lid in damaged for entry in self._damage_link[lid]]
-            counts = np.insert(np.diff(rows.indptr), at, 2)
-            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            rows = RowBlock(
-                indptr,
-                np.insert(indices, entries, [col + shift for col, _ in link]),
-                np.insert(rows.data, entries, [coef for _, coef in link]),
-                np.insert(rows.lo, at, -math.inf),
-                np.insert(rows.hi, at, 0.0),
-            )
-        else:
-            rows = RowBlock(rows.indptr, indices, rows.data, rows.lo, rows.hi)
+            at, entries, cols, bounds = zip(*(self._damage[lid] for lid in damaged))
+            indices[list(entries)] = np.add(cols, shift)
+            lo = lo.copy()
+            lo[list(at)] = bounds
 
         def row_names() -> list[str]:
             names = [stem + sfx for stem in self.row_stems]
             for lid in damaged:
-                names[self.switch_rows[lid]] = f"dmg:{lid}{sfx}"
-            for lid in reversed(damaged):
-                names.insert(self.link_rows[lid] + 1, f"redlinkd:{lid}{sfx}")
+                names[self._damage[lid][0]] = f"dmg:{lid}{sfx}"
             return names
 
-        model.add_rows(rows, row_names)
+        model.add_rows(RowBlock(rows.indptr, indices, rows.data, lo, rows.hi), row_names)
         # the first block of a model sits where the template's does, and
         # shares its (read-only) index maps
         return ScenarioBlock(
             scenario, self.vars if shift == 0 else _shifted(self.vars, shift),
-            [first_row + r + int(np.sum(at <= r)) for r in self.resilience_rows],
+            [first_row + r for r in self.resilience_rows],
         )
 
 
@@ -1059,7 +1048,6 @@ def master_dimensions(network: Network, scenarios: list[DamageScenario],
     fs_vars = n_cand + n_hard + n_steps
     fs_rows = sum(g.max_steps - 1 for g in net.microgrids.values())
     scen_vars = 5 * ne + len(reduced.edges) + 2 * line_phases + 5 * bus_phases + nload
-    damaged_counts = sum(len(s.damaged_line_ids) for s in scenarios)
     s = len(scenarios)
     scen_rows = s * (
         8 * line_phases          # octagon
@@ -1072,7 +1060,7 @@ def master_dimensions(network: Network, scenarios: list[DamageScenario],
         + 2 * mg_bus_phases      # generation caps
         + 2                      # resilience
         + n_cand + n_hard        # master links
-    ) + damaged_counts           # extra damaged-line link rows
+    )
     return {
         "variables": fs_vars + s * scen_vars,
         "constraints": fs_rows + scen_rows,

@@ -626,6 +626,14 @@ def _validate(net: Network) -> None:
                 f"isolated component: {sorted(component)}"
             )
 
+    # lines without a switch are closed whenever they are intact, so a loop
+    # of them (parallel lines collapsed) leaves no undamaged state radial
+    fixed = [(l.from_bus, l.to_bus) for l in net.lines.values() if not l.has_switch]
+    loops = cycle_basis(adjacency((), fixed))
+    if loops:
+        buses = sorted({b for edge in loops[0] for b in edge})
+        raise NetworkError(f"existing lines without a switch close a loop over buses {buses}")
+
 
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

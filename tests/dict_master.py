@@ -5,8 +5,8 @@ as the oracle they are tested against.
 ``compile_dict`` turns it into the arrays HiGHS receives, as the builder did.
 ``DictMaster`` assembles the design MILP scenario by scenario through the
 ``ScenarioFormulation`` emitters, with each scenario's damage emitted in
-place: the ``dmg`` row instead of ``sw``, and a ``redlinkd`` row after
-``redlink``.
+place: a damaged line's ``dmg`` row instead of its ``sw`` row, ``e <= h``
+on a switched line and ``e = h`` on a switchless one, and no other row.
 """
 
 from __future__ import annotations
@@ -131,15 +131,14 @@ class DictMaster:
             damaged = lid in scenario.damaged_line_ids
             blk.add_thermal_direction_constraints(lid)
             if damaged:
-                m.add_constraint({v.e[lid]: 1.0, v.hs[lid]: -1.0}, EQUAL, 0.0, f"dmg:{lid}{sfx}")
+                sense = LESS if net.lines[lid].has_switch else EQUAL
+                m.add_constraint({v.e[lid]: 1.0, v.hs[lid]: -1.0}, sense, 0.0, f"dmg:{lid}{sfx}")
             else:
                 m.add_constraint({v.e[lid]: 1.0, v.bs[lid]: -1.0}, EQUAL, 0.0, f"sw:{lid}{sfx}")
             blk.add_imbalance_constraints(lid)
             blk.add_voltage_constraints(lid)
             bb = v.bredge[self.reduced.edge_of_line(lid)]
-            m.add_constraint({v.bs[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlink:{lid}{sfx}")
-            if damaged:
-                m.add_constraint({v.e[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlinkd:{lid}{sfx}")
+            m.add_constraint({v.e[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlink:{lid}{sfx}")
         for bid in sorted(net.buses):
             blk.add_load_generation_balance(bid)
         blk.resilience_rows = blk.add_resilience_constraints()

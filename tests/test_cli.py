@@ -22,7 +22,7 @@ from gridfort.cli import main
 from gridfort.decomposition import Verdict
 from gridfort.validate import audit
 
-from conftest import FIXTURES
+from conftest import FIXTURES, c, two_bus_doc, z1
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -244,6 +244,75 @@ class TestDesignCommand:
         assert 0 < len(outside) < len(damage)
         assert all(a == b for a, b in outside)
         assert all(r["radial"] and not r["violations"] for r in designed + validated)
+
+
+def _line(lid, frm, to, **fields):
+    return {"id": lid, "from": frm, "to": to, "phases": "a", "length_km": 1.0,
+            "impedance": z1(0.1, 0.2), "capacity_kva": 500.0, **fields}
+
+
+def three_bus_config(tmp_path: Path, lines: list[dict], damage: list[list[str]]) -> Path:
+    """Buses sub, a and b on phase a, a critical load at b, the given lines
+    and scenario damage sets, and a critical target of 0.98."""
+    doc = two_bus_doc(lines=lines, loads=[
+        {"id": "ld_b", "bus": "b", "is_critical": True, "demand_kva": {"a": c(50.0, 10.0)}}])
+    doc["buses"] = [{"id": "sub", "phases": "a", "is_substation": True},
+                    {"id": "a", "phases": "a"}, {"id": "b", "phases": "a"}]
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    write_scenarios(tmp_path / "scens.json", damage)
+    return write_config(tmp_path, network="net.json", scenarios_file="scens.json")
+
+
+def audit_is_clean(out: Path) -> bool:
+    rows = json.loads((out / "audit.json").read_text())
+    return bool(rows) and all(r["radial"] and not r["violations"] for r in rows)
+
+
+class TestDamagedLineOpenUnlessHardened:
+    """A damaged line is open unless hardened, an open damaged line is not
+    part of the radial graph, and a hardened switched line stays
+    switchable."""
+
+    def test_tie_replaces_an_open_damaged_line(self, tmp_path):
+        # a damaged switchless L2 must not count in the cycle sub-a-b closed
+        # by the tie T, so building T for 10 k$ beats hardening L2
+        lines = [_line("L1", "sub", "a", hardenable=True, harden_cost=100_000.0),
+                 _line("L2", "a", "b", hardenable=True, harden_cost=100_000.0),
+                 _line("T", "sub", "b", status="candidate_new", has_switch=True,
+                       construction_cost=10_000.0)]
+        cfg = three_bus_config(tmp_path, lines, [[], ["L2"]])
+        assert main(["design", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "design.json").read_text())
+        assert (doc["built_lines"], doc["hardened_lines"]) == (["T"], [])
+        assert doc["cost"]["total"] == 10_000.0
+        assert audit_is_clean(tmp_path / "out")
+
+    def test_hardened_switched_line_may_stay_open(self, tmp_path):
+        # hardening the switched L2 covers the loss of L2 and L3; where L2
+        # alone is damaged it must stay open, as L1 and L3 close the loop
+        lines = [_line("L1", "sub", "a", damageable=False),
+                 _line("L2", "a", "b", has_switch=True, hardenable=True,
+                       harden_cost=10_000.0),
+                 _line("L3", "sub", "b", hardenable=True, harden_cost=100_000.0)]
+        cfg = three_bus_config(tmp_path, lines, [[], ["L2", "L3"], ["L2"]])
+        assert main(["design", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "design.json").read_text())
+        assert (doc["built_lines"], doc["hardened_lines"]) == ([], ["L2"])
+        assert doc["cost"]["total"] == 10_000.0
+        assert audit_is_clean(tmp_path / "out")
+        design = tmp_path / "harden_l2.json"
+        design.write_text(json.dumps(
+            {"built_lines": [], "hardened_lines": ["L2"], "microgrid_steps": {}}))
+        validated = tmp_path / "validated"
+        assert main(["validate", "--config", str(cfg), "--design", str(design),
+                     "--out", str(validated)]) == 0
+        assert audit_is_clean(validated)
+
+    def test_loop_of_switchless_lines_exits_2(self, tmp_path, capsys):
+        lines = [_line("L1", "sub", "a"), _line("L2", "a", "b"), _line("L3", "sub", "b")]
+        cfg = three_bus_config(tmp_path, lines, [[]])
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert "loop over buses ['a', 'b', 'sub']" in capsys.readouterr().err
 
 
 class TestIterationLog:

@@ -28,7 +28,7 @@ from gridfort.formulation import (
 from gridfort.milp import BINARY, MilpModel
 from gridfort.model import Phase, aggregate_parallel_edges
 
-from conftest import c, load_doc, two_bus_doc, z1
+from conftest import c, load_doc, two_bus_doc, two_rings_doc, z1
 
 EXACT = SolverOptions(rel_gap=1e-9)
 BASELINE = DamageScenario(0, frozenset())
@@ -546,8 +546,13 @@ class TestMaster:
 class TestModelDimensions:
     def test_formula_matches_built_model(self, case5, case30):
         params = DesignParams()
-        for net in (case5, case30):
-            scens = [BASELINE, DamageScenario(1, frozenset())]
+        rings = load_doc(two_rings_doc())
+        # ra0 carries a switch and sa does not: damage patches the sw row of
+        # either and adds no row
+        assert rings.lines["ra0"].has_switch and not rings.lines["sa"].has_switch
+        for net, damage in ((case5, set()), (case30, set()), (case30, {"T1", "T5"}),
+                            (rings, {"ra0", "sa"})):
+            scens = [BASELINE, DamageScenario(1, frozenset(damage))]
             master = build_master(net, scens, params)
             dims = master_dimensions(net, scens, params)
             assert master.model.num_variables == dims["variables"]
@@ -565,7 +570,7 @@ class TestModelDimensions:
         scens = [BASELINE, DamageScenario(1, frozenset({"T1", "T5"}))]
         dims = master_dimensions(case30, scens, DesignParams())
         assert dims == {
-            "variables": 1118, "constraints": 1884, "binaries": 372,
+            "variables": 1118, "constraints": 1882, "binaries": 372,
             "first_stage_variables": 16, "nodes": 30,
         }
 

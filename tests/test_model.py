@@ -82,6 +82,21 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError, match="switch"):
             load_doc(doc)
 
+    def test_loop_of_switchless_lines_rejected(self):
+        """Intact lines without a switch are always closed, so a loop of
+        them leaves no undamaged state radial; parallel lines collapse
+        first, as in the reduced graph."""
+        doc = two_bus_doc()
+        doc["buses"].append({"id": "b2", "phases": "a"})
+        doc["lines"] += [dict(doc["lines"][0], id="l1b", **{"from": "b1", "to": "sub"}),
+                         dict(doc["lines"][0], id="l2", **{"from": "b1", "to": "b2"})]
+        load_doc(doc)
+        doc["lines"].append(dict(doc["lines"][0], id="l3", **{"from": "b2", "to": "sub"}))
+        with pytest.raises(NetworkError, match=r"loop over buses \['b1', 'b2', 'sub'\]"):
+            load_doc(doc)
+        doc["lines"][-1]["has_switch"] = True
+        load_doc(doc)
+
     def test_disconnected_bus_rejected(self):
         doc = two_bus_doc()
         doc["buses"].append({"id": "b2", "phases": "a"})

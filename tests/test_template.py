@@ -18,7 +18,7 @@ from gridfort import (
 )
 from gridfort.decomposition import evaluate_distinct, solve_with_cycle_cuts
 from gridfort.formulation import ScenarioTemplate, make_design
-from gridfort.milp import _compile, write_model
+from gridfort.milp import MilpModel, _compile, write_model
 
 from conftest import load_doc, two_rings_doc
 from dict_master import DictMaster, compile_dict
@@ -228,6 +228,28 @@ class TestSharedTemplate:
         for x, y in zip(before, after):
             np.testing.assert_array_equal(x, y, strict=True)
         assert (list(template.lb), list(template.ub)) == bounds
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_block_has_the_templates_rows(self, seed, data):
+        """Damage renames and patches each damaged line's sw row in place:
+        a block has the template's row count and row order whatever it
+        damages, and its resilience rows sit where the template's do."""
+        network, _, params = random_instance(seed)
+        template = ScenarioTemplate(network, params)
+        lines = sorted(network.damageable_lines())
+        damage = data.draw(st.sets(st.sampled_from(lines)) if lines else st.just(set()))
+        model = MilpModel()
+        template.add_first_stage(model)
+        template.stack(model, DamageScenario(0, frozenset()))
+        start = model.num_constraints
+        block = template.stack(model, DamageScenario(1, frozenset(damage)))
+        assert model.num_constraints - start == len(template.rows)
+        assert block.resilience_rows == [start + r for r in template.resilience_rows]
+        names = model.row_names[start:]
+        renamed = {name for name, stem in zip(names, template.row_stems)
+                   if name != stem + ":s1"}
+        assert renamed == {f"dmg:{lid}:s1" for lid in damage}
 
     def test_template_of_other_params_rejected(self, case5):
         template = ScenarioTemplate(case5, DesignParams())
