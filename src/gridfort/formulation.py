@@ -11,7 +11,7 @@ cycle in the model's radiality cut pool (``MasterProblem.pool_cycles``).
 
 Variable and row naming grammar (stable across runs, used in exchange
 files; names are generated only when asked for, by the MPS writer and the
-model's ``var_names`` and ``constraints`` views):
+model's ``var_names`` and ``row_names``):
 
     build:{line}            first-stage new-line decision
     harden:{line}           first-stage hardening decision

@@ -4,12 +4,14 @@ A model is compiled and append-only: its rows are sparse row blocks in
 insertion order (``RowBlock``), either appended whole (``add_rows``, one
 scenario block at a time) or added one by one (``add_constraint``) and
 compiled on the next solve. Names of bulk-added columns and rows are
-generated only when asked for. The built-in backend joins the blocks into
-one sparse row-bounded matrix and hands it to HiGHS branch-and-cut through
-``scipy.optimize.milp``, in process, which keeps the test suite hermetic (no
-third-party MILP solver process needed). The external adapter exchanges MPS
-model files and a plain solution file with any solver wrapped behind a
-subprocess command template.
+generated only when asked for. Both backends read the model as one compiled
+form (``_compile``): the blocks joined into one sparse row-bounded matrix
+``row_lo <= A @ x <= row_hi``. The built-in backend hands it to HiGHS
+branch-and-cut through ``scipy.optimize.milp``, in process, which keeps the
+test suite hermetic (no third-party MILP solver process needed). The
+external adapter writes it as an MPS model file (``write_model``) and reads
+back a plain solution file from any solver wrapped behind a subprocess
+command template.
 
 HiGHS receives only a model's free columns (``_free_columns``). A column
 whose bounds are equal is substituted at its bound: its part of each row
@@ -138,16 +140,6 @@ class Solution:
         return abs(self.objective - self.bound) / max(1.0, abs(self.objective))
 
 
-@dataclass
-class _Constraint:
-    """One row as the ``MilpModel.constraints`` view shows it."""
-
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
-    name: str
-
-
 @dataclass(frozen=True)
 class RowBlock:
     """Rows in compressed sparse row form: row i holds the entries
@@ -204,9 +196,10 @@ class MilpModel:
     Rows stay in insertion order. A row added by ``add_constraint`` waits as
     a dict until the next compile turns the waiting rows into one
     ``RowBlock``; ``add_rows`` appends a whole block at once. Compiling joins
-    the blocks, so a cut round appends rows to the compiled arrays instead of
-    rebuilding them. Names of columns and rows added in bulk are produced
-    only when asked for (``var_names``, ``constraints``, the MPS writer).
+    the blocks (``rows``), so a cut round appends rows to the compiled arrays
+    instead of rebuilding them; both solver routes read those arrays. Names
+    of columns and rows added in bulk are produced only when asked for
+    (``var_names``, ``row_names``, the MPS writer).
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -293,7 +286,8 @@ class MilpModel:
 
     def set_rhs(self, row: int, rhs: float) -> None:
         """Move the finite side of a one-sided row, or both sides of an
-        equality, to ``rhs``."""
+        equality, to ``rhs``, in the joined block ``rows`` returns: the
+        arrays the next solve and the MPS writer read."""
         rows = self.rows()
         if rows.lo[row] != -math.inf:
             rows.lo[row] = rhs
@@ -351,27 +345,6 @@ class MilpModel:
     @property
     def row_names(self) -> list[str]:
         return [name or f"c{i}" for i, name in enumerate(_expand(self._row_names))]
-
-    @property
-    def constraints(self) -> list[_Constraint]:
-        """The rows as dicts, in order: a view built on each call, so a
-        change to it leaves the model as it was (see ``set_rhs``)."""
-        rows = self.rows()
-        names = self.row_names
-        indptr = rows.indptr.tolist()
-        indices, data = rows.indices.tolist(), rows.data.tolist()
-        out = []
-        for i, (lo, hi) in enumerate(zip(rows.lo.tolist(), rows.hi.tolist())):
-            a, b = indptr[i], indptr[i + 1]
-            if lo == -math.inf:
-                sense, rhs = LESS, hi
-            elif hi == math.inf:
-                sense, rhs = GREATER, lo
-            else:
-                sense, rhs = EQUAL, lo
-            out.append(_Constraint(dict(zip(indices[a:b], data[a:b])), sense, rhs,
-                                   names[i]))
-        return out
 
 
 def _own_names(segments: list) -> list:
@@ -656,76 +629,84 @@ def _mps_names(names: list[str]) -> list[str]:
 
 
 def write_model(model: MilpModel) -> str:
-    """Serialize to MPS text (free layout, fixed section structure).
+    """Serialize to MPS text (free layout, fixed section structure) from
+    the arrays the builtin engine reads (``_compile``).
 
-    Zero coefficients are omitted; a variable that appears nowhere gets a
-    single zero objective entry so its column is still declared. Names
-    follow ``_mps_names``.
+    A row is ``L`` where ``row_lo`` is infinite, ``G`` where ``row_hi`` is,
+    and ``E`` at ``row_lo`` otherwise. Zero coefficients and right-hand sides
+    are omitted; a column that appears nowhere gets a single zero objective
+    entry so it is still declared. Each column lists its objective entry,
+    then its rows in order. Names follow ``_mps_names``; numbers print as
+    Python float reprs.
     """
-    rows: list[str] = []
+    lp = _compile(model)
     var_names = _mps_names(model.var_names)
-    constraints = model.constraints
-    con_names = _mps_names([con.name for con in constraints])
+    row_names = _mps_names(model.row_names)
+    out = [f"NAME          {_mps_name(model.name)}", "ROWS", " N  OBJ"]
+    rhs = []
+    for rn, lo, hi in zip(row_names, lp.row_lo.tolist(), lp.row_hi.tolist()):
+        if lo == -math.inf:
+            sense, value = "L", hi
+        elif hi == math.inf:
+            sense, value = "G", lo
+        else:
+            sense, value = "E", lo
+        out.append(f" {sense}  {rn}")
+        if value != 0.0:
+            rhs.append(f"    RHS  {rn}  {value!r}")
 
-    rows.append(f"NAME          {_mps_name(model.name)}")
-    rows.append("ROWS")
-    rows.append(" N  OBJ")
-    sense_tag = {LESS: "L", GREATER: "G", EQUAL: "E"}
-    for con, cn in zip(constraints, con_names):
-        rows.append(f" {sense_tag[con.sense]}  {cn}")
-
-    by_var: dict[int, list[tuple[str, float]]] = {i: [] for i in range(model.num_variables)}
-    for ix, c in model.objective.items():
-        if c != 0.0:
-            by_var[ix].append(("OBJ", c))
-    for con, cn in zip(constraints, con_names):
-        for ix, c in con.coeffs.items():
-            if c != 0.0:
-                by_var[ix].append((cn, c))
-
-    rows.append("COLUMNS")
+    out.append("COLUMNS")
+    cols = lp.A.tocsc()
+    indptr, rows, data = cols.indptr.tolist(), cols.indices.tolist(), cols.data.tolist()
     in_int = False
     marker = 0
-    for ix in range(model.num_variables):
-        entries = by_var[ix] or [("OBJ", 0.0)]
-        want_int = model.kinds[ix] == BINARY
-        if want_int != in_int:
-            tag = "'INTORG'" if want_int else "'INTEND'"
-            rows.append(f"    M{marker}  'MARKER'  {tag}")
+    for ix, (vn, c, is_int) in enumerate(zip(var_names, lp.c.tolist(), lp.binary.tolist())):
+        if is_int != in_int:
+            tag = "'INTORG'" if is_int else "'INTEND'"
+            out.append(f"    M{marker}  'MARKER'  {tag}")
             marker += 1
-            in_int = want_int
-        for rn, c in entries:
-            rows.append(f"    {var_names[ix]}  {rn}  {c!r}")
+            in_int = is_int
+        entries = [("OBJ", c)] if c != 0.0 else []
+        a, b = indptr[ix], indptr[ix + 1]
+        entries += [(row_names[r], v) for r, v in zip(rows[a:b], data[a:b]) if v != 0.0]
+        for rn, v in entries or [("OBJ", 0.0)]:
+            out.append(f"    {vn}  {rn}  {v!r}")
     if in_int:
-        rows.append(f"    M{marker}  'MARKER'  'INTEND'")
+        out.append(f"    M{marker}  'MARKER'  'INTEND'")
 
-    rows.append("RHS")
-    for con, cn in zip(constraints, con_names):
-        if con.rhs != 0.0:
-            rows.append(f"    RHS  {cn}  {con.rhs!r}")
-
-    rows.append("BOUNDS")
-    for ix in range(model.num_variables):
-        vn = var_names[ix]
-        lo, hi = model.lb[ix], model.ub[ix]
+    out.append("RHS")
+    out.extend(rhs)
+    out.append("BOUNDS")
+    for vn, lo, hi in zip(var_names, model.lb, model.ub):
         if lo == hi:
-            rows.append(f" FX BND  {vn}  {lo!r}")
+            out.append(f" FX BND  {vn}  {lo!r}")
             continue
         if math.isinf(lo) and math.isinf(hi):
-            rows.append(f" FR BND  {vn}")
+            out.append(f" FR BND  {vn}")
             continue
         if math.isinf(lo):
-            rows.append(f" MI BND  {vn}")
+            out.append(f" MI BND  {vn}")
         elif lo != 0.0:
-            rows.append(f" LO BND  {vn}  {lo!r}")
+            out.append(f" LO BND  {vn}  {lo!r}")
         if not math.isinf(hi):
-            rows.append(f" UP BND  {vn}  {hi!r}")
-    rows.append("ENDATA")
-    return "\n".join(rows) + "\n"
+            out.append(f" UP BND  {vn}  {hi!r}")
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"
 
 
 _OBJ_LINE_RE = re.compile(r"objective value\s*=?\s*(-?[\d.eE+-]+)", re.IGNORECASE)
 _INFEASIBLE_LINE_RE = re.compile(r"^#\s*status\s*=\s*infeasible\s*$", re.IGNORECASE)
+
+
+def _finite(raw: str, lineno: int) -> float:
+    """``raw`` as a finite float; SolverError naming the line otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise SolverError(f"solution line {lineno}: bad value {raw!r}") from None
+    if not math.isfinite(value):
+        raise SolverError(f"solution line {lineno}: value {raw!r} is not finite")
+    return value
 
 
 def parse_external_solution(text: str, model: MilpModel,
@@ -738,7 +719,10 @@ def parse_external_solution(text: str, model: MilpModel,
     (``_mps_names``). Variables absent from the file default to 0.
     Binary values must be integral within the integrality tolerance and are
     rounded. A comment line ``# Status = infeasible`` instead reports a
-    model proven infeasible, whatever else the file holds.
+    model proven infeasible, whatever else the file holds. A file that
+    breaks these rules raises ``SolverError``, and so does one whose
+    objective or any value is not a finite float, or that names a variable
+    twice.
     """
     if any(_INFEASIBLE_LINE_RE.match(line.strip()) for line in text.splitlines()):
         return Solution("infeasible")
@@ -746,6 +730,7 @@ def parse_external_solution(text: str, model: MilpModel,
     objective: float | None = None
     values = np.zeros(model.num_variables)
     mps_to_ix = {v: i for i, v in enumerate(_mps_names(model.var_names))}
+    named: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -753,7 +738,7 @@ def parse_external_solution(text: str, model: MilpModel,
         if line.startswith("#"):
             m = _OBJ_LINE_RE.search(line)
             if m:
-                objective = float(m.group(1))
+                objective = _finite(m.group(1), lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -762,10 +747,10 @@ def parse_external_solution(text: str, model: MilpModel,
         ix = mps_to_ix.get(name)
         if ix is None:
             raise SolverError(f"solution names unknown variable {name!r}")
-        try:
-            v = float(raw)
-        except ValueError:
-            raise SolverError(f"solution line {lineno}: bad value {raw!r}") from None
+        if ix in named:
+            raise SolverError(f"solution line {lineno}: variable {name!r} named twice")
+        named.add(ix)
+        v = _finite(raw, lineno)
         if model.kinds[ix] == BINARY:
             r = round(v)
             if abs(v - r) > options.int_tol:

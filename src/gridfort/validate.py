@@ -1,9 +1,11 @@
-"""Independent audit of a solved scenario operation: radiality, true circular
-thermal limits (strictly stronger than the solver's octagon), voltage
-recomputation in the same linearized physics, generation within the
-design's microgrid capacity, flow balance, and resilience accounting.
-Violations are data, not errors; reports serialize to JSON and drive the
-CLI's nonzero-exit contract.
+"""Independent audit of a solved scenario operation: radiality, line states
+(no damaged unhardened or unbuilt line closed, no line without a switch
+open unless damaged and unhardened), true circular thermal limits (strictly
+stronger than the solver's octagon), voltage recomputation in the same
+linearized physics, generation within the design's microgrid capacity, flow
+balance, and resilience accounting. Violations are data, not errors; each
+has a ``kind`` (the README lists them), and reports serialize to JSON and
+drive the CLI's nonzero-exit contract.
 """
 
 from __future__ import annotations
@@ -218,6 +220,12 @@ def audit(state: OperationState, network: Network, params: DesignParams,
             violations.append(Violation("damaged_line_closed", lid, 1.0))
         if line.is_candidate and lid not in built:
             violations.append(Violation("unbuilt_line_closed", lid, 1.0))
+    # the model forces a line without a switch closed when it is intact
+    # (sw: eline = bline = 1) or damaged and hardened (dmg: eline = hline)
+    for lid in sorted(network.lines):
+        if (not network.lines[lid].has_switch and lid not in state.closed_lines
+                and (lid not in state.damaged_lines or lid in hardened)):
+            violations.append(Violation("switchless_line_open", lid, 1.0))
 
     worst_util = 0.0
     for (lid, k), s in sorted(state.flows.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):

@@ -2,7 +2,9 @@
 as the oracle they are tested against.
 
 ``DictModel`` holds every row as a coefficient dict with its name, and
-``compile_dict`` turns it into the arrays HiGHS receives, as the builder did.
+``compile_dict`` turns it into the arrays HiGHS receives, as the builder did;
+``DictModel.rows`` hands them on as one ``RowBlock``, so ``write_model``
+writes a ``DictModel`` as it does a ``MilpModel``.
 ``DictMaster`` assembles the design MILP scenario by scenario through the
 ``ScenarioFormulation`` emitters, with each scenario's damage emitted in
 place: a damaged line's ``dmg`` row instead of its ``sw`` row, ``e <= h``
@@ -26,7 +28,7 @@ from gridfort.formulation import (
     _served_objective,
 )
 from gridfort.fragility import DamageScenario
-from gridfort.milp import BINARY, CONTINUOUS, EQUAL, GREATER, LESS
+from gridfort.milp import BINARY, CONTINUOUS, EQUAL, GREATER, LESS, RowBlock
 from gridfort.model import aggregate_parallel_edges
 
 
@@ -78,6 +80,16 @@ class DictModel:
     @property
     def num_variables(self) -> int:
         return len(self.var_names)
+
+    @property
+    def row_names(self) -> list[str]:
+        return [con.name for con in self.constraints]
+
+    def rows(self) -> RowBlock:
+        """Every row in order, as ``MilpModel.rows`` gives them."""
+        arrays = compile_dict(self)
+        return RowBlock(*(arrays[key] for key in ("indptr", "indices", "data",
+                                                  "row_lo", "row_hi")))
 
 
 def compile_dict(model: DictModel) -> dict[str, np.ndarray]:

@@ -438,6 +438,32 @@ class TestSolverFailures:
         assert any(line.startswith("solver failure:") for line in err)
         assert not (tmp_path / "out" / "design.json").exists()
 
+    @pytest.mark.parametrize("mode", ["objective", "inf", "nan"])
+    def test_malformed_external_solution_exits_4(self, tmp_path, capsys, mode):
+        """A solver command whose solution file states an objective that does
+        not parse, or a value that is not finite for every variable, binaries
+        among them, is a solver failure."""
+        stub = tmp_path / "stub.py"
+        stub.write_text(textwrap.dedent("""\
+            import subprocess, sys
+            fake, model, solution, mode = sys.argv[1:]
+            subprocess.run([sys.executable, fake, model, solution], check=True)
+            head, *values = open(solution).read().splitlines()
+            if mode == "objective":
+                head = "# Objective value = 1.2.3"
+            else:
+                values = [line.split()[0] + " " + mode for line in values]
+            open(solution, "w").write("\\n".join([head] + values) + "\\n")
+        """))
+        fake = Path(__file__).parent / "fake_solver.py"
+        cfg = write_config(tmp_path, solver={
+            "rel_gap": 1e-6,
+            "external_command": f"{sys.executable} {stub} {fake} {{model}} {{solution}} {mode}"})
+        assert main(["design", "--config", str(cfg), "--solver", "external"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("solver failure:") for line in err), err
+        assert not (tmp_path / "out" / "design.json").exists()
+
     def test_removed_feasibility_tolerance_is_an_input_error(self, tmp_path):
         cfg = write_config(tmp_path, solver={"feas_tol": 1e-6})
         assert main(["design", "--config", str(cfg)]) == 2

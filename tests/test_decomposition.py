@@ -498,7 +498,7 @@ class TestPersistentMaster:
 
         def recording_solve(model, options=None):
             sol = real_solve(model, options)
-            cuts = sum(con.name.startswith("cycle:") for con in model.constraints)
+            cuts = sum(name.startswith("cycle:") for name in model.row_names)
             solves.append((model, sol.status, cuts))
             return sol
 

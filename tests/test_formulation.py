@@ -386,9 +386,9 @@ class TestCycleCut:
         master = build_master(net, [BASELINE], DesignParams(critical_fraction=0.0))
         cycle = tuple(sorted(master.reduced.edges))
         cid = master.add_cycle_cut(cycle, 0)
-        con = master.model.constraints[cid]
-        assert con.rhs == 2.0
-        assert len(con.coeffs) == 3
+        rows = master.model.rows()
+        assert (rows.lo[cid], rows.hi[cid]) == (-math.inf, 2.0)
+        assert rows.indptr[cid + 1] - rows.indptr[cid] == 3
 
     def test_cut_forbids_full_triangle(self):
         net = triangle_net()
@@ -595,8 +595,12 @@ class TestAddScenario:
         assert list(grown.blocks) == list(built.blocks) == [s.id for s in scens]
 
         def rows(model):
-            return Counter((con.name, tuple(sorted(con.coeffs.items())), con.sense, con.rhs)
-                           for con in model.constraints)
+            block = model.rows()
+            ptr, ix, data = block.indptr.tolist(), block.indices.tolist(), block.data.tolist()
+            return Counter(
+                (name, tuple(sorted(zip(ix[a:b], data[a:b]))), lo, hi)
+                for name, a, b, lo, hi in zip(model.row_names, ptr, ptr[1:],
+                                              block.lo.tolist(), block.hi.tolist()))
 
         assert rows(a) == rows(b)
 

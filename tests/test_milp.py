@@ -582,6 +582,67 @@ class TestMpsWriter:
         assert [l.split()[0] for l in columns] == ["a_b", "a_b.1", "c"]
         assert " L  r_1" in lines and " L  r_1.1" in lines
 
+    def test_whole_text(self):
+        """Every section of a small model, line by line: a zero coefficient
+        (stored in a row block) and a zero RHS are left out, an unused
+        column gets ``OBJ 0.0``, each run of binary columns has its own
+        marker pair, and ``x y``/``x_y`` clean to one name."""
+        m = MilpModel("pin model")
+        xy = m.add_variable("x y", -math.inf, math.inf)
+        x_y = m.add_variable("x_y", -math.inf, 5.0)
+        b1 = m.add_variable("b1", kind=BINARY)
+        b2 = m.add_variable("b2", kind=BINARY)
+        m.fix_variable(b2, 1.0)
+        z = m.add_variable("z", 2.0, math.inf)
+        b3 = m.add_variable("b3", kind=BINARY)
+        m.add_variable("u", 0.0, math.inf)
+        w = m.add_variable("w", 0.5, 3.0)
+        m.add_rows(RowBlock(np.array([0, 3]), np.array([xy, x_y, z]),
+                            np.array([1.0, 2.0, 0.0]), np.array([-math.inf]),
+                            np.array([4.0])), ["le"])
+        m.add_constraint({b1: 1.0, b3: 1.0, w: -0.25}, GREATER, 1.0, "ge")
+        m.add_constraint({x_y: 1.0, z: 1.0, b2: 1.0}, EQUAL, 0.0, "eq")
+        m.set_objective({b1: 3.0, z: 0.5, xy: -1.5})
+        assert write_model(m) == """\
+NAME          pin_model
+ROWS
+ N  OBJ
+ L  le
+ G  ge
+ E  eq
+COLUMNS
+    x_y  OBJ  -1.5
+    x_y  le  1.0
+    x_y.1  le  2.0
+    x_y.1  eq  1.0
+    M0  'MARKER'  'INTORG'
+    b1  OBJ  3.0
+    b1  ge  1.0
+    b2  eq  1.0
+    M1  'MARKER'  'INTEND'
+    z  OBJ  0.5
+    z  eq  1.0
+    M2  'MARKER'  'INTORG'
+    b3  ge  1.0
+    M3  'MARKER'  'INTEND'
+    u  OBJ  0.0
+    w  ge  -0.25
+RHS
+    RHS  le  4.0
+    RHS  ge  1.0
+BOUNDS
+ FR BND  x_y
+ MI BND  x_y.1
+ UP BND  x_y.1  5.0
+ UP BND  b1  1.0
+ FX BND  b2  1.0
+ LO BND  z  2.0
+ UP BND  b3  1.0
+ LO BND  w  0.5
+ UP BND  w  3.0
+ENDATA
+"""
+
     def test_long_names_stable_across_hash_seeds(self):
         import gridfort
 
@@ -656,6 +717,25 @@ class TestExternalAdapter:
         m.set_objective({0: 1.0})
         with pytest.raises(SolverError, match="objective"):
             parse_external_solution("x 1.0\n", m)
+
+    @pytest.mark.parametrize("text, match", [
+        ("# Objective value = 1.2.3\nx 1\n", "bad value '1.2.3'"),
+        ("# Objective value = 1e999\nx 1\n", "'1e999' is not finite"),
+        ("# Objective value = 1\nx inf\n", "'inf' is not finite"),
+        ("# Objective value = 1\nx -inf\n", "'-inf' is not finite"),
+        ("# Objective value = 1\nx nan\n", "'nan' is not finite"),
+        ("# Objective value = 1\nb inf\n", "'inf' is not finite"),
+        ("# Objective value = 1\nb nan\n", "'nan' is not finite"),
+        ("# Objective value = 1\nx 1\nb 1\nx 2\n", "line 4: variable 'x' named twice"),
+    ], ids=["objective-unparsed", "objective-overflow", "inf", "minus-inf", "nan",
+            "binary-inf", "binary-nan", "named-twice"])
+    def test_malformed_file_is_a_solver_error(self, text, match):
+        m = MilpModel()
+        m.add_variable("x", 0.0, 5.0)
+        m.add_variable("b", kind=BINARY)
+        m.set_objective({0: 1.0, 1: 1.0})
+        with pytest.raises(SolverError, match=match):
+            parse_external_solution(text, m)
 
     def test_round_trip_through_fake_external_solver(self):
         fake = Path(__file__).parent / "fake_solver.py"
@@ -743,8 +823,9 @@ class TestRowStorage:
             m.add_constraint({x: 1.0}, sense, 2.0, sense)
         for row in range(3):
             m.set_rhs(row, 5.0)
-        assert [(con.sense, con.rhs) for con in m.constraints] == [
-            (LESS, 5.0), (GREATER, 5.0), (EQUAL, 5.0)]
+        rows = m.rows()
+        assert list(zip(rows.lo.tolist(), rows.hi.tolist())) == [
+            (-math.inf, 5.0), (5.0, math.inf), (5.0, 5.0)]
         m.set_objective({x: 1.0})
         assert solve(m, EXACT).values[0] == pytest.approx(5.0)
 
@@ -759,12 +840,12 @@ class TestRowStorage:
         m.add_constraint({x: 1.0}, EQUAL, 3.0, "last")
         assert m.num_constraints == 4
         assert m.row_names == ["c0", "b0", "c2", "last"]
-        assert [(con.coeffs, con.sense, con.rhs) for con in m.constraints] == [
-            ({0: 2.0, 1: 1.0}, LESS, 10.0), ({0: 1.0}, GREATER, 1.0),
-            ({0: 1.0, 1: -1.0}, LESS, 0.0), ({0: 1.0}, EQUAL, 3.0)]
-        view = m.constraints
-        view[0].rhs = 99.0
-        assert m.constraints[0].rhs == 10.0
+        rows = m.rows()
+        assert rows.indptr.tolist() == [0, 2, 3, 5, 6]
+        assert rows.indices.tolist() == [0, 1, 0, 0, 1, 0]
+        assert rows.data.tolist() == [2.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+        assert rows.lo.tolist() == [-math.inf, 1.0, -math.inf, 3.0]
+        assert rows.hi.tolist() == [10.0, math.inf, 0.0, 3.0]
         m.set_objective({y: -1.0})
         assert solve(m, EXACT).values.tolist() == pytest.approx([3.0, 4.0])
 

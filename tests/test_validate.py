@@ -7,6 +7,7 @@ from gridfort import (
     DesignParams,
     OperationState,
     SolverOptions,
+    Violation,
     audit,
     check_radiality,
     evaluate_design,
@@ -202,6 +203,23 @@ class TestAudit:
         state = state_for(case5, closed={"L1"}, damaged={"L1"})
         report = audit(state, case5, params, design)
         assert "damaged_line_closed" not in {v.kind for v in report.violations}
+
+    def test_intact_switchless_line_open_flagged(self, case5):
+        """L4 has no switch and is intact, so the model keeps it closed; a
+        state that opens it, serving nothing, fails only on that."""
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        state = state_for(case5, closed=set(case5.lines) - {"L4"})
+        report = audit(state, case5, params, make_design(case5, params, [], [], {}))
+        assert report.violations == [Violation("switchless_line_open", "L4", 1.0)]
+
+    @pytest.mark.parametrize("hardened", [["L1"], []])
+    def test_damaged_switchless_line_open_unless_hardened(self, case5, hardened):
+        """A damaged switchless line is closed exactly when hardened."""
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        state = state_for(case5, closed=set(case5.lines) - {"L1"}, damaged={"L1"})
+        report = audit(state, case5, params, make_design(case5, params, [], hardened, {}))
+        want = [Violation("switchless_line_open", "L1", 1.0)] if hardened else []
+        assert report.violations == want
 
     def test_balance_residual_checked(self):
         net = three_bus_net()
