@@ -5,6 +5,31 @@ microgrids so a three-phase feeder keeps serving its critical and
 noncritical load targets across sampled storm-damage scenarios.
 """
 
+
+def _load_blas_single_threaded() -> None:
+    """Load numpy and scipy's solvers with ``OPENBLAS_NUM_THREADS=1``.
+
+    Each OpenBLAS library starts its pool of worker threads when it loads,
+    and gridfort does no dense linear algebra, so with one thread a gridfort
+    process, and every helper it forks, runs a single thread. A value the
+    caller set is kept. One set here is removed again afterwards, so the
+    external solver command sees the caller's environment. A library loaded
+    before gridfort keeps the pool it started.
+    """
+    import os
+
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        import numpy  # noqa: F401
+        import scipy.optimize  # noqa: F401
+    finally:
+        if not preset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+_load_blas_single_threaded()
+
 from gridfort.model import (
     Bus,
     Line,

@@ -144,8 +144,9 @@ class Solution:
 class RowBlock:
     """Rows in compressed sparse row form: row i holds the entries
     ``indptr[i]:indptr[i + 1]`` of ``indices``/``data``, sorted by column,
-    and reads ``lo[i] <= a_i @ x <= hi[i]``; a one-sided row has an infinite
-    bound on its other side."""
+    and reads ``lo[i] <= a_i @ x <= hi[i]``. Each row is one-sided or an
+    equality: a one-sided row has an infinite bound on its other side, and
+    an equality has ``lo[i] == hi[i]``."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -277,7 +278,14 @@ class MilpModel:
 
     def add_rows(self, rows: RowBlock, names) -> int:
         """Append a block of rows after every row so far; ``names`` as in
-        ``add_columns``. Returns the index of the first."""
+        ``add_columns``. Returns the index of the first. A ranged row, with
+        finite ``lo < hi``, is a ValueError: the MPS writer has no form
+        for it."""
+        ranged = np.isfinite(rows.lo) & np.isfinite(rows.hi) & (rows.lo != rows.hi)
+        if ranged.any():
+            i = int(np.flatnonzero(ranged)[0])
+            raise ValueError(f"row {i} of the block is ranged: "
+                             f"{float(rows.lo[i])!r} <= a @ x <= {float(rows.hi[i])!r}")
         self._flush()
         self._blocks.append(rows)
         self._row_names.append(names)
@@ -694,7 +702,7 @@ def write_model(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_OBJ_LINE_RE = re.compile(r"objective value\s*=?\s*(-?[\d.eE+-]+)", re.IGNORECASE)
+_OBJ_LINE_RE = re.compile(r"objective value\s*=?\s*([^\s=]\S*)", re.IGNORECASE)
 _INFEASIBLE_LINE_RE = re.compile(r"^#\s*status\s*=\s*infeasible\s*$", re.IGNORECASE)
 
 

@@ -721,13 +721,17 @@ class TestExternalAdapter:
     @pytest.mark.parametrize("text, match", [
         ("# Objective value = 1.2.3\nx 1\n", "bad value '1.2.3'"),
         ("# Objective value = 1e999\nx 1\n", "'1e999' is not finite"),
+        ("# Objective value = inf\nx 1\n", "line 1: value 'inf' is not finite"),
+        ("# Objective value = -inf\nx 1\n", "line 1: value '-inf' is not finite"),
+        ("# Objective value = nan\nx 1\n", "line 1: value 'nan' is not finite"),
         ("# Objective value = 1\nx inf\n", "'inf' is not finite"),
         ("# Objective value = 1\nx -inf\n", "'-inf' is not finite"),
         ("# Objective value = 1\nx nan\n", "'nan' is not finite"),
         ("# Objective value = 1\nb inf\n", "'inf' is not finite"),
         ("# Objective value = 1\nb nan\n", "'nan' is not finite"),
         ("# Objective value = 1\nx 1\nb 1\nx 2\n", "line 4: variable 'x' named twice"),
-    ], ids=["objective-unparsed", "objective-overflow", "inf", "minus-inf", "nan",
+    ], ids=["objective-unparsed", "objective-overflow", "objective-inf",
+            "objective-minus-inf", "objective-nan", "inf", "minus-inf", "nan",
             "binary-inf", "binary-nan", "named-twice"])
     def test_malformed_file_is_a_solver_error(self, text, match):
         m = MilpModel()
@@ -849,3 +853,12 @@ class TestRowStorage:
         m.set_objective({y: -1.0})
         assert solve(m, EXACT).values.tolist() == pytest.approx([3.0, 4.0])
 
+    def test_a_ranged_row_is_rejected(self):
+        # the MPS writer has no form for lo < hi, both finite: x in [0, 10]
+        # with 1 <= x <= 5 would be solved as x = 1 through the external route
+        m = MilpModel()
+        x = m.add_variable("x", 0.0, 10.0)
+        with pytest.raises(ValueError, match="row 0 of the block is ranged: 1.0 <= a @ x <= 5.0"):
+            m.add_rows(RowBlock(np.array([0, 1]), np.array([x]), np.array([1.0]),
+                                np.array([1.0]), np.array([5.0])), lambda: ["r"])
+        assert m.num_constraints == 0
