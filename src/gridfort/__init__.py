@@ -6,19 +6,33 @@ noncritical load targets across sampled storm-damage scenarios.
 """
 
 
-def _load_blas_single_threaded() -> None:
-    """Load numpy and scipy's solvers with ``OPENBLAS_NUM_THREADS=1``.
+def _load_numpy_and_scipy() -> None:
+    """Load numpy and scipy's solvers with one OpenBLAS thread and the
+    cyclic garbage collector paused, then freeze what they allocated.
 
     Each OpenBLAS library starts its pool of worker threads when it loads,
-    and gridfort does no dense linear algebra, so with one thread a gridfort
-    process, and every helper it forks, runs a single thread. A value the
-    caller set is kept. One set here is removed again afterwards, so the
-    external solver command sees the caller's environment. A library loaded
-    before gridfort keeps the pool it started.
+    and gridfort does no dense linear algebra, so with
+    ``OPENBLAS_NUM_THREADS=1`` a gridfort process, and every helper it
+    forks, runs a single thread. A value the caller set is kept. One set
+    here is removed again afterwards, so the external solver command sees
+    the caller's environment. A library loaded before gridfort keeps the
+    pool it started.
+
+    The import creates tens of thousands of objects that live until the
+    process exits. With the collector paused no collection walks them while
+    they are made, and ``gc.freeze()`` moves them, with every other object
+    alive at this point, to the permanent generation, which no later
+    collection visits, the one at interpreter exit included. The freeze
+    comes first, so the first collection after it does not walk the
+    import's young generation; the collector is enabled again only if the
+    caller had it on.
     """
+    import gc
     import os
 
     preset = "OPENBLAS_NUM_THREADS" in os.environ
+    collecting = gc.isenabled()
+    gc.disable()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         import numpy  # noqa: F401
@@ -26,9 +40,12 @@ def _load_blas_single_threaded() -> None:
     finally:
         if not preset:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        gc.freeze()
+        if collecting:
+            gc.enable()
 
 
-_load_blas_single_threaded()
+_load_numpy_and_scipy()
 
 from gridfort.model import (
     Bus,

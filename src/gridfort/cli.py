@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -93,11 +94,14 @@ _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(
 
 def _checked(value, hint, where: str):
     """``value`` if it is a JSON value of type ``hint`` (a type or a union
-    of them), else a ConfigError naming ``where``."""
+    of them), else a ConfigError naming ``where``. Python's ``json`` reads
+    ``NaN`` and ``Infinity`` as floats; neither is accepted."""
     kinds = typing.get_args(hint) or (hint,)
     accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} has a malformed value: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
@@ -188,8 +192,19 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
 # ---------------------------------------------------------------------------
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    """``cfg.output_dir``, created with its parents; a ConfigError naming it
+    if it cannot be (a parent is a regular file, or no permission). Each
+    command calls this once its inputs are read and before its first solve."""
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory "
+                          f"'{cfg.output_dir}': {exc.strerror or exc}") from None
+    return cfg.output_dir
+
+
 def _dump_json(obj, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     os.replace(tmp, path)
@@ -272,8 +287,7 @@ def _load_scenarios(cfg: RunConfig, network: Network):
 def cmd_scenarios(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = sample_scenarios(network, cfg.fragility)
-    out = cfg.output_dir / "scenarios.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg) / "scenarios.json"
     text = save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
     out.write_text(text)
     damage = [len(s.damaged_line_ids) for s in scens if not s.is_baseline]
@@ -320,6 +334,7 @@ def cmd_design(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
     template = ScenarioTemplate(network, cfg.design)
+    _output_dir(cfg)
     try:
         design, state = sbd_design(
             network, scens, cfg.design, cfg.solver, jobs=cfg.jobs, template=template
@@ -350,6 +365,7 @@ def _evaluated(cfg: RunConfig, design_path: Path, scenario_path: Path | None):
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
+    _output_dir(cfg)
     return network, design, _verdicts(design, network, scens, cfg)
 
 
@@ -419,14 +435,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
                           "mg_variable_cost_rates axes")
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
+    out = _output_dir(cfg)
     if cfg.scenarios_file is None:
         # one shared draw: every cell sees the same damage (common random numbers)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        (cfg.output_dir / "scenarios.json").write_text(
+        (out / "scenarios.json").write_text(
             save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
         )
-    cells_dir = cfg.output_dir / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
+    cells_dir = out / "cells"
+    cells_dir.mkdir(exist_ok=True)
 
     tasks = [
         (gamma, rate, cells_dir / f"cell_g{gi}_r{ri}.json")

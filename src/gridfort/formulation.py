@@ -118,7 +118,7 @@ class DesignParams:
         for key in ("mg_fixed_cost_override", "mg_rate_override", "line_cost_scale",
                     "harden_cost_scale"):
             value = getattr(self, key)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{key} must be nonnegative, got {value}")
 
     @property

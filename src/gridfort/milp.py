@@ -107,12 +107,13 @@ class SolverOptions:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_gap < 0 or self.int_tol <= 0:
+        # written so that NaN fails each test
+        if not (self.rel_gap >= 0 and self.int_tol > 0):
             raise ValueError("tolerances must be positive")
         # HiGHS would reject a negative limit on every solve and run without one
         for key in ("time_limit", "node_limit"):
             value = getattr(self, key)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"solver {key} must not be negative, got {value}")
         if self.backend not in ("builtin", "external"):
             raise ValueError(f"solver backend must be 'builtin' or 'external', "

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -126,6 +127,28 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be created is an input error naming
+    it, found before any solve."""
+
+    @pytest.mark.parametrize("command", ["scenarios", "design", "sweep"])
+    def test_under_a_regular_file_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(gridfort.cli, "sbd_design", no_solve)
+        cfg = write_config(tmp_path, sweep={"total_fractions": [0.1],
+                                            "mg_variable_cost_rates": [100.0]})
+        (tmp_path / "F").write_text("")
+        out = tmp_path / "F" / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"'{out}'" in err
+        assert "Traceback" not in err
 
 
 class TestDesignCommand:
@@ -684,6 +707,12 @@ class TestMalformedInput:
         (_scenario_file({"scenarios": [{"id": 0, "damaged_line_ids": []},
                                        {"id": 1, "damaged_line_ids": [["L1"]]}]}),
          "scenario entry 1"),
+        # Python's json reads NaN and Infinity
+        (lambda _: {"solver": {"rel_gap": math.nan}}, "rel_gap"),
+        (lambda _: {"solver": {"time_limit": math.nan}}, "time_limit"),
+        (lambda _: {"design": {"line_cost_scale": math.nan}}, "line_cost_scale"),
+        (lambda _: {"design": {"mg_rate_override": math.nan}}, "mg_rate_override"),
+        (lambda _: {"design": {"harden_cost_scale": math.inf}}, "harden_cost_scale"),
     ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
             "config-sweep-axis", "network-bus-phases", "network-base-kva",
             "network-null-base-kva", "solver-time-limit", "solver-rel-gap",
@@ -693,7 +722,9 @@ class TestMalformedInput:
             "config-sweep-axis-string", "config-sweep-axis-flag",
             "config-fragility-pairs", "config-design-list", "config-solver-number",
             "config-sweep-false", "solver-unknown-backend", "scenario-null-id",
-            "scenario-fractional-id", "scenario-bool-id", "scenario-nested-line-id"])
+            "scenario-fractional-id", "scenario-bool-id", "scenario-nested-line-id",
+            "solver-rel-gap-nan", "solver-time-limit-nan", "design-line-cost-scale-nan",
+            "design-mg-rate-nan", "design-harden-cost-scale-inf"])
     def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides(tmp_path))
         assert main(["design", "--config", str(cfg)]) == 2
@@ -701,6 +732,16 @@ class TestMalformedInput:
         assert err.startswith("input error:")
         assert field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cls,key", [
+        (SolverOptions, "rel_gap"), (SolverOptions, "int_tol"),
+        (SolverOptions, "time_limit"), (DesignParams, "line_cost_scale"),
+        (DesignParams, "mg_rate_override"), (DesignParams, "harden_cost_scale"),
+        (DesignParams, "mg_fixed_cost_override"),
+    ])
+    def test_nan_is_rejected_by_the_library(self, cls, key):
+        with pytest.raises(ValueError):
+            cls(**{key: math.nan})
 
     @pytest.mark.parametrize("command,overrides,flag", [
         ("scenarios", {"network": ""}, None),

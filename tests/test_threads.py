@@ -1,8 +1,10 @@
-"""One thread per process: importing gridfort loads numpy's and scipy's
-OpenBLAS with one thread, so no worker pool starts, every process the
-verification forks copies a single-threaded one, and the environment is
-left as the caller set it. Each check runs in a fresh interpreter, since
-this one loaded numpy before it imported gridfort."""
+"""What importing gridfort does to the process: it loads numpy's and
+scipy's OpenBLAS with one thread, so no worker pool starts, every process
+the verification forks copies a single-threaded one, and the environment is
+left as the caller set it. It loads them with the cyclic garbage collector
+paused, freezes what is alive when they are loaded, and leaves the collector
+on or off as the caller had it. Each check runs in a fresh interpreter,
+since this one loaded numpy before it imported gridfort."""
 
 import json
 import os
@@ -19,14 +21,24 @@ from conftest import FIXTURES
 REPO = Path(__file__).resolve().parent.parent
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
-pytestmark = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
-                                reason="threads are counted in /proc/self/task")
+counts_threads = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                    reason="threads are counted in /proc/self/task")
 
 # the process's threads and the variable, as seen after the import
 IMPORT_CHILD = textwrap.dedent(f"""
     import os
     import gridfort.cli
     print(len(os.listdir("/proc/self/task")), os.environ.get("{BLAS_THREADS}"))
+""")
+
+# the collector's state and the frozen object count after the import; the
+# first argument, if "off", disables the collector before it
+GC_CHILD = textwrap.dedent("""
+    import gc, sys
+    if sys.argv[1:] == ["off"]:
+        gc.disable()
+    import gridfort.cli
+    print(gc.isenabled(), gc.get_freeze_count() > 0)
 """)
 
 # a design run that notes the process's threads at every os.fork
@@ -57,18 +69,21 @@ def run_child(script: str, *argv: str, **env: str) -> subprocess.CompletedProces
                           text=True, env=child_env, timeout=300)
 
 
+@counts_threads
 def test_import_leaves_one_thread_and_the_environment_as_it_was():
     done = run_child(IMPORT_CHILD)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == ["1", "None"]
 
 
+@counts_threads
 def test_a_value_the_caller_set_is_kept():
     done = run_child(IMPORT_CHILD, **{BLAS_THREADS: "2"})
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split()[1] == "2"
 
 
+@counts_threads
 def test_every_fork_of_a_design_run_copies_one_thread(tmp_path):
     # the CI's case30 config: 20 scenarios at seed 3, whose verification
     # has enough distinct damage sets to fork at two jobs
@@ -84,3 +99,15 @@ def test_every_fork_of_a_design_run_copies_one_thread(tmp_path):
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     threads = done.stdout.splitlines()[-1].split()
     assert threads and set(threads) == {"1"}
+
+
+def test_import_freezes_what_it_loaded_and_collects_again():
+    done = run_child(GC_CHILD)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["True", "True"]
+
+
+def test_a_collector_the_caller_disabled_stays_disabled():
+    done = run_child(GC_CHILD, "off")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["False", "True"]
