@@ -192,16 +192,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _output_dir(cfg: RunConfig) -> Path:
-    """``cfg.output_dir``, created with its parents; a ConfigError naming it
-    if it cannot be (a parent is a regular file, or no permission). Each
-    command calls this once its inputs are read and before its first solve."""
+def _output_dir(path: Path) -> Path:
+    """``path``, created with its parents; a ConfigError naming it if it
+    cannot be (it or a parent is a regular file, or no permission). Each
+    command calls this once its inputs are read, before its first solve."""
     try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory "
-                          f"'{cfg.output_dir}': {exc.strerror or exc}") from None
-    return cfg.output_dir
+                          f"'{path}': {exc.strerror or exc}") from None
+    return path
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -287,7 +287,7 @@ def _load_scenarios(cfg: RunConfig, network: Network):
 def cmd_scenarios(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = sample_scenarios(network, cfg.fragility)
-    out = _output_dir(cfg) / "scenarios.json"
+    out = _output_dir(cfg.output_dir) / "scenarios.json"
     text = save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
     out.write_text(text)
     damage = [len(s.damaged_line_ids) for s in scens if not s.is_baseline]
@@ -302,10 +302,7 @@ def _verdicts(design: Design, network: Network, scens, cfg: RunConfig) -> list[V
     ``cfg.jobs`` processes."""
     template = ScenarioTemplate(network, cfg.design)
     by_id = evaluate_distinct(
-        scens,
-        lambda scen: evaluate_design(design, network, scen, cfg.design, cfg.solver,
-                                     template=template),
-        cfg.jobs)
+        scens, lambda scen: evaluate_design(design, template, scen, cfg.solver), cfg.jobs)
     return [by_id[s.id] for s in scens]
 
 
@@ -334,11 +331,9 @@ def cmd_design(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
     template = ScenarioTemplate(network, cfg.design)
-    _output_dir(cfg)
+    _output_dir(cfg.output_dir)
     try:
-        design, state = sbd_design(
-            network, scens, cfg.design, cfg.solver, jobs=cfg.jobs, template=template
-        )
+        design, state = sbd_design(template, scens, cfg.solver, jobs=cfg.jobs)
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc} (scenario {exc.scenario_id})", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -365,7 +360,7 @@ def _evaluated(cfg: RunConfig, design_path: Path, scenario_path: Path | None):
     design = design_from_file(design_path, network, cfg.design)
     scens = (load_scenarios_file(scenario_path, network) if scenario_path
              else _load_scenarios(cfg, network))
-    _output_dir(cfg)
+    _output_dir(cfg.output_dir)
     return network, design, _verdicts(design, network, scens, cfg)
 
 
@@ -403,7 +398,8 @@ def _sweep_cell(network: Network, scens, params: DesignParams,
     try:
         # tie-break: the least installed microgrid capacity among designs
         # that cost no more than the cost pass's
-        design, _ = sbd_design(network, scens, params, options, tie_break=True)
+        design, _ = sbd_design(ScenarioTemplate(network, params), scens, options,
+                               tie_break=True)
         row.update(
             status="ok",
             total_cost=design.cost.total,
@@ -435,14 +431,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
                           "mg_variable_cost_rates axes")
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
-    out = _output_dir(cfg)
+    out = _output_dir(cfg.output_dir)
     if cfg.scenarios_file is None:
         # one shared draw: every cell sees the same damage (common random numbers)
         (out / "scenarios.json").write_text(
             save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
         )
-    cells_dir = out / "cells"
-    cells_dir.mkdir(exist_ok=True)
+    cells_dir = _output_dir(out / "cells")
 
     tasks = [
         (gamma, rate, cells_dir / f"cell_g{gi}_r{ri}.json")

@@ -36,7 +36,6 @@ except ImportError:  # no POSIX record locks: every fan-out runs serially
 
 from gridfort.formulation import (
     Design,
-    DesignParams,
     MasterProblem,
     ScenarioTemplate,
     build_master,
@@ -200,12 +199,11 @@ def solve_with_cycle_cuts(master: MasterProblem,
 # ---------------------------------------------------------------------------
 
 
-def evaluate_design(design: Design, network, scenario: DamageScenario,
-                    params: DesignParams, options: SolverOptions | None = None, *,
-                    template: ScenarioTemplate | None = None) -> Verdict:
-    """Feasibility verdict of a fixed design under one damage scenario,
-    carrying the operating point it rests on (``Verdict.state``). The model
-    is assembled from ``template``, compiled here when absent.
+def evaluate_design(design: Design, template: ScenarioTemplate, scenario: DamageScenario,
+                    options: SolverOptions | None = None) -> Verdict:
+    """Feasibility verdict of a fixed design under one damage scenario of
+    ``template``'s network and params, carrying the operating point it rests
+    on (``Verdict.state``).
 
     The base solve is a pure feasibility check of the scenario operation
     problem; when the resilience targets are unattainable, the same model,
@@ -217,8 +215,7 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
     """
     options = options or SolverOptions()
     what = f"evaluation of scenario {scenario.id}"
-    master = build_master(network, [scenario], params, fixed_design=design,
-                          template=template)
+    master = build_master(template, [scenario], fixed_design=design)
     sol = solve_with_cycle_cuts(master, options)
     feasible = sol.status == "optimal"
     if sol.status == "infeasible":
@@ -227,15 +224,15 @@ def evaluate_design(design: Design, network, scenario: DamageScenario,
         what = "best-effort " + what
     if sol.status != "optimal":
         raise _not_proven(what, sol)
-    return _verdict_at(master.operation_state(sol, scenario.id), network, params,
-                       feasible)
+    return _verdict_at(master.operation_state(sol, scenario.id), template, feasible)
 
 
-def _verdict_at(state: OperationState, network, params: DesignParams,
+def _verdict_at(state: OperationState, template: ScenarioTemplate,
                 feasible: bool) -> Verdict:
     """The verdict that rests on ``state``: its served fractions and, unless
     ``feasible``, its shortfalls from the targets."""
-    crit, tot = served_fractions(state, network)
+    params = template.params
+    crit, tot = served_fractions(state, template.network)
     return Verdict(
         state.scenario_id, feasible, crit, tot,
         shortfall_critical=0.0 if feasible else max(0.0, params.critical_fraction - crit),
@@ -388,9 +385,9 @@ def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
     return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 
-def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
+def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
                options: SolverOptions | None = None, jobs: int = 1, *,
-               tie_break: bool = False, template: ScenarioTemplate | None = None):
+               tie_break: bool = False):
     """Scenario-based decomposition: design against a growing active subset,
     verify on the rest, and add infeasible scenarios to the subset: one
     master, built once, gains their blocks and keeps its cut pool.
@@ -410,8 +407,7 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     except the damage set of an active scenario: the master's solution holds
     a feasible operating point for it under the design, and the verdict
     resting on that point is restated instead. The master and every
-    verification model are assembled from ``template``, compiled here when
-    absent.
+    verification model are assembled from ``template``.
 
     With ``tie_break``, once a design verifies the same loop goes on over the
     same master under ``MasterProblem.minimize_microgrid_kw``, with a budget
@@ -439,7 +435,7 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
     active = list(added)
 
     t0 = time.monotonic()
-    master = build_master(network, [worst], params, template=template)
+    master = build_master(template, [worst])
     master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
     build_time = time.monotonic() - t0
     pooled = solves = 0
@@ -460,15 +456,14 @@ def sbd_design(network, scenarios: list[DamageScenario], params: DesignParams,
         design = master.design_from_solution(sol)
         # each block's point proves its scenario, and every scenario sharing
         # its damage, feasible under the design: those need no verification
-        proved = {sid: _verdict_at(master.operation_state(sol, sid), network, params, True)
+        proved = {sid: _verdict_at(master.operation_state(sol, sid), template, True)
                   for sid in active}
         known = {by_id[sid].damaged_line_ids: v for sid, v in proved.items()}
         remaining = [s for s in scenarios if s.id not in active]
         t_verify = time.monotonic()
         verdicts = evaluate_distinct(
             remaining,
-            lambda scen: evaluate_design(design, network, scen, params, options,
-                                         template=master.template),
+            lambda scen: evaluate_design(design, template, scen, options),
             jobs, known,
         )
         verify_time = time.monotonic() - t_verify

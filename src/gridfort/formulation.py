@@ -977,12 +977,11 @@ def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
     return coeffs
 
 
-def build_master(network: Network, scenarios: list[DamageScenario],
-                 params: DesignParams, *, fixed_design: Design | None = None,
-                 template: ScenarioTemplate | None = None) -> MasterProblem:
-    """Assemble the two-stage design MILP over the given scenario set, one
-    ``MasterProblem.add_scenario`` block each, from ``template`` (compiled
-    here when absent).
+def build_master(template: ScenarioTemplate, scenarios: list[DamageScenario], *,
+                 fixed_design: Design | None = None) -> MasterProblem:
+    """Assemble the two-stage design MILP of ``template``'s network and
+    params over the given scenario set, one ``MasterProblem.add_scenario``
+    block each.
 
     The objective is the upgrade cost in k$, first-stage only, so blocks
     added later leave it valid. ``MasterProblem.minimize_microgrid_kw`` and
@@ -990,19 +989,15 @@ def build_master(network: Network, scenarios: list[DamageScenario],
     """
     if not scenarios:
         raise ValueError("at least one scenario (the baseline) is required")
-    if template is None:
-        template = ScenarioTemplate(network, params)
-    elif template.network is not network or template.params != params:
-        raise ValueError("the template was compiled for another network or params")
+    network, fs = template.network, template.first_stage
     model = MilpModel(name="upgrade")
     template.add_first_stage(model)
-    fs = template.first_stage
     if fixed_design is not None:
         _apply_fixed_design(model, network, fs, fixed_design)
     master = MasterProblem(model, template, {})
     for scen in scenarios:
         master.add_scenario(scen)
-    model.set_objective(_cost_coefficients(network, params, fs))
+    model.set_objective(_cost_coefficients(network, template.params, fs))
     return master
 
 

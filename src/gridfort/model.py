@@ -339,14 +339,27 @@ _PAIR_ORDER: tuple[tuple[Phase, Phase], ...] = tuple(
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float holds: not NaN or Infinity (``json`` reads them) or a huge int."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
-def _complex_from_doc(obj, owner: str) -> complex:
+def _complex_from_doc(obj, owner: str, key: str) -> complex:
     if (not isinstance(obj, dict) or set(obj) != {"re", "im"}
             or not all(map(_is_number, obj.values()))):
-        raise NetworkError(f"{owner}: complex values must be {{re, im}} objects of numbers")
+        raise NetworkError(f"{owner}: field {key!r} needs {{re, im}} objects of finite numbers")
     return complex(float(obj["re"]), float(obj["im"]))
+
+
+def _phase_of(name: str, owner: str, key: str) -> Phase:
+    """The phase ``name``, a key of ``owner``'s per-phase map ``key``."""
+    try:
+        return Phase(name)
+    except ValueError:
+        raise NetworkError(f"{owner}: field {key!r} names unknown phase {name!r} "
+                           f"(expected a/b/c)") from None
 
 
 def _complex_to_doc(z: complex) -> dict:
@@ -373,7 +386,7 @@ def _impedance_from_doc(entries, phases: tuple[Phase, ...], owner: str):
                 f"{owner}: impedance entry given for undeclared phase pair "
                 f"{p1.value}{p2.value}"
             )
-        z[(p1, p2)] = _complex_from_doc(cell, owner)
+        z[(p1, p2)] = _complex_from_doc(cell, owner, "impedance")
     return z
 
 
@@ -398,13 +411,13 @@ def _line_length_km(raw: dict, buses: dict[str, Bus], owner: str) -> float:
 _KINDS = {
     **dict.fromkeys(
         ("base_kva", "base_kv", "construction_cost", "harden_cost", "step_capacity_kva",
-         "fixed_cost", "variable_cost_rate"), ("a number", _is_number)),
+         "fixed_cost", "variable_cost_rate"), ("a finite number", _is_number)),
     **dict.fromkeys(("v_ref", "length_km"),
-                    ("a number or null", lambda v: v is None or _is_number(v))),
+                    ("a finite number or null", lambda v: v is None or _is_number(v))),
     "max_steps": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "coords": ("an [x, y] pair of numbers or null", lambda v: v is None or (
+    "coords": ("an [x, y] pair of finite numbers or null", lambda v: v is None or (
         isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)))),
-    "capacity_kva": ("a number or a map of numbers", lambda v: _is_number(v) or (
+    "capacity_kva": ("a finite number or a map of them", lambda v: _is_number(v) or (
         isinstance(v, dict) and all(map(_is_number, v.values())))),
     "demand_kva": ("a map", lambda v: isinstance(v, dict)),
     **dict.fromkeys(
@@ -427,6 +440,8 @@ def load_network(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise NetworkError("network document must be a JSON object")
     for section, keys in _REQUIRED.items():
         if section not in doc:
             raise NetworkError(f"document missing section {section!r}")
@@ -482,7 +497,7 @@ def load_network(text: str) -> Network:
 
         cap_raw = raw["capacity_kva"]
         if isinstance(cap_raw, dict):
-            cap = {Phase(k): float(v) for k, v in cap_raw.items()}
+            cap = {_phase_of(k, owner, "capacity_kva"): float(v) for k, v in cap_raw.items()}
             if set(cap) != set(phases):
                 raise NetworkError(f"{owner}: capacity phases do not match declared phases")
         else:
@@ -520,9 +535,8 @@ def load_network(text: str) -> Network:
             raise NetworkError(f"duplicate load id {lid!r}")
         if str(raw["bus"]) not in buses:
             raise NetworkError(f"{owner}: unknown bus {raw['bus']!r}")
-        demand = {
-            Phase(k): _complex_from_doc(v, owner) for k, v in raw["demand_kva"].items()
-        }
+        demand = {_phase_of(k, owner, "demand_kva"): _complex_from_doc(v, owner, "demand_kva")
+                  for k, v in raw["demand_kva"].items()}
         loads[lid] = Load(
             id=lid,
             bus=str(raw["bus"]),

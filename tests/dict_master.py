@@ -120,7 +120,8 @@ def compile_dict(model: DictModel) -> dict[str, np.ndarray]:
 
 
 class DictMaster:
-    """The design MILP built row by row; the arguments are ``build_master``'s."""
+    """The design MILP built row by row, with no template: the arguments are
+    ``build_master``'s, the network and params in place of the template."""
 
     def __init__(self, network, scenarios, params, *, fixed_design=None) -> None:
         self.model = DictModel(name="upgrade")

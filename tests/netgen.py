@@ -20,7 +20,7 @@ from gridfort import (
     load_network,
 )
 from gridfort.decomposition import solve_with_cycle_cuts
-from gridfort.formulation import build_master, make_design
+from gridfort.formulation import ScenarioTemplate, build_master, make_design
 
 
 def _c(re, im):
@@ -156,11 +156,11 @@ def all_designs(network, params):
     return options
 
 
-def scenario_feasible(network, scenario, params, design,
+def scenario_feasible(template: ScenarioTemplate, scenario, design,
                       options: SolverOptions | None = None) -> bool:
     """Independent per-scenario feasibility check with the design pinned."""
     options = options or SolverOptions(rel_gap=1e-6)
-    master = build_master(network, [scenario], params, fixed_design=design)
+    master = build_master(template, [scenario], fixed_design=design)
     sol = solve_with_cycle_cuts(master, options)
     return sol.status == "optimal"
 
@@ -169,9 +169,10 @@ def enumerate_optimum(network, scenarios, params,
                       options: SolverOptions | None = None) -> float:
     """Exhaustive minimum upgrade cost; designs are tried cheapest first, so
     the first one feasible for every scenario is the optimum. Returns inf
-    when no decision vector satisfies the targets."""
+    when no decision vector satisfies the targets. One template serves every
+    (design, scenario) check."""
+    template = ScenarioTemplate(network, params)
     for design in all_designs(network, params):
-        if all(scenario_feasible(network, s, params, design, options)
-               for s in scenarios):
+        if all(scenario_feasible(template, s, design, options) for s in scenarios):
             return design.cost.total
     return math.inf

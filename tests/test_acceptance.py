@@ -13,6 +13,7 @@ from gridfort import (
     DesignParams,
     FragilityParams,
     InfeasibleDesignError,
+    ScenarioTemplate,
     SolverOptions,
     build_master,
     evaluate_design,
@@ -37,7 +38,7 @@ ORACLE_SEEDS = range(100, 100 + 3 * N_ORACLE_INSTANCES)
 
 def _sbd_cost(net, scens, params):
     try:
-        design, _ = sbd_design(net, scens, params, EXACT)
+        design, _ = sbd_design(ScenarioTemplate(net, params), scens, EXACT)
         return design.cost.total, design
     except InfeasibleDesignError:
         return math.inf, None
@@ -54,14 +55,15 @@ def oracle_runs():
         net, scens, params = random_instance(seed)
         oracle = enumerate_optimum(net, scens, params, EXACT)
         sbd, design = _sbd_cost(net, scens, params)
-        master = build_master(net, scens, params)
+        template = ScenarioTemplate(net, params)
+        master = build_master(template, scens)
         sol = solve_with_cycle_cuts(master, EXACT)
         extensive = (master.design_from_solution(sol).cost.total
                      if sol.status == "optimal" else math.inf)
         states = []
         if design is not None:
             for scen in scens:
-                verdict = evaluate_design(design, net, scen, params, EXACT)
+                verdict = evaluate_design(design, template, scen, EXACT)
                 assert verdict.feasible
                 states.append((net, params, design, verdict.state))
         runs.append({
@@ -173,8 +175,9 @@ class TestVoltageFidelity:
                                  doc["design"]["hardened_lines"],
                                  doc["design"]["microgrid_steps"])
             designs_checked += 1
+            template = ScenarioTemplate(net, params)
             for scen in scens:
-                verdict = evaluate_design(design, net, scen, params, EXACT)
+                verdict = evaluate_design(design, template, scen, EXACT)
                 assert verdict.feasible
                 state = verdict.state
                 radial, witness = check_radiality(state, net)
@@ -262,10 +265,11 @@ class TestNetworkedMicrogridBenefit:
         ):
             net = load_network_file(FIXTURES / f"{tag}.json")
             scens = load_scenarios_file(FIXTURES / scen_file, net)
-            design, _ = sbd_design(net, scens, params, EXACT)
+            template = ScenarioTemplate(net, params)
+            design, _ = sbd_design(template, scens, EXACT)
             costs[tag] = design.cost.total
             for scen in scens:
-                verdict = evaluate_design(design, net, scen, params, EXACT)
+                verdict = evaluate_design(design, template, scen, EXACT)
                 assert verdict.feasible
         separate = costs["feeder_a"] + costs["feeder_b"]
         ratio = costs["feeders_joint"] / separate

@@ -15,6 +15,7 @@ from gridfort import (
     DamageScenario,
     DesignParams,
     FragilityParams,
+    ScenarioTemplate,
     SolverOptions,
     sample_scenarios,
     save_scenarios,
@@ -150,6 +151,21 @@ class TestOutputDirectory:
         assert f"'{out}'" in err
         assert "Traceback" not in err
 
+    def test_sweep_cells_path_is_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(gridfort.cli, "sbd_design",
+                            lambda *args, **kwargs: solved.append(args))
+        cfg = write_config(tmp_path, sweep={"total_fractions": [0.1],
+                                            "mg_variable_cost_rates": [100.0]})
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "cells").write_text("")
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"'{tmp_path / 'out' / 'cells'}'" in err
+        assert "Traceback" not in err
+        assert solved == []
+
 
 class TestDesignCommand:
     def test_intact_scenarios_give_zero_cost(self, tmp_path, capsys):
@@ -220,9 +236,9 @@ class TestDesignCommand:
         real = gridfort.cli.evaluate_design
         solved = []
 
-        def counting(design, network, scenario, *args, **kwargs):
+        def counting(design, template, scenario, *args, **kwargs):
             solved.append(scenario.id)
-            return real(design, network, scenario, *args, **kwargs)
+            return real(design, template, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
         assert main(["design", "--config", str(cfg)]) == 0
@@ -657,6 +673,17 @@ def _null_base_kva(tmp_path):
     return {"network": "bad.json"}
 
 
+def _case5_with(edit):
+    """Overrides naming a copy of case5 that ``edit`` changed in place, or
+    replaced with the JSON text it returns."""
+    def overrides(tmp_path):
+        doc = json.loads((FIXTURES / "case5.json").read_text())
+        text = edit(doc) or json.dumps(doc)
+        (tmp_path / "bad.json").write_text(text)
+        return {"network": "bad.json"}
+    return overrides
+
+
 def _scenario_file(doc):
     def overrides(tmp_path):
         (tmp_path / "scens.json").write_text(json.dumps(doc))
@@ -713,6 +740,22 @@ class TestMalformedInput:
         (lambda _: {"design": {"line_cost_scale": math.nan}}, "line_cost_scale"),
         (lambda _: {"design": {"mg_rate_override": math.nan}}, "mg_rate_override"),
         (lambda _: {"design": {"harden_cost_scale": math.inf}}, "harden_cost_scale"),
+        (_case5_with(lambda doc: "null"), "network document must be a JSON object"),
+        (_case5_with(lambda doc: "5"), "network document must be a JSON object"),
+        (_case5_with(lambda doc: doc["lines"][0].update(harden_cost=math.nan)),
+         "lines entry 0: field 'harden_cost' must be a finite number"),
+        (_case5_with(lambda doc: doc["lines"][0].update(capacity_kva=math.inf)),
+         "lines entry 0: field 'capacity_kva' must be a finite number"),
+        (_case5_with(lambda doc: doc["lines"][0].update(capacity_kva={"a": math.inf})),
+         "lines entry 0: field 'capacity_kva' must be a finite number"),
+        (_case5_with(lambda doc: doc["loads"][0]["demand_kva"]["a"].update(re=math.nan)),
+         "load 'crit_c1': field 'demand_kva' needs {re, im} objects of finite numbers"),
+        (_case5_with(lambda doc: doc["lines"][0]["impedance"][0].update(im=-math.inf)),
+         "line 'L1': field 'impedance' needs {re, im} objects of finite numbers"),
+        (_case5_with(lambda doc: doc["lines"][0].update(capacity_kva={"x": 500.0})),
+         "line 'L1': field 'capacity_kva' names unknown phase 'x'"),
+        (_case5_with(lambda doc: doc["loads"][0].update(demand_kva={"x": c(1.0, 0.0)})),
+         "load 'crit_c1': field 'demand_kva' names unknown phase 'x'"),
     ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
             "config-sweep-axis", "network-bus-phases", "network-base-kva",
             "network-null-base-kva", "solver-time-limit", "solver-rel-gap",
@@ -724,7 +767,10 @@ class TestMalformedInput:
             "config-sweep-false", "solver-unknown-backend", "scenario-null-id",
             "scenario-fractional-id", "scenario-bool-id", "scenario-nested-line-id",
             "solver-rel-gap-nan", "solver-time-limit-nan", "design-line-cost-scale-nan",
-            "design-mg-rate-nan", "design-harden-cost-scale-inf"])
+            "design-mg-rate-nan", "design-harden-cost-scale-inf", "network-null",
+            "network-number", "network-harden-cost-nan", "network-capacity-inf",
+            "network-capacity-map-inf", "network-demand-nan", "network-impedance-inf",
+            "network-capacity-phase", "network-demand-phase"])
     def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides(tmp_path))
         assert main(["design", "--config", str(cfg)]) == 2
@@ -854,7 +900,8 @@ class TestDistinctDamage:
         network = gridfort.cli.load_network_file(cfg.network)
         design = gridfort.cli.design_from_file(design_path, network, cfg.design)
         real = gridfort.cli.evaluate_design
-        verdicts = [real(design, network, s, cfg.design, cfg.solver)
+        template = ScenarioTemplate(network, cfg.design)
+        verdicts = [real(design, template, s, cfg.solver)
                     for s in gridfort.cli.load_scenarios_file(scens_path, network)]
         reports = [audit(v.state, network, cfg.design, design) for v in verdicts]
         if command == "evaluate":
@@ -867,11 +914,11 @@ class TestDistinctDamage:
 
         log = tmp_path / "solved.txt"
 
-        def counting(design, network, scenario, *args, **kwargs):
+        def counting(design, template, scenario, *args, **kwargs):
             # a file, so that the calls of forked helper processes count too
             with open(log, "a") as fh:
                 fh.write(",".join(sorted(scenario.damaged_line_ids)) + "\n")
-            return real(design, network, scenario, *args, **kwargs)
+            return real(design, template, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "evaluate_design", counting)
         # four damage sets over two processes
@@ -1000,10 +1047,11 @@ class TestSweepCommand:
         )
         real = gridfort.cli.sbd_design
 
-        def crash_one(network, scens, params, *args, **kwargs):
+        def crash_one(template, *args, **kwargs):
+            params = template.params
             if (params.total_fraction, params.mg_rate_override) == (0.0, 500.0):
                 raise RuntimeError("cell crashed")
-            return real(network, scens, params, *args, **kwargs)
+            return real(template, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "sbd_design", crash_one)
         # pinned serial: the patch and the captured stderr live in this process

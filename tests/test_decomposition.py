@@ -10,6 +10,7 @@ from gridfort import (
     DesignParams,
     FragilityParams,
     InfeasibleDesignError,
+    ScenarioTemplate,
     SolverOptions,
     build_master,
     evaluate_design,
@@ -41,11 +42,11 @@ def assert_matches_extensive_form(phases: str) -> None:
     for seed in range(40):
         net, scens, params = random_instance(seed, phases=phases)
         try:
-            design, _ = sbd_design(net, scens, params, EXACT)
+            design, _ = sbd_design(ScenarioTemplate(net, params), scens, EXACT)
             sbd_cost = design.cost.total
         except InfeasibleDesignError:
             sbd_cost = math.inf
-        master = build_master(net, scens, params)
+        master = build_master(ScenarioTemplate(net, params), scens)
         sol = solve_with_cycle_cuts(master, EXACT)
         ext_cost = (master.design_from_solution(sol).cost.total
                     if sol.status == "optimal" else math.inf)
@@ -62,7 +63,7 @@ class TestSbd:
         scens = [BASELINE, DamageScenario(1, frozenset()),
                  DamageScenario(2, frozenset())]
         params = DesignParams(critical_fraction=1.0, total_fraction=0.5)
-        design, state = sbd_design(case5, scens, params, EXACT)
+        design, state = sbd_design(ScenarioTemplate(case5, params), scens, EXACT)
         assert design.cost.total == 0.0
         assert len(state.iterations) == 1
         # without damage, the master holds the baseline alone
@@ -76,10 +77,11 @@ class TestSbd:
             DamageScenario(2, frozenset({"L1", "L3"})),
         ]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
-        design, state = sbd_design(case5, scens, params, EXACT)
+        template = ScenarioTemplate(case5, params)
+        design, state = sbd_design(template, scens, EXACT)
         assert set(state.iterations[-1].active) <= {0, 2}
         # the dominant scenario alone prices the design
-        single = sbd_design(case5, [BASELINE, scens[2]], params, EXACT)[0]
+        single = sbd_design(template, [BASELINE, scens[2]], EXACT)[0]
         assert design.cost.total == single.cost.total == pytest.approx(50_000.0)
 
     def test_cost_non_decreasing_across_iterations(self, case5):
@@ -90,7 +92,7 @@ class TestSbd:
             DamageScenario(2, frozenset({"L3"})),
         ]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.9)
-        design, state = sbd_design(case5, scens, params, EXACT)
+        design, state = sbd_design(ScenarioTemplate(case5, params), scens, EXACT)
         costs = [r.cost for r in state.iterations]
         assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
         assert len(state.iterations) >= 2
@@ -99,7 +101,7 @@ class TestSbd:
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        _, state = sbd_design(case30, scens, params, EXACT)
+        _, state = sbd_design(ScenarioTemplate(case30, params), scens, EXACT)
         *earlier, last = state.iterations
         assert earlier and all(rec.verdicts for rec in state.iterations)
         assert all(v.state is None for rec in state.iterations
@@ -118,7 +120,7 @@ class TestSbd:
         scens = [BASELINE, DamageScenario(1, frozenset({"l1"}))]
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
         with pytest.raises(InfeasibleDesignError) as err:
-            sbd_design(net, scens, params, EXACT)
+            sbd_design(ScenarioTemplate(net, params), scens, EXACT)
         assert err.value.scenario_id == 1
 
     def test_matches_extensive_form_on_random_instances(self):
@@ -137,12 +139,12 @@ class TestSbd:
                               "max_steps": 1, "is_existing": True}]
         net = load_doc(doc)
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
-        design, state = sbd_design(
-            net, [BASELINE, DamageScenario(1, frozenset({"l1"}))], params, EXACT)
+        design, state = sbd_design(ScenarioTemplate(net, params),
+                                   [BASELINE, DamageScenario(1, frozenset({"l1"}))],
+                                   EXACT)
         assert design.cost.total == 0.0  # the existing unit rides through
-        verdict = evaluate_design(design, net,
-                                  DamageScenario(1, frozenset({"l1"})),
-                                  params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(net, params),
+                                  DamageScenario(1, frozenset({"l1"})), EXACT)
         assert verdict.feasible
 
     def test_free_microgrids_leave_lines_unbuilt(self, case5):
@@ -152,7 +154,7 @@ class TestSbd:
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
                               mg_fixed_cost_override=0.0, mg_rate_override=0.0)
-        design, _ = sbd_design(case5, scens, params, EXACT)
+        design, _ = sbd_design(ScenarioTemplate(case5, params), scens, EXACT)
         assert design.cost.total == 0.0
         assert design.built_lines == ()
         assert design.hardened_lines == ()
@@ -193,7 +195,7 @@ class TestActiveSet:
 
         monkeypatch.setattr(gridfort.decomposition, "solve_with_cycle_cuts", recording)
         scens = sample_scenarios(case30, self.CASE30)
-        _, state = sbd_design(case30, scens, self.PARAMS, EXACT)
+        _, state = sbd_design(ScenarioTemplate(case30, self.PARAMS), scens, EXACT)
         worst = max(scens, key=lambda s: (len(s.damaged_line_ids), -s.id))
         assert worst.damaged_line_ids and worst.id != 0
         assert first_blocks == [[worst.id]]
@@ -204,7 +206,8 @@ class TestActiveSet:
     def test_failing_iterations_add_doubling_batches(self, case30):
         scens = sample_scenarios(case30, self.CASE30)
         by_id = {s.id: s for s in scens}
-        _, state = sbd_design(case30, scens, self.PARAMS, EXACT, jobs=1)
+        template = ScenarioTemplate(case30, self.PARAMS)
+        _, state = sbd_design(template, scens, EXACT, jobs=1)
         sizes = []
         for k, (rec, nxt) in enumerate(zip(state.iterations, state.iterations[1:]), 1):
             infeasible = sorted(sid for sid, v in rec.verdicts.items() if not v.feasible)
@@ -217,13 +220,13 @@ class TestActiveSet:
             sizes.append((len(added), len(first)))
         # iteration 1 adds one of several sets, iteration 2 a batch of two
         assert sizes[:2] == [(1, 5), (2, 2)]
-        _, forked = sbd_design(case30, scens, self.PARAMS, EXACT, jobs=3)
+        _, forked = sbd_design(template, scens, EXACT, jobs=3)
         assert ([rec.active for rec in forked.iterations]
                 == [rec.active for rec in state.iterations])
 
     def test_master_points_pass_the_audit(self, case30):
         scens = sample_scenarios(case30, self.CASE30)
-        design, state = sbd_design(case30, scens, self.PARAMS, EXACT)
+        design, state = sbd_design(ScenarioTemplate(case30, self.PARAMS), scens, EXACT)
         assert len(state.iterations) >= 3
         final = state.iterations[-1]
         assert list(state.verdicts) == [s.id for s in scens]
@@ -242,20 +245,21 @@ class TestActiveSet:
         twin_of = {s.id + 100: s.id for s in scens if s.damaged_line_ids}
         with_twins = scens + [DamageScenario(tid, scens[sid].damaged_line_ids)
                               for tid, sid in twin_of.items()]
-        design, plain = sbd_design(case30, scens, self.PARAMS, EXACT)
+        template = ScenarioTemplate(case30, self.PARAMS)
+        design, plain = sbd_design(template, scens, EXACT)
         real = gridfort.decomposition.evaluate_design
         log = tmp_path / "calls.txt"
 
-        def recording(design, network, scenario, *args, **kwargs):
+        def recording(design, template, scenario, *args, **kwargs):
             # a file, so that the calls of forked helper processes count too
             with open(log, "a") as fh:
                 fh.write(f"{scenario.id}\n")
-            return real(design, network, scenario, *args, **kwargs)
+            return real(design, template, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
         for jobs in (1, 3):
             log.write_text("")
-            got, state = sbd_design(case30, with_twins, self.PARAMS, EXACT, jobs=jobs)
+            got, state = sbd_design(template, with_twins, EXACT, jobs=jobs)
             assert got == design
             assert ([rec.active for rec in state.iterations]
                     == [rec.active for rec in plain.iterations])
@@ -288,7 +292,7 @@ class TestActiveSet:
         with pytest.raises(InfeasibleDesignError,
                            match=r"the master's scenarios \[4, 1, 2, 3\] cannot be "
                                  r"served together") as err:
-            sbd_design(net, scens, params, EXACT)
+            sbd_design(ScenarioTemplate(net, params), scens, EXACT)
         assert err.value.scenario_id == 2
 
 
@@ -310,15 +314,16 @@ class TestDistinctDamage:
         log = tmp_path / "calls.txt"
         designs = {}  # repr -> design, as this process saw them
 
-        def recording(design, network, scenario, *args, **kwargs):
+        def recording(design, template, scenario, *args, **kwargs):
             designs.setdefault(repr(design), design)
             # a file, so that the calls of forked helper processes count too
             with open(log, "a") as fh:
                 fh.write(json.dumps([repr(design), scenario.id]) + "\n")
-            return real(design, network, scenario, *args, **kwargs)
+            return real(design, template, scenario, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
-        _, state = sbd_design(case30, scens, params, EXACT, jobs=jobs)
+        template = ScenarioTemplate(case30, params)
+        _, state = sbd_design(template, scens, EXACT, jobs=jobs)
         monkeypatch.undo()
 
         per_iteration = []  # (design, scenarios verified), in iteration order
@@ -340,7 +345,7 @@ class TestDistinctDamage:
             assert sorted(rec.verdicts) == sorted(s.id for s in remaining)
             final = rec is state.iterations[-1]
             for scen in remaining:
-                alone = real(design, case30, scen, params, EXACT)
+                alone = real(design, template, scen, EXACT)
                 got = rec.verdicts[scen.id]
                 if scen.damaged_line_ids in active:
                     assert got.feasible and alone.feasible
@@ -357,7 +362,7 @@ class TestEvaluateDesign:
     def test_baseline_always_feasible(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.5)
         verdict = evaluate_design(make_design(case5, params, [], [], {}),
-                                  case5, BASELINE, params, EXACT)
+                                  ScenarioTemplate(case5, params), BASELINE, EXACT)
         assert verdict.feasible
         assert verdict.critical_fraction >= 0.98
         assert verdict.total_fraction >= 0.5
@@ -366,7 +371,7 @@ class TestEvaluateDesign:
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
         design = make_design(case5, params, [], [], {"mg_c1": 1})
         harsh = DamageScenario(5, frozenset({"L1", "L3"}))
-        verdict = evaluate_design(design, case5, harsh, params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(case5, params), harsh, EXACT)
         assert verdict.feasible
         assert verdict.critical_fraction == pytest.approx(1.0)
 
@@ -374,7 +379,7 @@ class TestEvaluateDesign:
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
         design = make_design(case5, params, [], [], {})
         harsh = DamageScenario(5, frozenset({"L1"}))
-        verdict = evaluate_design(design, case5, harsh, params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(case5, params), harsh, EXACT)
         assert not verdict.feasible
         assert verdict.shortfall_critical == pytest.approx(1.0)
         assert verdict.critical_fraction == pytest.approx(0.0)
@@ -382,8 +387,8 @@ class TestEvaluateDesign:
     def test_returns_operation_state(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design = make_design(case5, params, [], ["L1"], {})
-        verdict = evaluate_design(
-            design, case5, DamageScenario(1, frozenset({"L1"})), params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(case5, params),
+                                  DamageScenario(1, frozenset({"L1"})), EXACT)
         assert verdict.feasible
         assert "L1" in verdict.state.closed_lines
         assert "crit_c1" in verdict.state.served_loads
@@ -393,9 +398,9 @@ class TestEvaluateDesign:
         design = make_design(case5, params, [], ["L1"], {})
         scens = [DamageScenario(1, frozenset({"L1"})),
                  DamageScenario(2, frozenset({"L3"}))]
-        fwd = [evaluate_design(design, case5, s, params, EXACT).to_dict()
-               for s in scens]
-        rev = [evaluate_design(design, case5, s, params, EXACT).to_dict()
+        template = ScenarioTemplate(case5, params)
+        fwd = [evaluate_design(design, template, s, EXACT).to_dict() for s in scens]
+        rev = [evaluate_design(design, template, s, EXACT).to_dict()
                for s in reversed(scens)]
         assert fwd == list(reversed(rev))
 
@@ -415,7 +420,8 @@ class TestEvaluateDesign:
             return real_evaluate(design, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.decomposition, "evaluate_design", recording)
-        _, state = sbd_design(case30, scens, params, EXACT)
+        template = ScenarioTemplate(case30, params)
+        _, state = sbd_design(template, scens, EXACT)
         monkeypatch.undo()
         assert len(state.iterations) >= 2
         first = designs[0]
@@ -429,9 +435,9 @@ class TestEvaluateDesign:
             return real_milp(*args, options=options, **kwargs)
 
         monkeypatch.setattr(gridfort.milp, "scipy_milp", stripped)
-        before = [evaluate_design(first, case30, s, params, EXACT) for s in distinct]
+        before = [evaluate_design(first, template, s, EXACT) for s in distinct]
         monkeypatch.undo()
-        after = [evaluate_design(first, case30, s, params, EXACT) for s in distinct]
+        after = [evaluate_design(first, template, s, EXACT) for s in distinct]
 
         assert passed and all(value is False for value in passed)
         assert not all(v.feasible for v in after)
@@ -484,7 +490,7 @@ class TestPersistentMaster:
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        _, state = sbd_design(case30, scens, params, EXACT)
+        _, state = sbd_design(ScenarioTemplate(case30, params), scens, EXACT)
         assert len(state.iterations) >= 2
         masters = [res for _, kwargs, res in builds if "fixed_design" not in kwargs]
         assert len(masters) == 1
@@ -504,8 +510,8 @@ class TestPersistentMaster:
 
         monkeypatch.setattr(gridfort.decomposition, "solve", recording_solve)
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
-        verdict = evaluate_design(make_design(net, params, [], [], {}), net,
-                                  BASELINE, params, EXACT)
+        verdict = evaluate_design(make_design(net, params, [], [], {}),
+                                  ScenarioTemplate(net, params), BASELINE, EXACT)
         assert not verdict.feasible
         assert len(builds) == 1
         assert all(model is builds[0][2].model for model, _, _ in solves)
@@ -542,7 +548,7 @@ class TestCutPool:
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        _, state = sbd_design(case30, scens, params, EXACT)
+        _, state = sbd_design(ScenarioTemplate(case30, params), scens, EXACT)
         assert len(state.iterations) >= 2
         keys = [(id(m), sid, frozenset(cyc)) for m, sid, cyc in cut_calls]
         assert len(keys) == len(set(keys))
@@ -559,7 +565,8 @@ class TestCutPool:
         cut_calls = self.recording_cuts(monkeypatch)
         net = load_doc(two_rings_doc())
         params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
-        master = build_master(net, [BASELINE, DamageScenario(1, frozenset())], params)
+        master = build_master(ScenarioTemplate(net, params),
+                              [BASELINE, DamageScenario(1, frozenset())])
         # both blocks are drawn to use every edge of ring a and none of ring b
         weight = {"a": -1.0, "b": 1.0}
         master.model.set_objective({
@@ -593,7 +600,7 @@ class TestCutPool:
         scens = sample_scenarios(network, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        _, state = sbd_design(network, scens, params, EXACT)
+        _, state = sbd_design(ScenarioTemplate(network, params), scens, EXACT)
         per_block = Counter(name.rsplit(":s", 1)[1] for name in first_rows[0])
         assert per_block == {str(sid): rank for sid in state.iterations[0].active}
         assert state.iterations[0].cuts_added >= rank
@@ -601,7 +608,7 @@ class TestCutPool:
 
 def tree_solution_master(net, close):
     params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
-    master = build_master(net, [BASELINE], params)
+    master = build_master(ScenarioTemplate(net, params), [BASELINE])
     blk = master.blocks[0]
     for lid in net.lines:
         if lid in blk.vars.bs:
@@ -650,7 +657,7 @@ class TestSeparateCycles:
     def test_cut_loop_terminates_with_forest(self):
         net = self._ring(4)
         params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
-        master = build_master(net, [BASELINE], params)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         sol = solve_with_cycle_cuts(master, EXACT)
         assert sol.status == "optimal"
         assert separate_cycles(sol, master, 0) == []
@@ -664,7 +671,8 @@ class TestDesignSearchEquivalence:
         net = load_doc(doc)
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
         with pytest.raises(InfeasibleDesignError) as err:
-            sbd_design(net, [DamageScenario(1, frozenset({"l1"}))], params, EXACT)
+            sbd_design(ScenarioTemplate(net, params),
+                       [DamageScenario(1, frozenset({"l1"}))], EXACT)
         assert err.value.scenario_id == 1
 
 
@@ -695,14 +703,15 @@ class TestSolverLimits:
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         with pytest.raises(SolverError, match="master solve"):
-            sbd_design(case5, scens, params, SolverOptions(time_limit=0.0))
+            sbd_design(ScenarioTemplate(case5, params), scens,
+                       SolverOptions(time_limit=0.0))
 
     def test_master_limit_with_incumbent_raises_solver_error(self, case5, monkeypatch):
         _limit_hits(monkeypatch)
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         with pytest.raises(SolverError, match="feasible_limit"):
-            sbd_design(case5, scens, params, EXACT)
+            sbd_design(ScenarioTemplate(case5, params), scens, EXACT)
 
     def test_evaluation_limit_is_not_a_shortfall(self, case5, monkeypatch):
         # only the feasibility solve hits the limit; a best-effort solve
@@ -711,8 +720,8 @@ class TestSolverLimits:
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design = make_design(case5, params, [], ["L1"], {})
         with pytest.raises(SolverError, match="^evaluation of scenario 1"):
-            evaluate_design(design, case5, DamageScenario(1, frozenset({"L1"})),
-                            params, EXACT)
+            evaluate_design(design, ScenarioTemplate(case5, params),
+                            DamageScenario(1, frozenset({"L1"})), EXACT)
 
 
 class TestOracleAgreement:
@@ -722,7 +731,7 @@ class TestOracleAgreement:
             net, scens, params = random_instance(seed)
             expected = enumerate_optimum(net, scens, params, EXACT)
             try:
-                design, _ = sbd_design(net, scens, params, EXACT)
+                design, _ = sbd_design(ScenarioTemplate(net, params), scens, EXACT)
                 got = design.cost.total
             except InfeasibleDesignError:
                 got = math.inf
@@ -741,7 +750,7 @@ class TestOracleAgreement:
             net, scens, params = random_instance(seed, phases="ab")
             expected = enumerate_optimum(net, scens, params, EXACT)
             try:
-                design, _ = sbd_design(net, scens, params, EXACT)
+                design, _ = sbd_design(ScenarioTemplate(net, params), scens, EXACT)
                 got = design.cost.total
             except InfeasibleDesignError:
                 got = math.inf
@@ -756,7 +765,7 @@ class TestOracleAgreement:
 def least_kw_extensive(net, scens, params, budget: float) -> float:
     """The extensive form's least installed kW within ``budget`` k$, over
     every scenario at once."""
-    master = build_master(net, scens, params)
+    master = build_master(ScenarioTemplate(net, params), scens)
     master.minimize_microgrid_kw(budget)
     sol = solve_with_cycle_cuts(master, EXACT)
     assert sol.status == "optimal"
@@ -814,13 +823,14 @@ class TestTieBreakOracle:
                                  mg_fixed_cost_override=0.0, mg_rate_override=0.0)
             kw_budgets.clear()
             try:
-                design, _ = sbd_design(net, scens, params, EXACT, tie_break=True)
+                template = ScenarioTemplate(net, params)
+                design, _ = sbd_design(template, scens, EXACT, tie_break=True)
             except InfeasibleDesignError:
                 continue
             budget, = kw_budgets
             assert design.microgrid_kw(net) == least_kw_extensive(
                 net, scens, params, budget), f"seed {seed}"
-            assert all(evaluate_design(design, net, s, params, EXACT).feasible
+            assert all(evaluate_design(design, template, s, EXACT).feasible
                        for s in scens), f"seed {seed}"
             checked += 1
             if checked >= 6:

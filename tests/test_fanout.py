@@ -289,7 +289,7 @@ class TestCommands:
         raised_in = tmp_path / "raised.txt"
         taken = tmp_path / "taken"
 
-        def failing(design, network, scen, *args, **kwargs):
+        def failing(design, template, scen, *args, **kwargs):
             # the damage sets at positions 1 and 2 (scenario 2 repeats the
             # baseline's set, so it is never solved); at two jobs, scenario
             # 1's waits until the other process has taken scenario 3's
@@ -301,7 +301,7 @@ class TestCommands:
                 with open(raised_in, "a") as fh:
                     fh.write(f"{os.getpid() != parent}\n")
                 raise SolverError(f"evaluation of scenario {scen.id} ended error")
-            return real(design, network, scen, *args, **kwargs)
+            return real(design, template, scen, *args, **kwargs)
 
         monkeypatch.setattr(gridfort.cli, "evaluate_design", failing)
         results = {}
@@ -336,7 +336,7 @@ CHILD = textwrap.dedent("""
     parent = os.getpid()
     real = gridfort.cli.evaluate_design
 
-    def patched(design, network, scen, *args, **kwargs):
+    def patched(design, template, scen, *args, **kwargs):
         # in "kill" and "fail" mode a helper ends in the first set it takes,
         # and this process goes on once one has
         if mode != "ok" and os.getpid() != parent:
@@ -346,7 +346,7 @@ CHILD = textwrap.dedent("""
             raise gridfort.cli.SolverError(f"scenario {scen.id} failed")
         while mode != "ok" and not os.path.exists(handshake):
             time.sleep(0.01)
-        return real(design, network, scen, *args, **kwargs)
+        return real(design, template, scen, *args, **kwargs)
 
     # verification calls the decomposition's name, the audit the CLI's
     gridfort.cli.evaluate_design = gridfort.decomposition.evaluate_design = patched

@@ -9,6 +9,7 @@ from gridfort import (
     DamageScenario,
     DesignParams,
     FragilityParams,
+    ScenarioTemplate,
     SolverOptions,
     build_master,
     npv_capacity_cost,
@@ -218,8 +219,8 @@ class TestImbalance:
 class TestLoadGenerationBalance:
     def test_leaf_bus_flow_equals_served_demand(self):
         net = single_line_net(demand=(100.0, 50.0))
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=1.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         sol = solve(master.model, EXACT)
         assert sol.status == "optimal"
         blk = master.blocks[0]
@@ -230,8 +231,8 @@ class TestLoadGenerationBalance:
 
     def test_dropped_load_means_dead_feeder(self):
         net = single_line_net(demand=(100.0, 50.0))
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         master.model.fix_variable(blk.vars.y["ld1"], 0.0)
         sol = solve(master.model, EXACT)
@@ -250,9 +251,10 @@ class TestLoadGenerationBalance:
         net = load_doc(doc)
         scen = DamageScenario(1, frozenset({"l1"}))
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
+        template = ScenarioTemplate(net, params)
         for steps, expected in ((2, "infeasible"), (3, "optimal")):
             design = make_design(net, params, [], [], {"mg": steps})
-            master = build_master(net, [scen], params, fixed_design=design)
+            master = build_master(template, [scen], fixed_design=design)
             sol = solve(master.model, EXACT)
             assert sol.status == expected, steps
             if sol.status == "optimal":
@@ -275,13 +277,13 @@ class TestResilience:
     def test_lambda_098_requires_both_of_350_and_9(self):
         # 0.98 * 359 = 351.82 > 350: the big load alone does not satisfy it
         net = self.two_critical_net()
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.98, total_fraction=0.0))
+        template = ScenarioTemplate(net, DesignParams(critical_fraction=0.98,
+                                                      total_fraction=0.0))
+        master = build_master(template, [BASELINE])
         blk = master.blocks[0]
         master.model.fix_variable(blk.vars.y["small"], 0.0)
         assert solve(master.model, EXACT).status == "infeasible"
-        master2 = build_master(net, [BASELINE],
-                               DesignParams(critical_fraction=0.98, total_fraction=0.0))
+        master2 = build_master(template, [BASELINE])
         sol = solve(master2.model, EXACT)
         assert sol.status == "optimal"
         blk2 = master2.blocks[0]
@@ -294,16 +296,16 @@ class TestResilience:
         doc = two_bus_doc()
         doc["loads"][0]["is_critical"] = True
         net = load_doc(doc)
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=1.0, total_fraction=0.0))
+        params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         sol = solve(master.model, EXACT)
         assert sol.status == "optimal"
         assert sol.values[master.blocks[0].vars.y["ld1"]] == 1.0
 
     def test_gamma_zero_vacuous(self):
         net = single_line_net()
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         master.model.fix_variable(blk.vars.y["ld1"], 0.0)
         assert solve(master.model, EXACT).status == "optimal"
@@ -313,8 +315,8 @@ class TestVoltage:
     def test_closed_single_phase_drop(self):
         # z = 0.01 + 0.02j pu, flow 0.1 + 0.05j pu: drop = 2(0.001 + 0.001)
         net = single_line_net(z=(0.01, 0.02), demand=(100.0, 50.0))
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=1.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         sol = solve(master.model, EXACT)
         blk = master.blocks[0]
         v_sub = sol.values[blk.vars.v[("sub", Phase.A)]]
@@ -324,8 +326,8 @@ class TestVoltage:
 
     def test_zero_impedance_equalizes(self):
         net = single_line_net(z=(0.0, 0.0))
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=1.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         sol = solve(master.model, EXACT)
         blk = master.blocks[0]
         assert sol.values[blk.vars.v[("b1", Phase.A)]] == pytest.approx(1.0)
@@ -335,7 +337,7 @@ class TestVoltage:
         doc["lines"][0]["has_switch"] = True
         net = load_doc(doc)
         params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
-        master = build_master(net, [BASELINE], params)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         master.model.fix_variable(blk.vars.bs["l1"], 0.0)  # switch open
         master.model.fix_variable(blk.vars.v[("b1", Phase.A)], params.vmin_sq)
@@ -383,7 +385,8 @@ def triangle_net(extra_parallel=False):
 class TestCycleCut:
     def test_triangle_cut_rhs(self):
         net = triangle_net()
-        master = build_master(net, [BASELINE], DesignParams(critical_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         cycle = tuple(sorted(master.reduced.edges))
         cid = master.add_cycle_cut(cycle, 0)
         rows = master.model.rows()
@@ -393,7 +396,7 @@ class TestCycleCut:
     def test_cut_forbids_full_triangle(self):
         net = triangle_net()
         params = DesignParams(critical_fraction=0.0, total_fraction=1.0)
-        master = build_master(net, [BASELINE], params)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         for lid in ("l1", "l2", "l3"):
             master.model.fix_variable(blk.vars.bs[lid], 1.0)
@@ -403,7 +406,8 @@ class TestCycleCut:
 
     def test_parallel_pair_links_to_one_reduced_edge(self):
         net = triangle_net(extra_parallel=True)
-        master = build_master(net, [BASELINE], DesignParams(critical_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         key = master.reduced.edge_of_line("l3")
         assert key == master.reduced.edge_of_line("l3b")
@@ -416,7 +420,8 @@ class TestCycleCut:
 
     def test_non_cycle_rejected(self):
         net = triangle_net()
-        master = build_master(net, [BASELINE], DesignParams(critical_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         edges = sorted(master.reduced.edges)
         with pytest.raises(ValueError):
             master.add_cycle_cut(edges[:2], 0)
@@ -432,7 +437,7 @@ class TestCycleCut:
         ]
         net = load_doc(doc)
         params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
-        master = build_master(net, [BASELINE], params)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         for lid in net.lines:
             master.model.fix_variable(blk.vars.bs[lid], 1.0)
@@ -447,7 +452,7 @@ class TestSwitchingDamage:
     def _master(self, case5, fix_harden=None):
         scens = [DamageScenario(1, frozenset({"L1"}))]
         params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
-        master = build_master(case5, scens, params)
+        master = build_master(ScenarioTemplate(case5, params), scens)
         blk = master.blocks[1]
         if fix_harden is not None:
             master.model.fix_variable(master.first_stage.harden["L1"], fix_harden)
@@ -471,8 +476,8 @@ class TestSwitchingDamage:
             "status": "candidate_new", "construction_cost": 1000.0,
         })
         net = load_doc(doc)
-        master = build_master(net, [BASELINE],
-                              DesignParams(critical_fraction=0.0, total_fraction=0.0))
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
         master.model.fix_variable(master.first_stage.build["c1"], 0.0)
         master.model.fix_variable(blk.vars.e["c1"], 1.0)
@@ -482,7 +487,7 @@ class TestSwitchingDamage:
 class TestMaster:
     def test_intact_baseline_costs_nothing(self, case5):
         params = DesignParams(critical_fraction=1.0, total_fraction=1.0)
-        master = build_master(case5, [BASELINE], params)
+        master = build_master(ScenarioTemplate(case5, params), [BASELINE])
         sol = solve(master.model, EXACT)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -491,7 +496,7 @@ class TestMaster:
     def test_harden_beats_microgrid_at_50k(self, case5, exact_options):
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
-        master = build_master(case5, scens, params)
+        master = build_master(ScenarioTemplate(case5, params), scens)
         sol = solve(master.model, exact_options)
         design = master.design_from_solution(sol)
         assert design.hardened_lines == ("L1",)
@@ -501,7 +506,7 @@ class TestMaster:
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0,
                               harden_cost_scale=4.0)  # L1 hardening now $200k
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
-        master = build_master(case5, scens, params)
+        master = build_master(ScenarioTemplate(case5, params), scens)
         sol = solve(master.model, exact_options)
         design = master.design_from_solution(sol)
         assert design.microgrid_steps == (("mg_c1", 1),)
@@ -509,7 +514,8 @@ class TestMaster:
         assert design.cost.total == pytest.approx(125_000.0)
 
     def test_candidate_scenario_copies_fixed(self, case5):
-        master = build_master(case5, [BASELINE], DesignParams())
+        params = DesignParams()
+        master = build_master(ScenarioTemplate(case5, params), [BASELINE])
         blk = master.blocks[0]
         for lid, line in case5.lines.items():
             hs = blk.vars.hs[lid]
@@ -521,7 +527,7 @@ class TestMaster:
 
     def test_empty_scenario_set_rejected(self, case5):
         with pytest.raises(ValueError):
-            build_master(case5, [], DesignParams())
+            build_master(ScenarioTemplate(case5, DesignParams()), [])
 
     def test_homogeneity_of_costs(self, case5, exact_options):
         scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
@@ -530,16 +536,17 @@ class TestMaster:
                               harden_cost_scale=3.0, line_cost_scale=3.0,
                               mg_fixed_cost_override=75_000.0,
                               mg_rate_override=3000.0)
-        sol1 = solve(build_master(case5, scens, base).model, exact_options)
-        sol2 = solve(build_master(case5, scens, scaled).model, exact_options)
+        sol1, sol2 = (solve(build_master(ScenarioTemplate(case5, p), scens).model,
+                            exact_options) for p in (base, scaled))
         assert sol2.objective == pytest.approx(3.0 * sol1.objective, rel=1e-9)
 
     def test_adding_scenario_never_cheapens(self, case5, exact_options):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         s1 = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
         s2 = s1 + [DamageScenario(2, frozenset({"L1", "L3"}))]
-        c1 = solve(build_master(case5, s1, params).model, exact_options).objective
-        c2 = solve(build_master(case5, s2, params).model, exact_options).objective
+        template = ScenarioTemplate(case5, params)
+        c1 = solve(build_master(template, s1).model, exact_options).objective
+        c2 = solve(build_master(template, s2).model, exact_options).objective
         assert c2 >= c1 - 1e-9
 
 
@@ -553,7 +560,7 @@ class TestModelDimensions:
         for net, damage in ((case5, set()), (case30, set()), (case30, {"T1", "T5"}),
                             (rings, {"ra0", "sa"})):
             scens = [BASELINE, DamageScenario(1, frozenset(damage))]
-            master = build_master(net, scens, params)
+            master = build_master(ScenarioTemplate(net, params), scens)
             dims = master_dimensions(net, scens, params)
             assert master.model.num_variables == dims["variables"]
             assert master.model.num_constraints == dims["constraints"]
@@ -583,8 +590,8 @@ class TestAddScenario:
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=2, seed=7))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        grown = build_master(case30, scens[:2], params)
-        built = build_master(case30, scens, params)
+        grown = build_master(ScenarioTemplate(case30, params), scens[:2])
+        built = build_master(ScenarioTemplate(case30, params), scens)
         if objective == "microgrid_kw":
             grown.minimize_microgrid_kw(budget)
             built.minimize_microgrid_kw(budget)

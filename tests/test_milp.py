@@ -16,6 +16,7 @@ import gridfort.milp
 from gridfort import (
     DesignParams,
     FragilityParams,
+    ScenarioTemplate,
     build_master,
     evaluate_design,
     sample_scenarios,
@@ -213,9 +214,10 @@ class TestSolverOutput:
         # this instance makes HiGHS 1.12 print a line of
         # HighsMipSolverData::transformNewIntegerFeasibleSolution twice
         script = ("from netgen import random_instance\n"
-                  "from gridfort import SolverOptions, sbd_design\n"
+                  "from gridfort import ScenarioTemplate, SolverOptions, sbd_design\n"
                   "net, scens, params = random_instance(22)\n"
-                  "design, _ = sbd_design(net, scens, params, SolverOptions(rel_gap=1e-9))\n"
+                  "design, _ = sbd_design(ScenarioTemplate(net, params), scens,\n"
+                  "                       SolverOptions(rel_gap=1e-9))\n"
                   "import sys; sys.stderr.write(f'{design.cost.total}\\n')\n")
         tests = Path(__file__).resolve().parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -228,9 +230,11 @@ class TestSolverOutput:
 
     def test_solves_without_an_open_stdout(self):
         script = ("import sys\n"
-                  "from gridfort import SolverOptions, sbd_design\n"
+                  "from gridfort import ScenarioTemplate, SolverOptions, sbd_design\n"
                   "from netgen import random_instance\n"
-                  "design, _ = sbd_design(*random_instance(22), SolverOptions(rel_gap=1e-9))\n"
+                  "net, scens, params = random_instance(22)\n"
+                  "design, _ = sbd_design(ScenarioTemplate(net, params), scens,\n"
+                  "                       SolverOptions(rel_gap=1e-9))\n"
                   "sys.stderr.write(f'{design.cost.total}\\n')\n")
         tests = Path(__file__).resolve().parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -488,11 +492,11 @@ class TestFixedColumns:
         scens = sample_scenarios(case30, FragilityParams(
             line_failure_prob_override=0.2, scenario_count=4, seed=42))
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
-        master = build_master(case30, scens[:2], params)
+        master = build_master(ScenarioTemplate(case30, params), scens[:2])
         assert solve_with_cycle_cuts(master, EXACT).status == "optimal"
         n_master = len(handed)
-        verdict = evaluate_design(make_design(case30, params, [], [], {}), case30,
-                                  scens[1], params, EXACT)
+        verdict = evaluate_design(make_design(case30, params, [], [], {}),
+                                  ScenarioTemplate(case30, params), scens[1], EXACT)
         assert not verdict.feasible  # so the best-effort model was solved too
         assert n_master >= 1 and len(handed) >= n_master + 2
         assert all(not np.any(lb == ub) for lb, ub, _ in handed)
@@ -511,12 +515,13 @@ class TestFixedColumns:
             free = lp.lb != lp.ub
             return lp.c[free], lp.c[~free], _free_columns(lp, 1e-6)[2]
 
-        master = build_master(case30, scens, params)
+        master = build_master(ScenarioTemplate(case30, params), scens)
         fixed_objectives = [split(master.model)[1]]
         master.minimize_microgrid_kw(1000.0)
         fixed_objectives.append(split(master.model)[1])
         design = make_design(case30, params, [], ["T4"], {})
-        check = build_master(case30, [scens[1]], params, fixed_design=design)
+        check = build_master(ScenarioTemplate(case30, params), [scens[1]],
+                             fixed_design=design)
         free_c, _, constant = split(check.model)
         assert not free_c.any()
         assert constant == pytest.approx(design.cost.total / 1000.0)
@@ -777,13 +782,14 @@ class TestExternalAdapter:
             solve(binary_pair_model(), SolverOptions(backend="external"))
 
     def test_external_agrees_with_builtin_on_fixture_model(self):
-        from gridfort import DamageScenario, DesignParams, build_master, load_network_file
+        from gridfort import (DamageScenario, DesignParams, ScenarioTemplate, build_master,
+                              load_network_file)
 
         net = load_network_file(Path(__file__).parent / "fixtures" / "case5.json")
         scens = [DamageScenario(0, frozenset()),
                  DamageScenario(1, frozenset({"L1"}))]
-        master = build_master(net, scens,
-                              DesignParams(critical_fraction=0.98, total_fraction=0.0))
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        master = build_master(ScenarioTemplate(net, params), scens)
         builtin = solve(master.model, EXACT)
         fake = Path(__file__).parent / "fake_solver.py"
         external = solve(master.model, SolverOptions(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import networkx as nx
 import pytest
@@ -109,6 +110,14 @@ class TestLoadNetwork:
         ("lines", "capacity_kva", "500"),
         ("lines", "hardenable", "false"),
         ("lines", "length_km", "1.0"),
+        # Python's json reads NaN and Infinity
+        ("bases", "base_kva", math.inf),
+        ("buses", "coords", [math.nan, 0.0]),
+        ("buses", "v_ref", math.nan),
+        ("lines", "length_km", -math.inf),
+        ("lines", "capacity_kva", {"a": math.nan}),
+        ("lines", "harden_cost", math.nan),
+        pytest.param("lines", "harden_cost", 10 ** 400, id="lines-harden_cost-huge-int"),
     ])
     def test_wrong_type_names_the_field(self, section, field, value):
         doc = two_bus_doc()

@@ -65,7 +65,7 @@ def build_pair(network, scenarios, params, variant):
     if kwargs.pop("fixed_design", False):
         hard = sorted(network.damageable_lines())[:1]
         kwargs["fixed_design"] = make_design(network, params, [], hard, {})
-    master = build_master(network, scenarios, params, **kwargs)
+    master = build_master(ScenarioTemplate(network, params), scenarios, **kwargs)
     oracle = DictMaster(network, scenarios, params, **kwargs)
     if served:
         master.maximize_served()
@@ -105,7 +105,7 @@ class TestCompiledBlocksEqualTheOracle:
         order the row-by-row builder gives them, and so does the MPS text."""
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
         scens = [DamageScenario(0, frozenset())] + damaged_scenarios(case30, 3, seed=7)[1:]
-        master = build_master(case30, scens[:2], params)
+        master = build_master(ScenarioTemplate(case30, params), scens[:2])
         cuts = []
         add_cut = master.add_cycle_cut
 
@@ -161,7 +161,7 @@ class TestCutPoolEqualsTheOracle:
         model.set_objective(obj)
 
     def one_round(self, network):
-        master = build_master(network, self.SCENS, self.PARAMS)
+        master = build_master(ScenarioTemplate(network, self.PARAMS), self.SCENS)
         cuts = []
         add_cut = master.add_cycle_cut
 
@@ -218,8 +218,7 @@ class TestSharedTemplate:
         bounds = (list(template.lb), list(template.ub))
         design = make_design(case30, params, [], [], {})
         for scen in damaged_scenarios(case30):
-            master = build_master(case30, [scen], params, fixed_design=design,
-                                  template=template)
+            master = build_master(template, [scen], fixed_design=design)
             master.maximize_served()
             master.model.fix_variable(master.model.num_variables - 1, 0.0)
             _compile(master.model)
@@ -251,14 +250,9 @@ class TestSharedTemplate:
                    if name != stem + ":s1"}
         assert renamed == {f"dmg:{lid}:s1" for lid in damage}
 
-    def test_template_of_other_params_rejected(self, case5):
-        template = ScenarioTemplate(case5, DesignParams())
-        with pytest.raises(ValueError, match="template"):
-            build_master(case5, [DamageScenario(0, frozenset())],
-                         DesignParams(total_fraction=0.5), template=template)
-
     def test_damage_checks_kept(self, case30):
-        master = build_master(case30, [DamageScenario(0, frozenset())], DesignParams())
+        master = build_master(ScenarioTemplate(case30, DesignParams()),
+                              [DamageScenario(0, frozenset())])
         with pytest.raises(ValueError, match="unknown lines"):
             master.add_scenario(DamageScenario(1, frozenset({"NOPE"})))
         candidate = next(l.id for l in case30.lines.values() if l.is_candidate)
@@ -280,7 +274,7 @@ class TestSharedTemplate:
             return pid
 
         def evaluate(scen):
-            return evaluate_design(design, case30, scen, params, EXACT, template=template)
+            return evaluate_design(design, template, scen, EXACT)
 
         serial = evaluate_distinct(scens, evaluate, jobs=1)
         monkeypatch.setattr(os, "fork", counting_fork)

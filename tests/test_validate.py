@@ -6,6 +6,7 @@ from gridfort import (
     DamageScenario,
     DesignParams,
     OperationState,
+    ScenarioTemplate,
     SolverOptions,
     Violation,
     audit,
@@ -104,8 +105,8 @@ class TestRecomputeVoltages:
     def test_matches_solver_voltages(self, case30):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.4)
         design = make_design(case30, params, [], ["T1"], {"mg_t8": 1})
-        verdict = evaluate_design(
-            design, case30, DamageScenario(1, frozenset({"T1"})), params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(case30, params),
+                                  DamageScenario(1, frozenset({"T1"})), EXACT)
         assert verdict.feasible
         _, disc, _ = recompute_voltages(verdict.state, case30)
         assert disc <= 1e-6
@@ -150,7 +151,8 @@ class TestRecomputeVoltages:
 class TestAudit:
     def _solved_state(self, case5, scenario, design):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
-        verdict = evaluate_design(design, case5, scenario, params, EXACT)
+        verdict = evaluate_design(design, ScenarioTemplate(case5, params), scenario,
+                                  EXACT)
         assert verdict.feasible
         return params, verdict.state
 
