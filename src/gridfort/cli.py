@@ -36,8 +36,8 @@ from gridfort.fragility import (
     sample_scenarios,
     save_scenarios,
 )
-from gridfort.milp import SolverError, SolverOptions
-from gridfort.model import Network, NetworkError, load_network_file
+from gridfort.milp import ENV_SOLVER_CMD, SolverError, SolverOptions
+from gridfort.model import Network, load_network_file
 from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -118,6 +118,22 @@ def _pick(doc: dict, cls, section: str, **defaults):
     return cls(**{**defaults, **raw})
 
 
+def _check_command_template(template: str, where: str) -> None:
+    """A ConfigError naming ``where`` unless ``template`` formats with the
+    ``{model}`` and ``{solution}`` paths alone, as every external solve
+    formats it."""
+    try:
+        template.format(model=Path("model.mps"), solution=Path("model.sol"))
+    except KeyError as exc:
+        raise ConfigError(f"{where} names an unknown placeholder {{{exc.args[0]}}}; "
+                          "only {model} and {solution} are filled in") from None
+    except IndexError:
+        raise ConfigError(f"{where} has a positional placeholder; "
+                          "only {model} and {solution} are filled in") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} is not a valid command template: {exc}") from None
+
+
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
     path = Path(path)
     try:
@@ -182,6 +198,14 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         cfg.solver = replace(cfg.solver, backend=flags["solver"])
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+    if cfg.solver.backend == "external":
+        # the external route reads the configured command, else the
+        # environment's; with neither, the first solve fails (exit 4)
+        if cfg.solver.external_command:
+            _check_command_template(cfg.solver.external_command,
+                                    "config key 'solver.external_command'")
+        elif os.environ.get(ENV_SOLVER_CMD):
+            _check_command_template(os.environ[ENV_SOLVER_CMD], f"${ENV_SOLVER_CMD}")
     if not cfg.network.exists():
         raise ConfigError(f"network file not found: {cfg.network}")
     return cfg
@@ -425,6 +449,18 @@ SWEEP_COLUMNS = ("gamma", "mg_cost_per_kw", "status", "total_cost", "microgrid_k
                  "hardened_lines", "new_lines", "solve_time_s")
 
 
+def _check_finished_cell(path: Path, gamma: float, rate: float) -> None:
+    """A ConfigError unless the cell file at ``path`` holds the cell of
+    ``gamma`` and ``rate``: a rerun into the same directory resumes only
+    the same sweep axes."""
+    row = json.loads(path.read_text())
+    found = (row.get("gamma"), row.get("mg_cost_per_kw")) if isinstance(row, dict) else None
+    if found != (gamma, rate):
+        raise ConfigError(
+            f"sweep cell {path} holds gamma, mg_cost_per_kw {found}, not the "
+            f"configured {(gamma, rate)}; sweep into another output directory")
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_total_fractions or not cfg.sweep_mg_rates:
         raise ConfigError("sweep requires nonempty total_fractions and "
@@ -432,20 +468,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
     out = _output_dir(cfg.output_dir)
-    if cfg.scenarios_file is None:
-        # one shared draw: every cell sees the same damage (common random numbers)
-        (out / "scenarios.json").write_text(
-            save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
-        )
     cells_dir = _output_dir(out / "cells")
-
     tasks = [
         (gamma, rate, cells_dir / f"cell_g{gi}_r{ri}.json")
         for gi, gamma in enumerate(cfg.sweep_total_fractions)
         for ri, rate in enumerate(cfg.sweep_mg_rates)
     ]
-    pending = [(replace(cfg.design, total_fraction=gamma, mg_rate_override=rate), path)
-               for gamma, rate, path in tasks if not path.exists()]
+    pending = []
+    for gamma, rate, path in tasks:
+        if path.exists():
+            _check_finished_cell(path, gamma, rate)
+        else:
+            pending.append((replace(cfg.design, total_fraction=gamma,
+                                    mg_rate_override=rate), path))
+    if cfg.scenarios_file is None:
+        # one shared draw: every cell sees the same damage (common random numbers)
+        (out / "scenarios.json").write_text(
+            save_scenarios(scens, per_line_probability(cfg.fragility), cfg.fragility.seed)
+        )
 
     def run_cell(task) -> None:
         params, cell_path = task
@@ -523,8 +563,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, NetworkError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

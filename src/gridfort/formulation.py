@@ -365,22 +365,23 @@ def rotated_impedance(line: Line, k: Phase, k2: Phase) -> complex:
 
 
 class ScenarioFormulation:
-    """Operational constraint emitters for one undamaged scenario block,
-    every variable and row name ending in ``suffix``.
+    """Operational constraint emitters for one undamaged scenario block.
 
-    Damage is not emitted here: ``ScenarioTemplate`` compiles the emitters'
-    rows once, with the empty suffix, and patches each scenario's damage and
-    name suffix into a copy.
+    Variable and row names are the stems of the naming grammar, without a
+    scenario suffix: ``ScenarioTemplate`` compiles the emitters' rows once
+    and appends each scenario's ``:s{S}`` to a copy, patching its damage in.
+    The emitters record the rows the template patches: each line's ``sw``
+    row in ``switch_rows`` and the two resilience rows in
+    ``resilience_rows``.
     """
 
     def __init__(self, model: MilpModel, network: Network, params: DesignParams,
-                 suffix: str, reduced: ReducedGraph, first_stage: FirstStage) -> None:
+                 reduced: ReducedGraph, first_stage: FirstStage) -> None:
         self.model = model
         self.network = network
         self.params = params
         self.reduced = reduced
         self.first_stage = first_stage
-        self.suffix = suffix
         self.vars = ScenarioVars()
         self.resilience_rows: list[int] = []
         self.switch_rows: dict[str, int] = {}  # line -> its sw row
@@ -389,32 +390,29 @@ class ScenarioFormulation:
 
     # -- variables -----------------------------------------------------------
 
-    def octagon(self, line: Line, k: Phase) -> OctagonGeometry:
-        return octagon_points(line.capacity_pu[k])
-
     def _allocate(self) -> None:
-        m, net, sfx = self.model, self.network, self.suffix
+        m, net = self.model, self.network
         for lid in sorted(net.lines):
             line = net.lines[lid]
-            self.vars.e[lid] = m.add_variable(f"eline:{lid}{sfx}", 0.0, 1.0, BINARY)
-            self.vars.e0[lid] = m.add_variable(f"edir0:{lid}{sfx}", 0.0, 1.0, BINARY)
-            self.vars.e1[lid] = m.add_variable(f"edir1:{lid}{sfx}", 0.0, 1.0, BINARY)
-            self.vars.bs[lid] = m.add_variable(f"bline:{lid}{sfx}", 0.0, 1.0, BINARY)
-            self.vars.hs[lid] = m.add_variable(f"hline:{lid}{sfx}", 0.0, 1.0, BINARY)
+            self.vars.e[lid] = m.add_variable(f"eline:{lid}", 0.0, 1.0, BINARY)
+            self.vars.e0[lid] = m.add_variable(f"edir0:{lid}", 0.0, 1.0, BINARY)
+            self.vars.e1[lid] = m.add_variable(f"edir1:{lid}", 0.0, 1.0, BINARY)
+            self.vars.bs[lid] = m.add_variable(f"bline:{lid}", 0.0, 1.0, BINARY)
+            self.vars.hs[lid] = m.add_variable(f"hline:{lid}", 0.0, 1.0, BINARY)
             if not line.is_candidate and not line.has_switch:
                 m.fix_variable(self.vars.bs[lid], 1.0)
             if lid not in self.first_stage.harden:
                 m.fix_variable(self.vars.hs[lid], 0.0)
             for k in line.phases:
-                r = self.octagon(line, k).radius
-                self.vars.p[(lid, k)] = m.add_variable(f"p:{lid}:{k.value}{sfx}", -r, r)
-                self.vars.q[(lid, k)] = m.add_variable(f"q:{lid}:{k.value}{sfx}", -r, r)
+                r = octagon_points(line.capacity_pu[k]).radius
+                self.vars.p[(lid, k)] = m.add_variable(f"p:{lid}:{k.value}", -r, r)
+                self.vars.q[(lid, k)] = m.add_variable(f"q:{lid}:{k.value}", -r, r)
         for (u, v) in sorted(self.reduced.edges):
             # integrality is implied: closing any line underneath forces the
             # edge-usage variable to exactly one through the linking rows, so
             # it stays continuous and out of the branching
             self.vars.bredge[(u, v)] = m.add_variable(
-                f"bredge:{u}>{v}{sfx}", 0.0, 1.0, CONTINUOUS
+                f"bredge:{u}>{v}", 0.0, 1.0, CONTINUOUS
             )
         for bid in sorted(net.buses):
             bus = net.buses[bid]
@@ -423,67 +421,58 @@ class ScenarioFormulation:
             cap_im = mg_cap + (self._sub_cap_im if bus.is_substation else 0.0)
             for k in bus.phases:
                 self.vars.v[(bid, k)] = m.add_variable(
-                    f"v:{bid}:{k.value}{sfx}", self.params.vmin_sq, self.params.vmax_sq
+                    f"v:{bid}:{k.value}", self.params.vmin_sq, self.params.vmax_sq
                 )
                 if bus.is_substation:
-                    m.fix_variable(self.vars.v[(bid, k)], bus.v_ref or 1.0)
+                    m.fix_variable(self.vars.v[(bid, k)], bus.v_ref)
                 self.vars.sg_re[(bid, k)] = m.add_variable(
-                    f"sgre:{bid}:{k.value}{sfx}", 0.0, cap_re
+                    f"sgre:{bid}:{k.value}", 0.0, cap_re
                 )
                 self.vars.sg_im[(bid, k)] = m.add_variable(
-                    f"sgim:{bid}:{k.value}{sfx}", 0.0, cap_im
+                    f"sgim:{bid}:{k.value}", 0.0, cap_im
                 )
                 d = sum(
                     (net.loads[l].demand_pu.get(k, 0j) for l in net.loads_at(bid)), 0j
                 )
                 self.vars.sd_re[(bid, k)] = m.add_variable(
-                    f"sdre:{bid}:{k.value}{sfx}", 0.0, d.real
+                    f"sdre:{bid}:{k.value}", 0.0, d.real
                 )
                 self.vars.sd_im[(bid, k)] = m.add_variable(
-                    f"sdim:{bid}:{k.value}{sfx}", min(0.0, d.imag), max(0.0, d.imag)
+                    f"sdim:{bid}:{k.value}", min(0.0, d.imag), max(0.0, d.imag)
                 )
         for lid in sorted(net.loads):
-            self.vars.y[lid] = m.add_variable(f"served:{lid}{sfx}", 0.0, 1.0, BINARY)
+            self.vars.y[lid] = m.add_variable(f"served:{lid}", 0.0, 1.0, BINARY)
 
     # -- constraint families ---------------------------------------------------
 
-    def add_thermal_direction_constraints(self, line_id: str) -> list[int]:
+    def add_thermal_direction_constraints(self, line_id: str) -> None:
         """Octagonal inner approximation of the per-phase apparent-power limit,
         gated by the shared direction indicators; all phases flow one way."""
         m, line = self.model, self.network.lines[line_id]
         e, e0, e1 = (d[line_id] for d in (self.vars.e, self.vars.e0, self.vars.e1))
-        rows: list[int] = []
         for k in line.phases:
-            geo = self.octagon(line, k)
+            geo = octagon_points(line.capacity_pu[k])
             r = geo.radius
             p, q = self.vars.p[(line_id, k)], self.vars.q[(line_id, k)]
-            tag = f"{line_id}:{k.value}{self.suffix}"
-            rows.append(m.add_constraint({p: 1.0, e1: -r}, LESS, 0.0, f"thP+:{tag}"))
-            rows.append(m.add_constraint({p: 1.0, e0: r}, GREATER, 0.0, f"thP-:{tag}"))
-            rows.append(m.add_constraint({q: 1.0, e1: -r}, LESS, 0.0, f"thQ+:{tag}"))
-            rows.append(m.add_constraint({q: 1.0, e0: r}, GREATER, 0.0, f"thQ-:{tag}"))
+            tag = f"{line_id}:{k.value}"
+            m.add_constraint({p: 1.0, e1: -r}, LESS, 0.0, f"thP+:{tag}")
+            m.add_constraint({p: 1.0, e0: r}, GREATER, 0.0, f"thP-:{tag}")
+            m.add_constraint({q: 1.0, e1: -r}, LESS, 0.0, f"thQ+:{tag}")
+            m.add_constraint({q: 1.0, e0: r}, GREATER, 0.0, f"thQ-:{tag}")
             for i, (p0, q0) in enumerate(geo.diagonal_points()):
-                rows.append(
-                    m.add_constraint({p: p0, q: q0}, LESS, p0 * p0 + q0 * q0,
-                                     f"thD{i}:{tag}")
-                )
-        rows.append(
-            m.add_constraint({e0: 1.0, e1: 1.0, e: -1.0}, LESS, 0.0,
-                             f"dir:{line_id}{self.suffix}")
-        )
-        return rows
+                m.add_constraint({p: p0, q: q0}, LESS, p0 * p0 + q0 * q0, f"thD{i}:{tag}")
+        m.add_constraint({e0: 1.0, e1: 1.0, e: -1.0}, LESS, 0.0, f"dir:{line_id}")
 
-    def add_switching_damage_constraints(self, line_id: str) -> list[int]:
+    def add_switching_damage_constraints(self, line_id: str) -> None:
         """Energization equals availability on an undamaged line. Damage
         patches this row alone (``ScenarioTemplate.stack``): a damaged line
         is open unless hardened, a hardened switched line stays switchable,
         and a hardened switchless line is closed."""
-        m = self.model
         e, bs = self.vars.e[line_id], self.vars.bs[line_id]
-        return [m.add_constraint({e: 1.0, bs: -1.0}, EQUAL, 0.0,
-                                 f"sw:{line_id}{self.suffix}")]
+        self.switch_rows[line_id] = self.model.add_constraint(
+            {e: 1.0, bs: -1.0}, EQUAL, 0.0, f"sw:{line_id}")
 
-    def add_imbalance_constraints(self, line_id: str) -> list[int]:
+    def add_imbalance_constraints(self, line_id: str) -> None:
         """Per-phase flow within (1 +- beta) of the per-phase average, real and
         imaginary components separately; single-phase lines carry none.
 
@@ -493,31 +482,28 @@ class ScenarioFormulation:
         m, line = self.model, self.network.lines[line_id]
         n = len(line.phases)
         if n < 2:
-            return []
+            return
         beta = self.params.beta_for(line)
-        rows: list[int] = []
         for comp, flows in (("p", self.vars.p), ("q", self.vars.q)):
             idx = [flows[(line_id, k)] for k in line.phases]
             for k in line.phases:
                 fk = flows[(line_id, k)]
-                tag = f"{line_id}:{comp}{k.value}{self.suffix}"
+                tag = f"{line_id}:{comp}{k.value}"
                 hi = {ix: -(1.0 + beta) for ix in idx}
                 hi[fk] += float(n)
-                rows.append(m.add_constraint(hi, LESS, 0.0, f"imb+:{tag}"))
+                m.add_constraint(hi, LESS, 0.0, f"imb+:{tag}")
                 lo = {ix: -(1.0 - beta) for ix in idx}
                 lo[fk] += float(n)
-                rows.append(m.add_constraint(lo, GREATER, 0.0, f"imb-:{tag}"))
-        return rows
+                m.add_constraint(lo, GREATER, 0.0, f"imb-:{tag}")
 
-    def add_load_generation_balance(self, bus_id: str) -> list[int]:
+    def add_load_generation_balance(self, bus_id: str) -> None:
         """Delivered load definition, generation capacity, and per-phase nodal
         balance with from-oriented flow signs."""
         m, net = self.model, self.network
         bus = net.buses[bus_id]
-        rows: list[int] = []
         mgs = net.microgrids_at(bus_id)
         for k in bus.phases:
-            tag = f"{bus_id}:{k.value}{self.suffix}"
+            tag = f"{bus_id}:{k.value}"
             for comp, sd in (("re", self.vars.sd_re), ("im", self.vars.sd_im)):
                 coeffs = {sd[(bus_id, k)]: 1.0}
                 for lid in net.loads_at(bus_id):
@@ -527,7 +513,7 @@ class ScenarioFormulation:
                     dv = d.real if comp == "re" else d.imag
                     if dv != 0.0:
                         coeffs[self.vars.y[lid]] = coeffs.get(self.vars.y[lid], 0.0) - dv
-                rows.append(m.add_constraint(coeffs, EQUAL, 0.0, f"load{comp}:{tag}"))
+                m.add_constraint(coeffs, EQUAL, 0.0, f"load{comp}:{tag}")
             if mgs:
                 cap_const_re = self._sub_cap_re if bus.is_substation else 0.0
                 cap_const_im = self._sub_cap_im if bus.is_substation else 0.0
@@ -540,9 +526,7 @@ class ScenarioFormulation:
                         mg = net.microgrids[gid]
                         for ux in self.first_stage.steps[gid]:
                             coeffs[ux] = coeffs.get(ux, 0.0) - mg.step_capacity_pu
-                    rows.append(
-                        m.add_constraint(coeffs, LESS, cap0, f"gencap{comp}:{tag}")
-                    )
+                    m.add_constraint(coeffs, LESS, cap0, f"gencap{comp}:{tag}")
             for comp, sg, sd, flows in (
                 ("re", self.vars.sg_re, self.vars.sd_re, self.vars.p),
                 ("im", self.vars.sg_im, self.vars.sd_im, self.vars.q),
@@ -554,10 +538,9 @@ class ScenarioFormulation:
                         continue
                     sign = -1.0 if line.from_bus == bus_id else 1.0
                     coeffs[flows[(lid, k)]] = coeffs.get(flows[(lid, k)], 0.0) + sign
-                rows.append(m.add_constraint(coeffs, EQUAL, 0.0, f"bal{comp}:{tag}"))
-        return rows
+                m.add_constraint(coeffs, EQUAL, 0.0, f"bal{comp}:{tag}")
 
-    def add_resilience_constraints(self) -> list[int]:
+    def add_resilience_constraints(self) -> None:
         """Minimum served fractions of critical and of total real power."""
         m, net, pr = self.model, self.network, self.params
         crit = {}
@@ -574,18 +557,17 @@ class ScenarioFormulation:
                 crit_demand += d
         crit_rhs = pr.critical_fraction * crit_demand
         total_rhs = pr.total_fraction * total_demand
-        return [
-            m.add_constraint(crit, GREATER, crit_rhs, f"crit{self.suffix}"),
-            m.add_constraint(total, GREATER, total_rhs, f"total{self.suffix}"),
+        self.resilience_rows = [
+            m.add_constraint(crit, GREATER, crit_rhs, "crit"),
+            m.add_constraint(total, GREATER, total_rhs, "total"),
         ]
 
-    def add_voltage_constraints(self, line_id: str) -> list[int]:
+    def add_voltage_constraints(self, line_id: str) -> None:
         """Linearized squared-voltage drop, big-M released when the line is
         open; M = vmax_sq - vmin_sq exactly."""
         m, line = self.model, self.network.lines[line_id]
         big_m = self.params.big_m
         e = self.vars.e[line_id]
-        rows: list[int] = []
         for k in line.phases:
             expr: dict[int, float] = {
                 self.vars.v[(line.to_bus, k)]: 1.0,
@@ -599,53 +581,42 @@ class ScenarioFormulation:
                     expr[px] = expr.get(px, 0.0) + 2.0 * z.real
                 if z.imag != 0.0:
                     expr[qx] = expr.get(qx, 0.0) + 2.0 * z.imag
-            tag = f"{line_id}:{k.value}{self.suffix}"
+            tag = f"{line_id}:{k.value}"
             up = dict(expr)
             up[e] = up.get(e, 0.0) + big_m
-            rows.append(m.add_constraint(up, LESS, big_m, f"vdrop+:{tag}"))
+            m.add_constraint(up, LESS, big_m, f"vdrop+:{tag}")
             lo = dict(expr)
             lo[e] = lo.get(e, 0.0) - big_m
-            rows.append(m.add_constraint(lo, GREATER, -big_m, f"vdrop-:{tag}"))
-        return rows
+            m.add_constraint(lo, GREATER, -big_m, f"vdrop-:{tag}")
 
-    def add_reduced_edge_links(self, line_id: str) -> list[int]:
+    def add_reduced_edge_links(self, line_id: str) -> None:
         """Reduced-edge usage dominates the energization of every original
         line beneath it, so every closed line counts in the cycle cuts and
         an open damaged line in none."""
         bb = self.vars.bredge[self.reduced.edge_of_line(line_id)]
-        return [self.model.add_constraint({self.vars.e[line_id]: 1.0, bb: -1.0}, LESS,
-                                          0.0, f"redlink:{line_id}{self.suffix}")]
+        self.model.add_constraint({self.vars.e[line_id]: 1.0, bb: -1.0}, LESS, 0.0,
+                                  f"redlink:{line_id}")
 
-    def add_master_links(self) -> list[int]:
+    def add_master_links(self) -> None:
         """b^s <= b for candidates (new lines stay switchable); h^s = h."""
-        m = self.model
-        rows: list[int] = []
-        for lid in sorted(self.first_stage.build):
-            rows.append(
-                m.add_constraint(
-                    {self.vars.bs[lid]: 1.0, self.first_stage.build[lid]: -1.0},
-                    LESS, 0.0, f"linkb:{lid}{self.suffix}"
-                )
-            )
-        for lid in sorted(self.first_stage.harden):
-            rows.append(
-                m.add_constraint(
-                    {self.vars.hs[lid]: 1.0, self.first_stage.harden[lid]: -1.0},
-                    EQUAL, 0.0, f"linkh:{lid}{self.suffix}"
-                )
-            )
-        return rows
+        m, fs = self.model, self.first_stage
+        for lid in sorted(fs.build):
+            m.add_constraint({self.vars.bs[lid]: 1.0, fs.build[lid]: -1.0}, LESS, 0.0,
+                             f"linkb:{lid}")
+        for lid in sorted(fs.harden):
+            m.add_constraint({self.vars.hs[lid]: 1.0, fs.harden[lid]: -1.0}, EQUAL, 0.0,
+                             f"linkh:{lid}")
 
     def add_all(self) -> None:
         for lid in sorted(self.network.lines):
             self.add_thermal_direction_constraints(lid)
-            self.switch_rows[lid], = self.add_switching_damage_constraints(lid)
+            self.add_switching_damage_constraints(lid)
             self.add_imbalance_constraints(lid)
             self.add_voltage_constraints(lid)
             self.add_reduced_edge_links(lid)
         for bid in sorted(self.network.buses):
             self.add_load_generation_balance(bid)
-        self.resilience_rows = self.add_resilience_constraints()
+        self.add_resilience_constraints()
         self.add_master_links()
 
 
@@ -721,8 +692,7 @@ class ScenarioTemplate:
         self.network = network
         self.params = params
         self.reduced = aggregate_parallel_edges(network)
-        blk = ScenarioFormulation(model, network, params, "", self.reduced,
-                                  self.first_stage)
+        blk = ScenarioFormulation(model, network, params, self.reduced, self.first_stage)
         blk.add_all()
         rows, var_names, row_names = model.rows(), model.var_names, model.row_names
         n = self.n_first

@@ -420,6 +420,8 @@ _KINDS = {
     "capacity_kva": ("a finite number or a map of them", lambda v: _is_number(v) or (
         isinstance(v, dict) and all(map(_is_number, v.values())))),
     "demand_kva": ("a map", lambda v: isinstance(v, dict)),
+    "status": (" or ".join(repr(s.value) for s in LineStatus),
+               lambda v: any(v == s.value for s in LineStatus)),
     **dict.fromkeys(
         ("is_substation", "is_transformer", "has_switch", "damageable", "hardenable",
          "is_critical", "is_existing"), ("true or false", lambda v: isinstance(v, bool))),
@@ -629,6 +631,10 @@ def _validate(net: Network) -> None:
 
     if not net.substations:
         raise NetworkError("network has no substation bus")
+    for bid in net.substations:
+        v_ref = net.buses[bid].v_ref
+        if not v_ref > 0:
+            raise NetworkError(f"bus {bid!r}: v_ref must be positive, got {v_ref}")
 
     # every bus must be reachable from a substation over existing lines in the
     # undamaged state; multi-feeder studies may have one component per feeder

@@ -133,7 +133,7 @@ def recompute_voltages(state: OperationState, network: Network):
         if subs:
             # the optimization pins substation voltages, so this is an
             # absolute cross-check
-            anchors = [(b, network.buses[b].v_ref or 1.0) for b in subs]
+            anchors = [(b, network.buses[b].v_ref) for b in subs]
         else:
             anchor = _island_anchor(component, network)
             if anchor is None:

@@ -9,6 +9,7 @@ writes a ``DictModel`` as it does a ``MilpModel``.
 ``ScenarioFormulation`` emitters, with each scenario's damage emitted in
 place: a damaged line's ``dmg`` row instead of its ``sw`` row, ``e <= h``
 on a switched line and ``e = h`` on a switchless one, and no other row.
+The emitters write stem names; ``DictModel`` appends the block's ``:s{S}``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ class DictConstraint:
 
 
 class DictModel:
-    """A MILP whose rows are dicts, named as they are added."""
+    """A MILP whose rows are dicts, named as they are added: each name ends
+    in ``suffix``, the scenario suffix of the block being emitted."""
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
+        self.suffix = ""
         self.var_names: list[str] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
@@ -55,7 +58,7 @@ class DictModel:
     def add_variable(self, name, lb=0.0, ub=math.inf, kind=CONTINUOUS) -> int:
         if kind == BINARY and math.isinf(ub):
             ub = 1.0
-        self.var_names.append(name)
+        self.var_names.append(name + self.suffix)
         self.lb.append(lb)
         self.ub.append(ub)
         self.kinds.append(kind)
@@ -71,7 +74,8 @@ class DictModel:
             if c != 0.0:
                 cleaned[ix] = cleaned.get(ix, 0.0) + c
         cid = len(self.constraints)
-        self.constraints.append(DictConstraint(cleaned, sense, float(rhs), name or f"c{cid}"))
+        name = (name or f"c{cid}") + self.suffix
+        self.constraints.append(DictConstraint(cleaned, sense, float(rhs), name))
         return cid
 
     def set_objective(self, coeffs) -> None:
@@ -137,25 +141,26 @@ class DictMaster:
 
     def add_scenario(self, scenario: DamageScenario) -> None:
         m, net = self.model, self.network
-        blk = ScenarioFormulation(m, net, self.params, f":s{scenario.id}", self.reduced,
-                                  self.first_stage)
-        sfx, v = blk.suffix, blk.vars
+        m.suffix = f":s{scenario.id}"
+        blk = ScenarioFormulation(m, net, self.params, self.reduced, self.first_stage)
+        v = blk.vars
         for lid in sorted(net.lines):
             damaged = lid in scenario.damaged_line_ids
             blk.add_thermal_direction_constraints(lid)
             if damaged:
                 sense = LESS if net.lines[lid].has_switch else EQUAL
-                m.add_constraint({v.e[lid]: 1.0, v.hs[lid]: -1.0}, sense, 0.0, f"dmg:{lid}{sfx}")
+                m.add_constraint({v.e[lid]: 1.0, v.hs[lid]: -1.0}, sense, 0.0, f"dmg:{lid}")
             else:
-                m.add_constraint({v.e[lid]: 1.0, v.bs[lid]: -1.0}, EQUAL, 0.0, f"sw:{lid}{sfx}")
+                m.add_constraint({v.e[lid]: 1.0, v.bs[lid]: -1.0}, EQUAL, 0.0, f"sw:{lid}")
             blk.add_imbalance_constraints(lid)
             blk.add_voltage_constraints(lid)
             bb = v.bredge[self.reduced.edge_of_line(lid)]
-            m.add_constraint({v.e[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlink:{lid}{sfx}")
+            m.add_constraint({v.e[lid]: 1.0, bb: -1.0}, LESS, 0.0, f"redlink:{lid}")
         for bid in sorted(net.buses):
             blk.add_load_generation_balance(bid)
-        blk.resilience_rows = blk.add_resilience_constraints()
+        blk.add_resilience_constraints()
         blk.add_master_links()
+        m.suffix = ""
         self.blocks[scenario.id] = blk
 
     def add_cycle_cut(self, cycle_edges, scenario_id: int) -> int:
@@ -164,7 +169,7 @@ class DictMaster:
         _check_simple_cycle(cycle, blk.vars.bredge)
         return self.model.add_constraint(
             {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
-            f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}{blk.suffix}",
+            f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}:s{scenario_id}",
         )
 
     def minimize_microgrid_kw(self, cost_budget) -> None:

@@ -813,6 +813,75 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestPathThroughARegularFile:
+    """An input path with a regular file for a directory is an input error
+    naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("design", "--config"), ("evaluate", "--design"), ("validate", "--scenarios"),
+    ])
+    def test_is_an_input_error(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path)
+        design = tmp_path / "design.json"
+        design.write_text('{"built_lines": [], "hardened_lines": [], "microgrid_steps": {}}')
+        bad = cfg / "x"
+        argv = [command, "--config", str(bad if flag == "--config" else cfg)]
+        if command != "design":
+            argv += ["--design", str(bad if flag == "--design" else design)]
+        if flag == "--scenarios":
+            argv += ["--scenarios", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"'{bad}'" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestExternalCommandTemplate:
+    """A command template the external route cannot fill in is an input
+    error naming where it came from, found before any scenario is drawn."""
+
+    @pytest.mark.parametrize("template,message", [
+        ("solver {foo} {solution}", "unknown placeholder {foo}"),
+        ("solver {0} {solution}", "positional placeholder"),
+        ("solver {model} {solution", "expected '}' before end of string"),
+    ], ids=["unknown", "positional", "unbalanced"])
+    @pytest.mark.parametrize("source", ["config", "environment"])
+    def test_is_an_input_error(self, tmp_path, capsys, monkeypatch, template, message,
+                               source):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("scenarios drawn before the template was read")
+
+        monkeypatch.setattr(gridfort.cli, "sample_scenarios", no_sampling)
+        solver = {"rel_gap": 1e-6}
+        if source == "config":
+            solver["external_command"] = template
+            where = "config key 'solver.external_command'"
+        else:
+            monkeypatch.setenv("GRIDFORT_SOLVER_CMD", template)
+            where = "$GRIDFORT_SOLVER_CMD"
+        cfg = write_config(tmp_path, solver=solver)
+        assert main(["design", "--config", str(cfg), "--solver", "external"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unread_template_is_not_checked(self, tmp_path, monkeypatch):
+        """The builtin backend reads no template, and a configured one is
+        read before the environment's."""
+        monkeypatch.setenv("GRIDFORT_SOLVER_CMD", "solver {foo}")
+        gridfort.cli.load_config(write_config(tmp_path))
+        gridfort.cli.load_config(write_config(tmp_path, solver={
+            "backend": "external", "external_command": "solver {model} {solution}"}))
+
+    def test_missing_template_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GRIDFORT_SOLVER_CMD", raising=False)
+        cfg = write_config(tmp_path)
+        assert main(["design", "--config", str(cfg), "--solver", "external"]) == 4
+        assert "no solver command configured" in capsys.readouterr().err
+
+
 def _negative_network_cost(section, key):
     def overrides(tmp_path):
         doc = json.loads((FIXTURES / "case5.json").read_text())
@@ -1011,6 +1080,33 @@ class TestSweepCommand:
         cell.write_text(json.dumps(marker))
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert "123456" in (tmp_path / "out" / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("axis,old,new", [
+        ("total_fractions", (0.0, 100.0), (0.5, 100.0)),
+        ("mg_variable_cost_rates", (0.0, 100.0), (0.0, 500.0)),
+    ], ids=["gamma", "rate"])
+    def test_rerun_of_other_axes_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                   axis, old, new):
+        """A cell file is reused only for the gamma and rate it holds."""
+        fragility = {"line_failure_prob_override": 0.0, "scenario_count": 1}
+        sweep = {"total_fractions": [old[0]], "mg_variable_cost_rates": [old[1]]}
+        cfg = write_config(tmp_path, fragility=fragility, sweep=sweep)
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        csv = (tmp_path / "out" / "sweep.csv").read_text()
+        capsys.readouterr()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell solved")
+
+        monkeypatch.setattr(gridfort.cli, "sbd_design", no_solve)
+        sweep = {"total_fractions": [new[0]], "mg_variable_cost_rates": [new[1]]}
+        cfg = write_config(tmp_path, fragility=fragility, sweep=sweep)
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(tmp_path / "out" / "cells" / "cell_g0_r0.json") in err
+        assert str(old) in err and str(new) in err
+        assert (tmp_path / "out" / "sweep.csv").read_text() == csv
 
     def test_finished_cells_survive_a_crashing_cell(self, tmp_path, monkeypatch):
         cfg = write_config(

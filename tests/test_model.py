@@ -118,6 +118,8 @@ class TestLoadNetwork:
         ("lines", "capacity_kva", {"a": math.nan}),
         ("lines", "harden_cost", math.nan),
         pytest.param("lines", "harden_cost", 10 ** 400, id="lines-harden_cost-huge-int"),
+        ("lines", "status", "bogus"),
+        ("lines", "status", None),
     ])
     def test_wrong_type_names_the_field(self, section, field, value):
         doc = two_bus_doc()
@@ -125,6 +127,17 @@ class TestLoadNetwork:
         entry[field] = value
         with pytest.raises(NetworkError, match=f"{section} entry .*'{field}'"):
             load_doc(doc)
+
+    @pytest.mark.parametrize("v_ref", [0.0, 0, -1.0])
+    def test_nonpositive_v_ref_names_the_bus(self, v_ref):
+        """A zero v_ref was read as 1.0, and a negative one made every
+        scenario unattainable."""
+        doc = two_bus_doc()
+        doc["buses"][0]["v_ref"] = v_ref
+        with pytest.raises(NetworkError, match="bus 'sub': v_ref must be positive"):
+            load_doc(doc)
+        doc["buses"][0]["v_ref"] = 1.05
+        assert load_doc(doc).buses["sub"].v_ref == 1.05
 
     def test_complex_value_must_hold_numbers(self):
         doc = two_bus_doc()
