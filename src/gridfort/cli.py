@@ -9,6 +9,8 @@ Exit codes: 0 success (clean audit), 1 audit violations, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -37,7 +39,7 @@ from gridfort.fragility import (
     save_scenarios,
 )
 from gridfort.milp import ENV_SOLVER_CMD, SolverError, SolverOptions
-from gridfort.model import Network, load_network_file
+from gridfort.model import Network, load_network_file, save_network
 from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -461,6 +463,36 @@ def _check_finished_cell(path: Path, gamma: float, rate: float) -> None:
             f"configured {(gamma, rate)}; sweep into another output directory")
 
 
+def _sweep_inputs(cfg: RunConfig, network: Network, scens) -> dict:
+    """What every cell of a sweep directory shares: a digest of the seed,
+    the network, the scenarios and the design params other than the two
+    axes, which each cell sets itself."""
+    design = dataclasses.asdict(cfg.design)
+    del design["total_fraction"], design["mg_rate_override"]
+    shared = {
+        "seed": cfg.fragility.seed,
+        "network": save_network(network),
+        "scenarios": [[s.id, sorted(s.damaged_line_ids)] for s in scens],
+        "design": design,
+    }
+    text = json.dumps(shared, sort_keys=True)
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _check_sweep_inputs(path: Path, inputs: dict, cells_dir: Path) -> None:
+    """A ConfigError unless the sweep directory's ``sweep_inputs.json`` at
+    ``path`` records ``inputs``, or it is absent and so are the cells: a
+    rerun into the same directory resumes only a sweep of the same inputs."""
+    if path.exists():
+        if json.loads(path.read_text()) != inputs:
+            raise ConfigError(
+                f"{path} records other sweep inputs (seed, network, scenarios or "
+                f"design params besides the axes); sweep into another output directory")
+    elif any(cells_dir.glob("cell_*.json")):
+        raise ConfigError(f"{cells_dir} holds cells but {path} is missing, so their "
+                          f"inputs are unknown; sweep into another output directory")
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_total_fractions or not cfg.sweep_mg_rates:
         raise ConfigError("sweep requires nonempty total_fractions and "
@@ -468,6 +500,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
     out = _output_dir(cfg.output_dir)
+    inputs = _sweep_inputs(cfg, network, scens)
+    _check_sweep_inputs(out / "sweep_inputs.json", inputs, out / "cells")
     cells_dir = _output_dir(out / "cells")
     tasks = [
         (gamma, rate, cells_dir / f"cell_g{gi}_r{ri}.json")
@@ -481,6 +515,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         else:
             pending.append((replace(cfg.design, total_fraction=gamma,
                                     mg_rate_override=rate), path))
+    _dump_json(inputs, out / "sweep_inputs.json")
     if cfg.scenarios_file is None:
         # one shared draw: every cell sees the same damage (common random numbers)
         (out / "scenarios.json").write_text(

@@ -8,7 +8,12 @@ exactly optimal for the full scenario set, whatever the subset. The subset
 starts as the most damaged scenario alone, the undamaged baseline being
 verified like the rest, and failing iteration k adds up to 2**(k-1) of the
 infeasible scenarios, so a run with many conflicting scenarios needs few
-masters. That argument needs every master solve proven optimal and every
+masters. Every sampled scenario, with a block or not, also reaches the
+master through its island cover rows (``ScenarioTemplate.cover_rows``): rows
+on first-stage columns that every design serving the scenario meets, a
+combinatorial form of a Benders feasibility cut. The master with them is
+still a relaxation of the full problem, which is all the argument needs.
+That argument also needs every master solve proven optimal and every
 verification decisive, so a solver limit or failure raises ``SolverError``
 instead of counting as "infeasible".
 
@@ -35,6 +40,7 @@ except ImportError:  # no POSIX record locks: every fan-out runs serially
     fcntl = None
 
 from gridfort.formulation import (
+    CoverRow,
     Design,
     MasterProblem,
     ScenarioTemplate,
@@ -105,6 +111,7 @@ class IterationRecord:
     solve_time: float   # the master's solve, over all cut rounds
     master_solves: int  # solves of the master, cut rounds included
     cuts_added: int     # cycles added to the pool (the seeded basis first)
+    cover_rows: int     # island cover rows added (all of them in iteration 1)
     master_bound: float  # the final master solve's dual bound,
     master_gap: float    # its relative gap (Solution.gap)
     master_nodes: int    # and its branch-and-bound nodes
@@ -133,6 +140,7 @@ class SbdState:
                 "solve_s": rec.solve_time,
                 "master_solves": rec.master_solves,
                 "cuts_added": rec.cuts_added,
+                "cover_rows": rec.cover_rows,
                 "master_bound": rec.master_bound,
                 "master_gap": rec.master_gap,
                 "master_nodes": rec.master_nodes,
@@ -385,6 +393,32 @@ def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
     return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 
+def _cover_rows(template: ScenarioTemplate,
+                scenarios: list[DamageScenario]) -> list[CoverRow]:
+    """The island cover rows of every distinct damage set among
+    ``scenarios``, the sets in the order of their lowest scenario id.
+
+    Raises InfeasibleDesignError, naming the lowest such id and the island,
+    when some row cannot be met even with every upgrade applied."""
+    rows = []
+    seen: set[frozenset[str]] = set()
+    for scen in sorted(scenarios, key=lambda s: s.id):
+        if scen.damaged_line_ids in seen:
+            continue
+        seen.add(scen.damaged_line_ids)
+        for row in template.cover_rows(scen.damaged_line_ids):
+            if not row.attainable:
+                raise InfeasibleDesignError(
+                    scen.id,
+                    f"resilience targets unattainable: scenario {scen.id} cuts buses "
+                    f"{list(row.island)} off every substation, and all upgrades "
+                    f"together supply {sum(row.supply.values()):.6g} of the "
+                    f"{row.need:.6g} pu of critical real power they must receive",
+                )
+            rows.append(row)
+    return rows
+
+
 def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
                options: SolverOptions | None = None, jobs: int = 1, *,
                tie_break: bool = False):
@@ -394,11 +428,16 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
 
     The first master holds one scenario, the most damaged (lowest id among
     equals; the baseline when no scenario has damage), and every other
-    scenario is verified, the baseline too. Failing iteration k adds up to
-    2**(k-1) scenarios: the lowest-id infeasible ones, one per distinct damage
-    set. Any active set gives an exact answer, since the subset optimum bounds
-    the full one from below; the rule depends on the verdicts only, so the
-    run does not depend on ``jobs``.
+    scenario is verified, the baseline too. Before its first solve it gets
+    the island cover rows of every distinct damage set among ``scenarios``
+    (``MasterProblem.add_cover_rows``), which hold for every design that
+    serves them, so the master still bounds the full optimum from below;
+    they stay through the kW pass, whose objective they do not depend on.
+    Failing iteration k adds up to 2**(k-1) scenarios: the lowest-id
+    infeasible ones, one per distinct damage set. Any active set gives an
+    exact answer, since the subset optimum bounds the full one from below;
+    the rule depends on the verdicts only, so the run does not depend on
+    ``jobs``.
 
     The pool starts with the cycle basis of the reduced graph, every
     candidate line included, since every scenario must operate radially on
@@ -418,10 +457,11 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     Returns (Design, SbdState), the state holding every iteration of both
     passes, whose verdicts carry no operating points, and every scenario's
     final verdict with its point (``SbdState.verdicts``). Raises
-    InfeasibleDesignError when no design serves the master's scenarios
-    together even with every upgrade applied, naming the lowest id among
-    those added last; and SolverError when a solve ends without a decisive
-    answer.
+    InfeasibleDesignError before any solve when a cover row cannot be met
+    even with every upgrade applied, naming the lowest such scenario id and
+    the island; when no design serves the master's scenarios together even
+    with every upgrade applied, naming the lowest id among those added last;
+    and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
     by_id = {s.id: s for s in scenarios}
@@ -435,8 +475,10 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     active = list(added)
 
     t0 = time.monotonic()
+    covers = _cover_rows(template, scenarios)
     master = build_master(template, [worst])
     master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
+    cover_rows = master.add_cover_rows(covers)
     build_time = time.monotonic() - t0
     pooled = solves = 0
     # each failing iteration adds at least one scenario not yet in the
@@ -480,11 +522,12 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
             solve_time=solve_time,
             master_solves=master.solves - solves,
             cuts_added=len(master.cycles) - pooled,
+            cover_rows=cover_rows,
             master_bound=sol.bound,
             master_gap=sol.gap,
             master_nodes=sol.nodes,
         ))
-        pooled, solves = len(master.cycles), master.solves
+        pooled, solves, cover_rows = len(master.cycles), master.solves, 0
         t0 = time.monotonic()
         if infeasible:
             # the lowest-id infeasible scenario of each damage set, in id order

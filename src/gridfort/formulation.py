@@ -35,6 +35,10 @@ Rows carry the same scenario suffix; those of the damage rule are
                             a switched line, eline = hline on a switchless one
     redlink:{line}:s{S}     eline <= bredge of the line's reduced edge
 
+and the design master's island cover rows, on first-stage columns only, are
+
+    cover:{i}               the i-th kept row, 0-based (``MasterProblem.add_cover_rows``)
+
 Objective coefficients are expressed in k$ to keep the coefficient range
 tame; reported design costs are in dollars.
 """
@@ -80,6 +84,7 @@ __all__ = [
     "ScenarioVars",
     "ScenarioFormulation",
     "ScenarioBlock",
+    "CoverRow",
     "ScenarioTemplate",
     "FirstStage",
     "MasterProblem",
@@ -668,6 +673,28 @@ class ScenarioBlock:
     resilience_rows: list[int]
 
 
+# a cover row needs more than this (per-unit real power) to be kept, and is
+# unattainable when its supply falls short of the need by more than this:
+# HiGHS's MILP feasibility tolerance, with which it judges every row
+_COVER_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class CoverRow:
+    """sum(min(a_i, need) * x_i) >= need over first-stage binaries x_i: the
+    supply an island of a damage set must receive
+    (``ScenarioTemplate.cover_rows``)."""
+
+    island: tuple[str, ...]   # its buses, sorted
+    supply: dict[int, float]  # first-stage column -> a_i, the most it supplies
+    need: float               # b, per-unit real power
+
+    @property
+    def attainable(self) -> bool:
+        """Whether every upgrade together meets the row."""
+        return sum(self.supply.values()) >= self.need - _COVER_TOL
+
+
 class ScenarioTemplate:
     """The first stage and one scenario block, compiled once per (network,
     params); every model is assembled from copies of it.
@@ -722,6 +749,58 @@ class ScenarioTemplate:
         """The first-stage columns and rows, at the start of an empty model."""
         model.add_columns(*self.first_columns)
         model.add_rows(self.first_rows, self.first_row_names)
+
+    def cover_rows(self, damage: frozenset[str]) -> list[CoverRow]:
+        """The island cover rows of one damage set, on first-stage columns.
+
+        Without the damaged and the candidate lines, each island (a
+        component holding no substation) must still receive
+        b = crit(S) - (1 - critical_fraction) * C - (existing microgrid
+        capacity in S) of real power, C being the network's critical real
+        demand: at most C - crit(S) is served elsewhere, and power balance is
+        lossless. Only a hardened damaged line or a built candidate across
+        the island's boundary, each carrying at most its summed per-phase
+        octagon radius, and the steps of a new microgrid in it, each adding
+        its step capacity on every phase of its bus, can supply it. So every
+        design that serves the damage meets each row with b > 0. Islands in
+        the order ``components`` finds them."""
+        net, fs = self.network, self.first_stage
+        crit: dict[str, float] = {}  # bus -> critical real demand
+        total = 0.0  # C, summed as the resilience row sums it
+        for lid in sorted(net.loads):
+            load = net.loads[lid]
+            if load.is_critical:
+                crit[load.bus] = crit.get(load.bus, 0.0) + load.total_real_pu()
+                total += load.total_real_pu()
+        slack = (1.0 - self.params.critical_fraction) * total
+        kept = [(l.from_bus, l.to_bus) for l in net.lines.values()
+                if not l.is_candidate and l.id not in damage]
+        rows = []
+        for island in components(adjacency(net.buses, kept)):
+            if any(net.buses[b].is_substation for b in island):
+                continue
+            buses = sorted(island)  # sums in a fixed order, whatever the set's
+            need = sum(crit.get(b, 0.0) for b in buses) - slack
+            supply: dict[int, float] = {}
+            for bid in buses:
+                n_phases = len(net.buses[bid].phases)
+                for gid in net.microgrids_at(bid):
+                    mg = net.microgrids[gid]
+                    if mg.is_existing:
+                        need -= mg.step_capacity_pu * mg.max_steps * n_phases
+                    else:
+                        supply.update(dict.fromkeys(fs.steps[gid],
+                                                    mg.step_capacity_pu * n_phases))
+                for lid in net.lines_at(bid):
+                    line = net.lines[lid]
+                    # a line across the boundary is a candidate or damaged
+                    col = fs.build[lid] if line.is_candidate else fs.harden.get(lid)
+                    if col is not None and (line.from_bus in island) != (line.to_bus in island):
+                        supply[col] = sum(octagon_points(line.capacity_pu[k]).radius
+                                          for k in line.phases)
+            if need > _COVER_TOL:
+                rows.append(CoverRow(tuple(buses), supply, need))
+        return rows
 
     def _check_damage(self, scenario: DamageScenario) -> None:
         lines = self.network.lines
@@ -842,6 +921,24 @@ class MasterProblem:
             {blk.vars.bredge[e]: 1.0 for e in cycle}, LESS, float(len(cycle) - 1),
             f"cycle:{'|'.join('>'.join(e) for e in sorted(cycle))}:s{scenario_id}",
         )
+
+    def add_cover_rows(self, rows: list[CoverRow]) -> int:
+        """Append island cover rows (``ScenarioTemplate.cover_rows``) after
+        every row in the model, one per support set: of the rows on the same
+        binaries, the one with the largest need, which implies the others on
+        binary points. They use first-stage columns only, so they hold
+        whatever blocks the master gains and under any objective. Returns how
+        many were added."""
+        kept: dict[frozenset[int], CoverRow] = {}
+        for row in rows:
+            key = frozenset(row.supply)
+            if key not in kept or row.need > kept[key].need:
+                kept[key] = row  # an existing key keeps its place
+        for i, row in enumerate(kept.values()):
+            self.model.add_constraint(
+                {ix: min(a, row.need) for ix, a in sorted(row.supply.items())},
+                GREATER, row.need, f"cover:{i}")
+        return len(kept)
 
     def maximize_served(self) -> None:
         """Best-effort served-load maximization over the same rows and cuts:

@@ -1108,6 +1108,57 @@ class TestSweepCommand:
         assert str(old) in err and str(new) in err
         assert (tmp_path / "out" / "sweep.csv").read_text() == csv
 
+    @pytest.mark.parametrize("change", ["seed", "scenarios", "network", "design", "none"])
+    def test_rerun_of_other_inputs_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                     change):
+        """A sweep directory resumes only the seed, network, scenarios and
+        non-axis design params it was made from; the axes alone stay free."""
+        sweep = {"total_fractions": [0.0], "mg_variable_cost_rates": [100.0]}
+        fragility = {"line_failure_prob_override": 0.2, "scenario_count": 2}
+        cfg = write_config(tmp_path, fragility=fragility, sweep=sweep)
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        out = tmp_path / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert json.loads((out / "sweep_inputs.json").read_text()).keys() == {"sha256"}
+        capsys.readouterr()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell solved")
+
+        monkeypatch.setattr(gridfort.cli, "sbd_design", no_solve)
+        argv = ["sweep", "--config", str(cfg), "--jobs", "1"]
+        if change == "seed":
+            argv += ["--seed", "7"]
+        elif change == "scenarios":
+            write_config(tmp_path, fragility={**fragility, "scenario_count": 3},
+                         sweep=sweep)
+        elif change == "network":
+            doc = json.loads((tmp_path / "case5.json").read_text())
+            doc["lines"][0]["harden_cost"] += 1.0
+            (tmp_path / "case5.json").write_text(json.dumps(doc))
+        elif change == "design":
+            write_config(tmp_path, fragility=fragility, sweep=sweep,
+                         design={"critical_fraction": 0.9, "total_fraction": 0.0})
+        code = main(argv)
+        err = capsys.readouterr().err
+        if change == "none":
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err.startswith("input error:")
+            assert str(out / "sweep_inputs.json") in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_cells_without_recorded_inputs_are_an_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"total_fractions": [0.0],
+                                            "mg_variable_cost_rates": [100.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        (tmp_path / "out" / "sweep_inputs.json").unlink()
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "sweep_inputs.json is missing" in err
+
     def test_finished_cells_survive_a_crashing_cell(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path,

@@ -181,8 +181,10 @@ class TestActiveSet:
     iteration k adds the lowest-id infeasible scenario of each damage set, at
     most 2**(k-1) of them."""
 
-    CASE30 = FragilityParams(line_failure_prob_override=0.2, scenario_count=8, seed=2)
-    PARAMS = DesignParams(critical_fraction=0.98, total_fraction=0.3)
+    # three iterations verifying 9, 8 and 6 damage sets; the second adds a
+    # batch of two
+    CASE30 = FragilityParams(line_failure_prob_override=0.2, scenario_count=12, seed=0)
+    PARAMS = DesignParams(critical_fraction=0.98, total_fraction=0.7)
 
     def test_first_master_holds_no_baseline_block(self, case30, monkeypatch):
         first_blocks = []
@@ -219,7 +221,7 @@ class TestActiveSet:
             assert added == list(first.values())[:2 ** (k - 1)]
             sizes.append((len(added), len(first)))
         # iteration 1 adds one of several sets, iteration 2 a batch of two
-        assert sizes[:2] == [(1, 5), (2, 2)]
+        assert sizes[:2] == [(1, 3), (2, 2)]
         _, forked = sbd_design(template, scens, EXACT, jobs=3)
         assert ([rec.active for rec in forked.iterations]
                 == [rec.active for rec in state.iterations])
@@ -280,7 +282,29 @@ class TestActiveSet:
     def test_unattainable_batch_names_its_lowest_id(self):
         """Iteration 2 adds scenarios 2 and 3 together, and neither can be
         served: the error names 2, the one a rule adding one scenario per
-        iteration would have named."""
+        iteration would have named. The loads are not critical and the total
+        target asks for all of them, so no island cover row settles it before
+        the master does."""
+        doc = star_doc({"l1": True, "l2": True, "l3": False, "l4": False, "l5": True})
+        for load in doc["loads"]:
+            load["is_critical"] = False
+        net = load_doc(doc)
+        scens = [BASELINE,
+                 DamageScenario(1, frozenset({"l1"})),
+                 DamageScenario(2, frozenset({"l3"})),
+                 DamageScenario(3, frozenset({"l4"})),
+                 DamageScenario(4, frozenset({"l2", "l5"}))]
+        params = DesignParams(critical_fraction=1.0, total_fraction=1.0)
+        with pytest.raises(InfeasibleDesignError,
+                           match=r"the master's scenarios \[4, 1, 2, 3\] cannot be "
+                                 r"served together") as err:
+            sbd_design(ScenarioTemplate(net, params), scens, EXACT)
+        assert err.value.scenario_id == 2
+
+    def test_unattainable_island_fails_before_any_solve(self, monkeypatch):
+        """Scenarios 2 and 3 each cut a critical load off behind a line that
+        cannot be hardened: the island cover rows name the lower id and the
+        island's bus before the first master solve."""
         net = load_doc(star_doc({"l1": True, "l2": True, "l3": False, "l4": False,
                                  "l5": True}))
         scens = [BASELINE,
@@ -288,12 +312,17 @@ class TestActiveSet:
                  DamageScenario(2, frozenset({"l3"})),
                  DamageScenario(3, frozenset({"l4"})),
                  DamageScenario(4, frozenset({"l2", "l5"}))]
+        solves = []
+        monkeypatch.setattr(gridfort.decomposition, "solve",
+                            lambda *args: solves.append(args))
         params = DesignParams(critical_fraction=1.0, total_fraction=0.0)
         with pytest.raises(InfeasibleDesignError,
-                           match=r"the master's scenarios \[4, 1, 2, 3\] cannot be "
-                                 r"served together") as err:
+                           match=r"scenario 2 cuts buses \['bl3'\] off every "
+                                 r"substation, and all upgrades together supply 0 of "
+                                 r"the 0\.05 pu") as err:
             sbd_design(ScenarioTemplate(net, params), scens, EXACT)
         assert err.value.scenario_id == 2
+        assert solves == []
 
 
 class TestDistinctDamage:

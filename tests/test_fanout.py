@@ -26,20 +26,27 @@ from gridfort.milp import SolverError
 from conftest import FIXTURES
 
 REPO = Path(__file__).resolve().parent.parent
-# case30 with eight sampled scenarios over eight damage sets: three SBD
-# iterations verifying 7, 6 and 4 sets, so every --jobs 2 or 3 run forks
+# case30 with eight sampled scenarios over eight damage sets: two SBD
+# iterations verifying 7 and 6 sets, so every --jobs 2 or 3 run forks
 CASE30_CONFIG = {
     "network": "case30.json", "output_dir": "out", "seed": 2,
     "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 8},
     "design": {"critical_fraction": 0.98, "total_fraction": 0.3},
     "solver": {"rel_gap": 1e-6},
 }
+# case30 with twelve sampled scenarios: three SBD iterations verifying 9, 8
+# and 6 sets
+CASE30_THREE_ITERATIONS = {
+    **CASE30_CONFIG, "seed": 0,
+    "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 12},
+    "design": {"critical_fraction": 0.98, "total_fraction": 0.7},
+}
 
 
-def case30_config(tmp_path: Path) -> Path:
+def case30_config(tmp_path: Path, config: dict = CASE30_CONFIG) -> Path:
     shutil.copy(FIXTURES / "case30.json", tmp_path / "case30.json")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(CASE30_CONFIG))
+    path.write_text(json.dumps(config))
     return path
 
 
@@ -268,15 +275,15 @@ class TestCommands:
         assert runs[3] == runs[1]
 
     def test_large_jobs_start_few_processes(self, tmp_path, capfd, forks):
-        cfg = case30_config(tmp_path)
+        cfg = case30_config(tmp_path, CASE30_THREE_ITERATIONS)
         code, _, _ = self.run(capfd, ["design", "--config", str(cfg), "--jobs", "1000000"])
         assert code == 0
         log = json.loads((tmp_path / "out" / "sbd_log.json").read_text())
-        assert [rec["verify_solves"] for rec in log["iterations"]] == [7, 6, 4]
-        # at most one process per two of the sets solved: 7, 6 and 4 by the
+        assert [rec["verify_solves"] for rec in log["iterations"]] == [9, 8, 6]
+        # at most one process per two of the sets solved: 9, 8 and 6 by the
         # three verifications; the audit solves none, as the final master's
-        # points cover its scenarios 1, 3, 4 and 8
-        assert 0 < len(forks) <= 2 + 2 + 1
+        # points cover its scenarios 2, 6, 11 and 12
+        assert 0 < len(forks) <= 3 + 3 + 2
         assert_reaped(forks)
 
     def test_helper_failure_is_reported_as_at_one_job(self, tmp_path, capfd, monkeypatch):
