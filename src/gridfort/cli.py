@@ -39,7 +39,7 @@ from gridfort.fragility import (
     save_scenarios,
 )
 from gridfort.milp import ENV_SOLVER_CMD, SolverError, SolverOptions
-from gridfort.model import Network, load_network_file, save_network
+from gridfort.model import Network, load_network_file, read_json, save_network
 from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -139,11 +139,9 @@ def _check_command_template(template: str, where: str) -> None:
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = read_json(path, "config file")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
     _check_keys(doc, CONFIG_KEYS, "config")
     if "network" not in doc:
         raise ConfigError("config must name a network file")
@@ -254,7 +252,7 @@ def design_to_dict(design: Design) -> dict:
 def design_from_file(path: Path, network: Network, params: DesignParams) -> Design:
     """The design a ``design.json`` document describes; any field that does
     not fit ``network`` is a ConfigError naming it."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, "design file")
     where = f"design file {path}"
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -455,7 +453,7 @@ def _check_finished_cell(path: Path, gamma: float, rate: float) -> None:
     """A ConfigError unless the cell file at ``path`` holds the cell of
     ``gamma`` and ``rate``: a rerun into the same directory resumes only
     the same sweep axes."""
-    row = json.loads(path.read_text())
+    row = read_json(path, "sweep cell")
     found = (row.get("gamma"), row.get("mg_cost_per_kw")) if isinstance(row, dict) else None
     if found != (gamma, rate):
         raise ConfigError(
@@ -484,7 +482,7 @@ def _check_sweep_inputs(path: Path, inputs: dict, cells_dir: Path) -> None:
     ``path`` records ``inputs``, or it is absent and so are the cells: a
     rerun into the same directory resumes only a sweep of the same inputs."""
     if path.exists():
-        if json.loads(path.read_text()) != inputs:
+        if read_json(path, "sweep inputs file") != inputs:
             raise ConfigError(
                 f"{path} records other sweep inputs (seed, network, scenarios or "
                 f"design params besides the axes); sweep into another output directory")

@@ -4,18 +4,20 @@ and design evaluation against held-out scenarios.
 The decomposition designs against a growing active scenario subset and
 verifies the candidate design on all remaining scenarios; because the subset
 optimum is a lower bound on the full optimum, a design feasible everywhere is
-exactly optimal for the full scenario set, whatever the subset. The subset
-starts as the most damaged scenario alone, the undamaged baseline being
-verified like the rest, and failing iteration k adds up to 2**(k-1) of the
-infeasible scenarios, so a run with many conflicting scenarios needs few
-masters. Every sampled scenario, with a block or not, also reaches the
-master through its island cover rows (``ScenarioTemplate.cover_rows``): rows
-on first-stage columns that every design serving the scenario meets, a
-combinatorial form of a Benders feasibility cut. The master with them is
-still a relaxation of the full problem, which is all the argument needs.
-That argument also needs every master solve proven optimal and every
-verification decisive, so a solver limit or failure raises ``SolverError``
-instead of counting as "infeasible".
+exactly optimal for the full scenario set, whatever the subset. Scenarios
+of equal damage get equal verdicts, so each distinct damage set is handled
+once, through its lowest-id scenario (``distinct_damage``). The
+subset starts as the most damaged scenario alone, the undamaged baseline
+being verified like the rest, and failing iteration k adds up to 2**(k-1)
+of the infeasible damage sets, so a run with many conflicting scenarios
+needs few masters. Every sampled damage set, with a block or not, also
+reaches the master through its island cover rows
+(``ScenarioTemplate.cover_rows``): rows on first-stage columns that every
+design serving the set meets, a combinatorial form of a Benders feasibility
+cut. The master with them is still a relaxation of the full problem, which
+is all the argument needs. That argument also needs every master solve
+proven optimal and every verification decisive, so a solver limit or
+failure raises ``SolverError`` instead of counting as "infeasible".
 
 Radiality is enforced by cycle cuts on the reduced graph, which every
 scenario block shares. A model keeps one pool of cut cycles
@@ -59,6 +61,7 @@ __all__ = [
     "separate_cycles",
     "solve_with_cycle_cuts",
     "evaluate_design",
+    "distinct_damage",
     "evaluate_distinct",
     "sbd_design",
 ]
@@ -132,7 +135,7 @@ class SbdState:
                 "iteration": rec.index,
                 "active_scenarios": list(rec.active),
                 "cost": rec.cost,
-                "verdicts": {str(k): v.to_dict() for k, v in sorted(rec.verdicts.items())},
+                "verdicts": {str(k): v.to_dict() for k, v in rec.verdicts.items()},
                 "wall_time_s": rec.wall_time,
                 "verify_solves": rec.verify_solves,
                 "verify_s": rec.verify_time,
@@ -367,46 +370,48 @@ def _fan_out(evaluate, items: list, processes: int) -> list:
     return [results[pos] for pos in range(len(items))]
 
 
-def evaluate_distinct(scenarios: list[DamageScenario], evaluate, jobs: int = 1,
-                      known: dict[frozenset[str], Verdict] | None = None
-                      ) -> dict[int, Verdict]:
-    """Verdicts of all ``scenarios``, keyed by id in list order, calling
-    ``evaluate(scenario)`` once per distinct damage set not in ``known``
-    (damage set -> a verdict already solved for it).
+def distinct_damage(scenarios: list[DamageScenario]
+                    ) -> dict[frozenset[str], DamageScenario]:
+    """Each distinct damage set among ``scenarios`` -> its lowest-id
+    scenario, the sets in the order of those ids: the scenario that stands
+    for its set wherever one is solved, verified or given a block or rows."""
+    groups: dict[frozenset[str], DamageScenario] = {}
+    for scen in sorted(scenarios, key=lambda s: s.id):
+        groups.setdefault(scen.damaged_line_ids, scen)
+    return groups
 
-    The first scenario carrying a damage set is solved; every later one gets
-    a copy of its verdict and state under its own id. This is exact:
-    ``build_master`` assembles a one-scenario model the same way for equal
-    damage, differing only in names the solver never sees, so the solver
-    returns the same point. The solves are dealt over ``min(jobs, sets // 2)``
-    processes (``_fan_out``), since a fork costs about two solves. A verdict
-    depends on its design and scenario only, so the result does not depend
-    on ``jobs``, and neither does the failure raised: the first in list order.
+
+def evaluate_distinct(scenarios: list[DamageScenario], evaluate,
+                      jobs: int = 1) -> dict[int, Verdict]:
+    """Verdicts of all ``scenarios``, keyed by id in list order, calling
+    ``evaluate(scenario)`` once per distinct damage set, on its lowest-id
+    scenario (``distinct_damage``).
+
+    Every other scenario of the set gets a copy of that verdict and its
+    state under its own id. This is exact: ``build_master`` assembles a
+    one-scenario model the same way for equal damage, differing only in
+    names the solver never sees, so the solver returns the same point. The
+    solves are dealt over ``min(jobs, sets // 2)`` processes (``_fan_out``),
+    since a fork costs about two solves. A verdict depends on its design and
+    scenario only, so the result does not depend on ``jobs`` or on the
+    list's order, and neither does the failure raised: the first in id order.
     """
-    solved = dict(known or {})
-    todo: dict[frozenset[str], DamageScenario] = {}
-    for scen in scenarios:
-        if scen.damaged_line_ids not in solved:
-            todo.setdefault(scen.damaged_line_ids, scen)
-    sets = list(todo.values())
-    solved.update(zip(todo, _fan_out(evaluate, sets, min(jobs, len(sets) // 2))))
+    groups = distinct_damage(scenarios)
+    solved = dict(zip(groups, _fan_out(evaluate, list(groups.values()),
+                                       min(jobs, len(groups) // 2))))
     return {s.id: _restated(solved[s.damaged_line_ids], s.id) for s in scenarios}
 
 
 def _cover_rows(template: ScenarioTemplate,
-                scenarios: list[DamageScenario]) -> list[CoverRow]:
-    """The island cover rows of every distinct damage set among
-    ``scenarios``, the sets in the order of their lowest scenario id.
+                groups: dict[frozenset[str], DamageScenario]) -> list[CoverRow]:
+    """The island cover rows of every damage set of ``groups``
+    (``distinct_damage``), in its order.
 
-    Raises InfeasibleDesignError, naming the lowest such id and the island,
+    Raises InfeasibleDesignError, naming the set's lowest id and the island,
     when some row cannot be met even with every upgrade applied."""
     rows = []
-    seen: set[frozenset[str]] = set()
-    for scen in sorted(scenarios, key=lambda s: s.id):
-        if scen.damaged_line_ids in seen:
-            continue
-        seen.add(scen.damaged_line_ids)
-        for row in template.cover_rows(scen.damaged_line_ids):
+    for damage, scen in groups.items():
+        for row in template.cover_rows(damage):
             if not row.attainable:
                 raise InfeasibleDesignError(
                     scen.id,
@@ -426,27 +431,28 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     verify on the rest, and add infeasible scenarios to the subset: one
     master, built once, gains their blocks and keeps its cut pool.
 
-    The first master holds one scenario, the most damaged (lowest id among
-    equals; the baseline when no scenario has damage), and every other
-    scenario is verified, the baseline too. Before its first solve it gets
-    the island cover rows of every distinct damage set among ``scenarios``
-    (``MasterProblem.add_cover_rows``), which hold for every design that
-    serves them, so the master still bounds the full optimum from below;
-    they stay through the kW pass, whose objective they do not depend on.
-    Failing iteration k adds up to 2**(k-1) scenarios: the lowest-id
-    infeasible ones, one per distinct damage set. Any active set gives an
-    exact answer, since the subset optimum bounds the full one from below;
-    the rule depends on the verdicts only, so the run does not depend on
-    ``jobs``.
+    The scenarios are grouped by damage once (``distinct_damage``), and
+    each set's lowest-id scenario stands for it. The first master holds the
+    most damaged set (the lowest id among equals; the baseline when no
+    scenario has damage), and every other set is verified, the baseline's
+    too. Before its first solve the master gets the island cover rows of
+    every set (``MasterProblem.add_cover_rows``), which hold for every
+    design that serves them, so the master still bounds the full optimum
+    from below; they stay through the kW pass, whose objective they do not
+    depend on. Failing iteration k adds up to 2**(k-1) of the infeasible
+    sets, the lowest ids first. Any active set gives an exact answer, since
+    the subset optimum bounds the full one from below; the rule depends on
+    the verdicts only, so the run depends neither on ``jobs`` nor on the
+    list's order.
 
     The pool starts with the cycle basis of the reduced graph, every
     candidate line included, since every scenario must operate radially on
-    it. Verification solves each distinct damage set of the remaining
-    scenarios once (``evaluate_distinct``), over up to ``jobs`` processes,
-    except the damage set of an active scenario: the master's solution holds
-    a feasible operating point for it under the design, and the verdict
-    resting on that point is restated instead. The master and every
-    verification model are assembled from ``template``.
+    it. The master's solution holds an operating point under the design
+    that proves each active set feasible; every other set is verified once
+    (``evaluate_design``) over up to ``jobs`` processes, raising the first
+    failure in id order. Each scenario's verdict is its set's, restated
+    under its id. The master and every verification model are assembled
+    from ``template``.
 
     With ``tie_break``, once a design verifies the same loop goes on over the
     same master under ``MasterProblem.minimize_microgrid_kw``, with a budget
@@ -464,59 +470,55 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
-    by_id = {s.id: s for s in scenarios}
-    if len(by_id) != len(scenarios):
+    if len({s.id for s in scenarios}) != len(scenarios):
         raise ValueError("duplicate scenario ids")
+    groups = distinct_damage(scenarios)
     state = SbdState()
 
-    # warm pick: the scenario with the most damage
-    worst = max(scenarios, key=lambda s: (len(s.damaged_line_ids), -s.id))
-    added = [worst.id]
-    active = list(added)
+    # warm pick: the most damaged set
+    added = [max(groups.values(), key=lambda s: len(s.damaged_line_ids))]
+    active = {scen.id: scen for scen in added}  # in the order they joined
 
     t0 = time.monotonic()
-    covers = _cover_rows(template, scenarios)
-    master = build_master(template, [worst])
+    covers = _cover_rows(template, groups)
+    master = build_master(template, added)
     master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
     cover_rows = master.add_cover_rows(covers)
     build_time = time.monotonic() - t0
     pooled = solves = 0
-    # each failing iteration adds at least one scenario not yet in the
+    # each failing iteration adds at least one damage set not yet in the
     # master, and each pass ends in one iteration that verifies
-    for _ in range(len(scenarios) - len(active) + 1 + tie_break):
+    for _ in range(len(groups) + tie_break):
         t_solve = time.monotonic()
         sol = solve_with_cycle_cuts(master, options)
         solve_time = time.monotonic() - t_solve
         if sol.status == "infeasible":
             raise InfeasibleDesignError(
-                added[0],
-                f"resilience targets unattainable: the master's scenarios {active} "
+                added[0].id,
+                f"resilience targets unattainable: the master's scenarios {list(active)} "
                 f"cannot be served together even with all upgrades applied",
             )
         if sol.status != "optimal":
-            raise _not_proven(f"master solve over scenarios {active}", sol)
+            raise _not_proven(f"master solve over scenarios {list(active)}", sol)
         design = master.design_from_solution(sol)
-        # each block's point proves its scenario, and every scenario sharing
-        # its damage, feasible under the design: those need no verification
-        proved = {sid: _verdict_at(master.operation_state(sol, sid), template, True)
-                  for sid in active}
-        known = {by_id[sid].damaged_line_ids: v for sid, v in proved.items()}
-        remaining = [s for s in scenarios if s.id not in active]
+        by_set = {scen.damaged_line_ids:
+                  _verdict_at(master.operation_state(sol, sid), template, True)
+                  for sid, scen in active.items()}
+        todo = {damage: scen for damage, scen in groups.items() if damage not in by_set}
         t_verify = time.monotonic()
-        verdicts = evaluate_distinct(
-            remaining,
+        by_set.update(zip(todo, _fan_out(
             lambda scen: evaluate_design(design, template, scen, options),
-            jobs, known,
-        )
+            list(todo.values()), min(jobs, len(todo) // 2))))
         verify_time = time.monotonic() - t_verify
-        infeasible = [sid for sid, v in verdicts.items() if not v.feasible]
+        verdicts = {s.id: _restated(by_set[s.damaged_line_ids], s.id) for s in scenarios}
         state.iterations.append(IterationRecord(
             index=len(state.iterations) + 1,
             active=tuple(active),
             cost=design.cost.total,
-            verdicts={sid: replace(v, state=None) for sid, v in verdicts.items()},
+            verdicts={sid: replace(v, state=None) for sid, v in verdicts.items()
+                      if sid not in active},
             wall_time=time.monotonic() - t0,
-            verify_solves=len({s.damaged_line_ids for s in remaining} - known.keys()),
+            verify_solves=len(todo),
             verify_time=verify_time,
             build_time=build_time,
             solve_time=solve_time,
@@ -529,21 +531,17 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
         ))
         pooled, solves, cover_rows = len(master.cycles), master.solves, 0
         t0 = time.monotonic()
-        if infeasible:
-            # the lowest-id infeasible scenario of each damage set, in id order
-            first: dict[frozenset[str], int] = {}
-            for sid in sorted(infeasible):
-                first.setdefault(by_id[sid].damaged_line_ids, sid)
-            added = list(first.values())[:2 ** (len(state.iterations) - 1)]
-            for sid in added:
-                active.append(sid)
-                master.add_scenario(by_id[sid])
+        failing = [scen for damage, scen in todo.items() if not by_set[damage].feasible]
+        if failing:
+            added = failing[:2 ** (len(state.iterations) - 1)]
+            for scen in added:
+                active[scen.id] = scen
+                master.add_scenario(scen)
         elif tie_break:  # the kW pass goes on over this master
             tie_break = False
             master.minimize_microgrid_kw(design.cost.total / 1000.0 + 1e-6)
         else:
-            final = {**verdicts, **proved}
-            state.verdicts = {s.id: final[s.id] for s in scenarios}
+            state.verdicts = verdicts
             return design, state
         build_time = time.monotonic() - t0
     raise RuntimeError("decomposition failed to converge within |S| iterations")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridfort.model import Network
+from gridfort.model import Network, read_json
 
 __all__ = [
     "FragilityParams",
@@ -114,7 +114,10 @@ def save_scenarios(scenarios: list[DamageScenario], per_line_prob: float | None 
 def load_scenarios(text: str, network: Network | None = None) -> list[DamageScenario]:
     """Read a scenario file; ids must be unique, and with a network given,
     damage must be valid."""
-    doc = json.loads(text)
+    return _scenarios(json.loads(text), network)
+
+
+def _scenarios(doc, network: Network | None) -> list[DamageScenario]:
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ValueError("scenario file must be an object with a 'scenarios' list")
     out = []
@@ -145,4 +148,4 @@ def load_scenarios(text: str, network: Network | None = None) -> list[DamageScen
 
 
 def load_scenarios_file(path: str | Path, network: Network | None = None):
-    return load_scenarios(Path(path).read_text(), network)
+    return _scenarios(read_json(path, "scenario file"), network)

@@ -436,12 +436,26 @@ _REQUIRED = {  # fields each entry of a section needs; "bases" is one entry
 }
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON document in the file at ``path``; a ValueError naming
+    ``what`` and the path when the file is not valid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_network(text: str) -> Network:
     """Parse and validate a network document, returning a per-unit Network."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"document is not valid JSON: {exc}") from exc
+    return _network(doc)
+
+
+def _network(doc) -> Network:
+    """Validate a parsed network document, returning a per-unit Network."""
     if not isinstance(doc, dict):
         raise NetworkError("network document must be a JSON object")
     for section, keys in _REQUIRED.items():
@@ -572,7 +586,7 @@ def load_network(text: str) -> Network:
 
 
 def load_network_file(path: str | Path) -> Network:
-    return load_network(Path(path).read_text())
+    return _network(read_json(path, "network file"))
 
 
 def _validate(net: Network) -> None:

@@ -837,6 +837,37 @@ class TestPathThroughARegularFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnparsableInputFile:
+    """An input file that is not valid JSON is an input error naming its
+    path, so a run reading several files tells which one is broken."""
+
+    @pytest.mark.parametrize("name", ["config", "network", "scenarios", "design",
+                                      "sweep cell", "sweep inputs"])
+    def test_names_its_path(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, sweep={"total_fractions": [0.0],
+                                            "mg_variable_cost_rates": [100.0]})
+        design = tmp_path / "design.json"
+        design.write_text('{"built_lines": [], "hardened_lines": [], "microgrid_steps": {}}')
+        scens = write_scenarios(tmp_path / "scens.json", [[], ["L1"]])
+        out = tmp_path / "out"
+        bad = {"config": cfg, "network": tmp_path / "case5.json", "scenarios": scens,
+               "design": design, "sweep cell": out / "cells" / "cell_g0_r0.json",
+               "sweep inputs": out / "sweep_inputs.json"}[name]
+        if name.startswith("sweep"):
+            argv = ["sweep"]
+            assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        elif name in ("scenarios", "design"):
+            argv = ["evaluate", "--design", str(design), "--scenarios", str(scens)]
+        else:
+            argv = ["design"]
+        bad.write_text(bad.read_text()[:20])
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"{bad} is not valid JSON: " in err
+
+
 class TestExternalCommandTemplate:
     """A command template the external route cannot fill in is an input
     error naming where it came from, found before any scenario is drawn."""

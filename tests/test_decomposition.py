@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -278,6 +279,31 @@ class TestActiveSet:
                 assert state.verdicts[twin].state == replace(
                     state.verdicts[sid].state, scenario_id=twin)
                 assert final.verdicts[twin] == state.verdicts[twin]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_list_order_moves_nothing(self, case30, jobs):
+        """The baseline first and the rest, twins included, shuffled: the same
+        design, the same log apart from its times, and the same verdict and
+        operating point for every id as on the list in id order."""
+        scens = sample_scenarios(case30, self.CASE30)
+        scens += [DamageScenario(s.id + 100, s.damaged_line_ids) for s in scens[1:]]
+        shuffled = [scens[0], *random.Random(5).sample(scens[1:], len(scens) - 1)]
+        template = ScenarioTemplate(case30, self.PARAMS)
+        design, state = sbd_design(template, scens, EXACT)
+        got, other = sbd_design(template, shuffled, EXACT, jobs=jobs)
+
+        def untimed(st):
+            return [{k: v for k, v in rec.items()
+                     if k not in ("wall_time_s", "verify_s", "build_s", "solve_s")}
+                    for rec in st.log_records()]
+
+        assert len(state.iterations) >= 3
+        assert got == design
+        assert untimed(other) == untimed(state)
+        assert list(other.verdicts) == [s.id for s in shuffled]
+        for sid, verdict in state.verdicts.items():
+            assert other.verdicts[sid].to_dict() == verdict.to_dict()
+            assert other.verdicts[sid].state == verdict.state
 
     def test_unattainable_batch_names_its_lowest_id(self):
         """Iteration 2 adds scenarios 2 and 3 together, and neither can be

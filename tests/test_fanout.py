@@ -155,6 +155,31 @@ class TestEvaluateDistinct:
         assert sorted(sid for _, sid in calls) == list(range(n))
         assert {pid for pid, _ in calls} == {os.getpid(), *forks}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solves_the_lowest_id_of_each_set(self, tmp_path, forks, jobs):
+        """Ids in reverse list order, each set's higher id first: the lowest
+        id of each set is solved, and its verdict restated under the other."""
+        scens = distinct_scenarios(4)[::-1]
+        log = tmp_path / "calls.txt"
+        got = evaluate_distinct(scens, meeting_evaluate(log, jobs), jobs)
+        assert len(forks) == jobs - 1
+        calls = [int(line.split()[1]) for line in log.read_text().splitlines()]
+        assert sorted(calls) == [0, 1, 2, 3]
+        assert list(got) == [s.id for s in scens]
+        lowest = {s.damaged_line_ids: s for s in scens if s.id < 4}
+        for scen in scens:
+            assert got[scen.id] == replace(toy_verdict(lowest[scen.damaged_line_ids]),
+                                           scenario_id=scen.id)
+
+    def test_raises_the_first_failure_in_id_order(self):
+        def evaluate(scen):
+            if scen.damaged_line_ids & {"L1", "L2"}:
+                raise ValueError(f"scenario {scen.id} failed")
+            return toy_verdict(scen)
+
+        with pytest.raises(ValueError, match="^scenario 1 failed$"):
+            evaluate_distinct(distinct_scenarios(3)[::-1], evaluate, 1)
+
     def test_one_job_takes_the_serial_path(self, forks):
         evaluate_distinct(distinct_scenarios(8), toy_verdict, 1)
         assert forks == []
