@@ -109,11 +109,13 @@ def _checked(value, hint, where: str):
 
 def _pick(doc: dict, cls, section: str, **defaults):
     """``cls(**defaults, **doc[section])``, an absent section read as empty.
-    A present section must be a JSON object, and each of its values is
-    checked against its field's type, so a wrong type is an error naming the
-    key."""
+    A present section must be a JSON object whose keys are fields of ``cls``
+    other than those of ``defaults``, which the config sets elsewhere, and
+    each of its values is checked against its field's type, so a wrong type
+    is an error naming the key."""
     raw = doc.get(section, {})
-    _check_keys(raw, cls.__dataclass_fields__, f"config section {section!r}")
+    _check_keys(raw, set(cls.__dataclass_fields__) - set(defaults),
+                f"config section {section!r}")
     hints = typing.get_type_hints(cls)
     for key, value in raw.items():
         _checked(value, hints[key], f"config key '{section}.{key}'")
@@ -271,7 +273,7 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
                      "candidates")
     hardened = line_ids("hardened_lines", set(network.hardenable_lines()),
                         "hardenable, damageable existing lines")
-    steps = doc.get("microgrid_steps") or {}
+    steps = doc.get("microgrid_steps", {})
     if not isinstance(steps, dict):
         raise ConfigError(f"{where}: 'microgrid_steps' must map microgrid ids to step counts")
     for gid, n in steps.items():

@@ -90,34 +90,37 @@ class Verdict:
     state: OperationState | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "feasible": self.feasible,
-            "critical_fraction": self.critical_fraction,
-            "total_fraction": self.total_fraction,
-            "shortfall_critical": self.shortfall_critical,
-            "shortfall_total": self.shortfall_total,
-        }
+        """Every field but ``state``: a verdict's entry in ``sbd_log.json``
+        and ``evaluation.json``."""
+        return {k: v for k, v in vars(self).items() if k != "state"}
 
 
 @dataclass
 class IterationRecord:
-    index: int
-    active: tuple[int, ...]
+    """One SBD iteration; its fields are the keys of its ``sbd_log.json``
+    record (``docs/sbd_log.md``)."""
+
+    iteration: int
+    active_scenarios: tuple[int, ...]
     cost: float
     verdicts: dict[int, Verdict]
-    wall_time: float
+    wall_time_s: float
     verify_solves: int  # distinct damage sets solved by the verification
-    verify_time: float
-    build_time: float   # assembling the master's new block (the whole master first,
+    verify_s: float
+    build_s: float      # assembling the master's new block (the whole master first,
                         # the budget row and kW objective when the kW pass starts)
-    solve_time: float   # the master's solve, over all cut rounds
+    solve_s: float      # the master's solve, over all cut rounds
     master_solves: int  # solves of the master, cut rounds included
     cuts_added: int     # cycles added to the pool (the seeded basis first)
     cover_rows: int     # island cover rows added (all of them in iteration 1)
     master_bound: float  # the final master solve's dual bound,
     master_gap: float    # its relative gap (Solution.gap)
     master_nodes: int    # and its branch-and-bound nodes
+
+    def to_dict(self) -> dict:
+        """The record as JSON values; the verdicts keyed by id strings."""
+        return {**vars(self), "active_scenarios": list(self.active_scenarios),
+                "verdicts": {str(k): v.to_dict() for k, v in self.verdicts.items()}}
 
 
 @dataclass
@@ -130,26 +133,7 @@ class SbdState:
     verdicts: dict[int, Verdict] = field(default_factory=dict)
 
     def log_records(self) -> list[dict]:
-        return [
-            {
-                "iteration": rec.index,
-                "active_scenarios": list(rec.active),
-                "cost": rec.cost,
-                "verdicts": {str(k): v.to_dict() for k, v in rec.verdicts.items()},
-                "wall_time_s": rec.wall_time,
-                "verify_solves": rec.verify_solves,
-                "verify_s": rec.verify_time,
-                "build_s": rec.build_time,
-                "solve_s": rec.solve_time,
-                "master_solves": rec.master_solves,
-                "cuts_added": rec.cuts_added,
-                "cover_rows": rec.cover_rows,
-                "master_bound": rec.master_bound,
-                "master_gap": rec.master_gap,
-                "master_nodes": rec.master_nodes,
-            }
-            for rec in self.iterations
-        ]
+        return [rec.to_dict() for rec in self.iterations]
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +496,16 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
         verify_time = time.monotonic() - t_verify
         verdicts = {s.id: _restated(by_set[s.damaged_line_ids], s.id) for s in scenarios}
         state.iterations.append(IterationRecord(
-            index=len(state.iterations) + 1,
-            active=tuple(active),
+            iteration=len(state.iterations) + 1,
+            active_scenarios=tuple(active),
             cost=design.cost.total,
             verdicts={sid: replace(v, state=None) for sid, v in verdicts.items()
                       if sid not in active},
-            wall_time=time.monotonic() - t0,
+            wall_time_s=time.monotonic() - t0,
             verify_solves=len(todo),
-            verify_time=verify_time,
-            build_time=build_time,
-            solve_time=solve_time,
+            verify_s=verify_time,
+            build_s=build_time,
+            solve_s=solve_time,
             master_solves=master.solves - solves,
             cuts_added=len(master.cycles) - pooled,
             cover_rows=cover_rows,

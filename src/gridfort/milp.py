@@ -704,7 +704,7 @@ def write_model(model: MilpModel) -> str:
 
 
 _OBJ_LINE_RE = re.compile(r"objective value\s*=?\s*([^\s=]\S*)", re.IGNORECASE)
-_INFEASIBLE_LINE_RE = re.compile(r"^#\s*status\s*=\s*infeasible\s*$", re.IGNORECASE)
+_STATUS_LINE_RE = re.compile(r"^#\s*status\s*=\s*(.*)$", re.IGNORECASE)
 
 
 def _finite(raw: str, lineno: int) -> float:
@@ -728,12 +728,20 @@ def parse_external_solution(text: str, model: MilpModel,
     (``_mps_names``). Variables absent from the file default to 0.
     Binary values must be integral within the integrality tolerance and are
     rounded. A comment line ``# Status = infeasible`` instead reports a
-    model proven infeasible, whatever else the file holds. A file that
-    breaks these rules raises ``SolverError``, and so does one whose
-    objective or any value is not a finite float, or that names a variable
-    twice.
+    model proven infeasible, whatever else the file holds, and
+    ``# Status = optimal`` changes nothing; both are read in any case. A
+    file that breaks these rules raises ``SolverError``, and so does one
+    whose objective or any value is not a finite float, that names a
+    variable twice, or whose ``# Status =`` line states anything else, such
+    as a time limit: a solve stopped there has proven no optimum.
     """
-    if any(_INFEASIBLE_LINE_RE.match(line.strip()) for line in text.splitlines()):
+    statuses = [m.group(1) for line in text.splitlines()
+                if (m := _STATUS_LINE_RE.match(line.strip()))]
+    unproven = [s for s in statuses if s.lower() not in ("optimal", "infeasible")]
+    if unproven:
+        raise SolverError(f"solution file reports status {unproven[0]!r}, "
+                          "neither optimal nor infeasible")
+    if any(s.lower() == "infeasible" for s in statuses):
         return Solution("infeasible")
     options = options or SolverOptions()
     objective: float | None = None

@@ -54,7 +54,7 @@ class Violation:
     magnitude: float
 
     def to_dict(self) -> dict:
-        return {"element": self.element, "kind": self.kind, "magnitude": self.magnitude}
+        return dict(vars(self))
 
 
 @dataclass
@@ -73,16 +73,9 @@ class AuditReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "radial": self.radial,
-            "worst_thermal_utilization": self.worst_thermal_utilization,
-            "voltage_range": list(self.voltage_range),
-            "critical_fraction": self.critical_fraction,
-            "total_fraction": self.total_fraction,
-            "max_voltage_discrepancy": self.max_voltage_discrepancy,
-            "violations": [v.to_dict() for v in self.violations],
-        }
+        """The report as JSON values: a row of ``audit.json``."""
+        return {**vars(self), "voltage_range": list(self.voltage_range),
+                "violations": [v.to_dict() for v in self.violations]}
 
 
 def check_radiality(state: OperationState, network: Network):

@@ -82,8 +82,7 @@ def sweep_artifacts(tmp_path_factory):
         "network": str(FIXTURES / "case30.json"),
         "output_dir": str(out),
         "seed": 3,
-        "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 3,
-                      "seed": 3},
+        "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 3},
         "design": {"critical_fraction": 0.98},
         "solver": {"rel_gap": 1e-6},
         "sweep": {"total_fractions": [0.1, 0.25, 0.4, 0.5],
@@ -352,8 +351,7 @@ class TestDeterminism:
         cfg = {
             "network": str(FIXTURES / "case30.json"),
             "seed": 11,
-            "fragility": {"line_failure_prob_override": 0.2,
-                          "scenario_count": 2, "seed": 11},
+            "fragility": {"line_failure_prob_override": 0.2, "scenario_count": 2},
             "design": {"critical_fraction": 0.98, "total_fraction": 0.3,
                        "mg_rate_override": 300.0},
             "solver": {"rel_gap": 1e-6},

@@ -93,9 +93,11 @@ class TestConfigKeys:
         ({"sweep": ["total_fractions"]}, "sweep"),
         ({"solver": {"time_limit": -1}}, "time_limit"),
         ({"solver": {"node_limit": -1}}, "node_limit"),
+        # the top-level seed is the only seed key
+        ({"seed": 1, "fragility": {"seed": 5, "scenario_count": 4}}, "['seed']"),
     ], ids=["misspelled-section", "removed-vns-section", "misspelled-sweep-key",
             "zero-jobs", "sweep-not-an-object", "negative-time-limit",
-            "negative-node-limit"])
+            "negative-node-limit", "fragility-seed"])
     def test_bad_key_is_an_input_error(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)
         assert main(["design", "--config", str(cfg)]) == 2
@@ -591,6 +593,11 @@ class TestDesignFile:
     @pytest.mark.parametrize("doc,field", [
         ([], "JSON object"),
         ({"microgrid_steps": [1]}, "microgrid_steps"),
+        ({"microgrid_steps": []}, "microgrid_steps"),
+        ({"microgrid_steps": 0}, "microgrid_steps"),
+        ({"microgrid_steps": False}, "microgrid_steps"),
+        ({"microgrid_steps": ""}, "microgrid_steps"),
+        ({"microgrid_steps": None}, "microgrid_steps"),
         ({"microgrid_steps": {"mg_c1": 5}}, "microgrid_steps.mg_c1"),
         ({"microgrid_steps": {"mg_c1": 2.7}}, "microgrid_steps.mg_c1"),
         ({"microgrid_steps": {"mg_c1": True}}, "microgrid_steps.mg_c1"),
@@ -602,7 +609,8 @@ class TestDesignFile:
         ({"hardened_lines": [1]}, "hardened_lines"),
         ({"hardened_lines": ["NOPE"]}, "hardened_lines"),
         ({"hardened_lines": ["L2"]}, "hardened_lines"),
-    ], ids=["list", "steps-list", "steps-above-max", "steps-fraction", "steps-flag",
+    ], ids=["list", "steps-list", "steps-empty-list", "steps-zero", "steps-false",
+            "steps-empty-string", "steps-null", "steps-above-max", "steps-fraction", "steps-flag",
             "steps-negative", "unknown-microgrid", "built-string", "built-unknown",
             "built-existing", "hardened-number", "hardened-unknown",
             "hardened-undamageable"])

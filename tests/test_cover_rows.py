@@ -171,7 +171,7 @@ class TestMaster:
         assert len(bare_state.iterations) == len(state.iterations) + 1 == 2
         assert bare == design
         first = bare_state.iterations[0]
-        assert first.active == (1,) and not first.verdicts[2].feasible
+        assert first.active_scenarios == (1,) and not first.verdicts[2].feasible
         cut = make_design(net, params, [], ["l1", "l3"], {})
         assert first.cost == cut.cost.total
         (row,) = template.cover_rows(frozenset({"l2"}))

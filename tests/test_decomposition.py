@@ -1,8 +1,10 @@
 import json
 import math
 import random
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from gridfort import (
 import gridfort.cli
 import gridfort.decomposition
 import gridfort.milp
-from gridfort.decomposition import solve_with_cycle_cuts
+from gridfort.decomposition import IterationRecord, solve_with_cycle_cuts
 from gridfort.formulation import MasterProblem, make_design
 from gridfort.milp import SolverError, solve
 from gridfort.model import adjacency, aggregate_parallel_edges, components
@@ -34,6 +36,7 @@ from netgen import enumerate_optimum, random_instance
 
 EXACT = SolverOptions(rel_gap=1e-9)
 BASELINE = DamageScenario(0, frozenset())
+SBD_LOG_DOC = Path(__file__).resolve().parent.parent / "docs" / "sbd_log.md"
 
 
 def assert_matches_extensive_form(phases: str) -> None:
@@ -68,7 +71,7 @@ class TestSbd:
         assert design.cost.total == 0.0
         assert len(state.iterations) == 1
         # without damage, the master holds the baseline alone
-        assert state.iterations[0].active == (0,)
+        assert state.iterations[0].active_scenarios == (0,)
         assert sorted(state.iterations[0].verdicts) == [1, 2]
 
     def test_dominant_scenario_keeps_active_set_small(self, case5):
@@ -80,7 +83,7 @@ class TestSbd:
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         template = ScenarioTemplate(case5, params)
         design, state = sbd_design(template, scens, EXACT)
-        assert set(state.iterations[-1].active) <= {0, 2}
+        assert set(state.iterations[-1].active_scenarios) <= {0, 2}
         # the dominant scenario alone prices the design
         single = sbd_design(template, [BASELINE, scens[2]], EXACT)[0]
         assert design.cost.total == single.cost.total == pytest.approx(50_000.0)
@@ -203,7 +206,7 @@ class TestActiveSet:
         assert worst.damaged_line_ids and worst.id != 0
         assert first_blocks == [[worst.id]]
         first = state.iterations[0]
-        assert first.active == (worst.id,)
+        assert first.active_scenarios == (worst.id,)
         assert first.verdicts[0].feasible  # the baseline, verified
 
     def test_failing_iterations_add_doubling_batches(self, case30):
@@ -217,15 +220,15 @@ class TestActiveSet:
             first = {}
             for sid in infeasible:
                 first.setdefault(by_id[sid].damaged_line_ids, sid)
-            added = list(nxt.active[len(rec.active):])
-            assert nxt.active[:len(rec.active)] == rec.active
+            added = list(nxt.active_scenarios[len(rec.active_scenarios):])
+            assert nxt.active_scenarios[:len(rec.active_scenarios)] == rec.active_scenarios
             assert added == list(first.values())[:2 ** (k - 1)]
             sizes.append((len(added), len(first)))
         # iteration 1 adds one of several sets, iteration 2 a batch of two
         assert sizes[:2] == [(1, 3), (2, 2)]
         _, forked = sbd_design(template, scens, EXACT, jobs=3)
-        assert ([rec.active for rec in forked.iterations]
-                == [rec.active for rec in state.iterations])
+        assert ([rec.active_scenarios for rec in forked.iterations]
+                == [rec.active_scenarios for rec in state.iterations])
 
     def test_master_points_pass_the_audit(self, case30):
         scens = sample_scenarios(case30, self.CASE30)
@@ -233,8 +236,9 @@ class TestActiveSet:
         assert len(state.iterations) >= 3
         final = state.iterations[-1]
         assert list(state.verdicts) == [s.id for s in scens]
-        assert sorted(set(state.verdicts) - set(final.verdicts)) == sorted(final.active)
-        for sid in final.active:
+        assert (sorted(set(state.verdicts) - set(final.verdicts))
+                == sorted(final.active_scenarios))
+        for sid in final.active_scenarios:
             verdict = state.verdicts[sid]
             assert verdict.feasible and verdict.state.scenario_id == sid
             assert audit(verdict.state, case30, self.PARAMS, design).clean
@@ -264,15 +268,15 @@ class TestActiveSet:
             log.write_text("")
             got, state = sbd_design(template, with_twins, EXACT, jobs=jobs)
             assert got == design
-            assert ([rec.active for rec in state.iterations]
-                    == [rec.active for rec in plain.iterations])
+            assert ([rec.active_scenarios for rec in state.iterations]
+                    == [rec.active_scenarios for rec in plain.iterations])
             assert ([rec.verify_solves for rec in state.iterations]
                     == [rec.verify_solves for rec in plain.iterations])
             evaluated = [int(line) for line in log.read_text().split()]
             assert len(evaluated) == sum(rec.verify_solves for rec in state.iterations)
             assert not set(evaluated) & set(twin_of)
             final = state.iterations[-1]
-            for sid in final.active:
+            for sid in final.active_scenarios:
                 twin = sid + 100
                 assert state.verdicts[twin].to_dict() == {
                     **state.verdicts[sid].to_dict(), "scenario_id": twin}
@@ -390,9 +394,9 @@ class TestDistinctDamage:
         assert len(state.iterations) >= 2
         assert len(per_iteration) == len(state.iterations)
         for rec, (design, verified) in zip(state.iterations, per_iteration):
-            remaining = [s for s in scens if s.id not in rec.active]
+            remaining = [s for s in scens if s.id not in rec.active_scenarios]
             # a set in the master is proved by the master's own point
-            active = {by_id[sid].damaged_line_ids for sid in rec.active}
+            active = {by_id[sid].damaged_line_ids for sid in rec.active_scenarios}
             solved = Counter(s.damaged_line_ids for s in verified)
             assert set(solved) == {s.damaged_line_ids for s in remaining} - active
             assert set(solved.values()) == {1}
@@ -411,6 +415,28 @@ class TestDistinctDamage:
                     kept = state.verdicts[scen.id]
                     assert kept == got and kept.state.scenario_id == scen.id
                     assert kept.state == alone.state
+
+
+def documented_fields(heading: str) -> set[str]:
+    """The ``field`` column of the table under ``## heading`` in the
+    ``sbd_log.json`` schema."""
+    section = SBD_LOG_DOC.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)`", section, re.MULTILINE))
+
+
+class TestLogSchema:
+    def test_documented_fields_are_the_records_keys(self, case5):
+        """Each table of the schema names exactly the keys its record
+        writes, and an iteration record writes its dataclass fields."""
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        scens = [BASELINE, DamageScenario(1, frozenset({"L1"}))]
+        _, state = sbd_design(ScenarioTemplate(case5, params), scens, EXACT)
+        record = state.iterations[0]
+        assert (documented_fields("Iteration record") == set(record.to_dict())
+                == {f.name for f in fields(IterationRecord)})
+        verdict = state.verdicts[0]
+        assert verdict.state is not None
+        assert documented_fields("Verdict") == set(verdict.to_dict())
 
 
 class TestEvaluateDesign:
@@ -549,7 +575,7 @@ class TestPersistentMaster:
         assert len(state.iterations) >= 2
         masters = [res for _, kwargs, res in builds if "fixed_design" not in kwargs]
         assert len(masters) == 1
-        assert list(masters[0].blocks) == list(state.iterations[-1].active)
+        assert list(masters[0].blocks) == list(state.iterations[-1].active_scenarios)
 
     def test_best_effort_solve_keeps_the_feasibility_cuts(self, monkeypatch):
         net = meshed_triangle()
@@ -609,7 +635,7 @@ class TestCutPool:
         assert len(keys) == len(set(keys))
         # verification models hold one block each
         master, = {id(m): m for m, _, _ in cut_calls if len(m.blocks) > 1}.values()
-        assert list(master.blocks) == list(state.iterations[-1].active)
+        assert list(master.blocks) == list(state.iterations[-1].active_scenarios)
         assert master.cycles
         held = {sid: [cyc for m, s, cyc in cut_calls if m is master and s == sid]
                 for sid in master.blocks}
@@ -657,7 +683,7 @@ class TestCutPool:
         params = DesignParams(critical_fraction=0.98, total_fraction=0.3)
         _, state = sbd_design(ScenarioTemplate(network, params), scens, EXACT)
         per_block = Counter(name.rsplit(":s", 1)[1] for name in first_rows[0])
-        assert per_block == {str(sid): rank for sid in state.iterations[0].active}
+        assert per_block == {str(sid): rank for sid in state.iterations[0].active_scenarios}
         assert state.iterations[0].cuts_added >= rank
 
 

@@ -716,6 +716,15 @@ class TestExternalAdapter:
         assert sol.status == "infeasible"
         assert sol.values is None
 
+    @pytest.mark.parametrize("line", ["# Status = optimal", "#status=OPTIMAL", ""])
+    def test_optimal_or_absent_status_line(self, line):
+        m = MilpModel()
+        m.add_variable("x", 0.0, 1.0)
+        m.set_objective({0: 1.0})
+        sol = parse_external_solution(f"{line}\n# Objective value = 1\nx 1\n", m)
+        assert sol.status == "optimal"
+        assert sol.objective == 1.0
+
     def test_missing_objective_rejected(self):
         m = MilpModel()
         m.add_variable("x", 0.0, 1.0)
@@ -735,9 +744,16 @@ class TestExternalAdapter:
         ("# Objective value = 1\nb inf\n", "'inf' is not finite"),
         ("# Objective value = 1\nb nan\n", "'nan' is not finite"),
         ("# Objective value = 1\nx 1\nb 1\nx 2\n", "line 4: variable 'x' named twice"),
+        # a solve stopped at a limit has proven nothing, whatever it wrote
+        ("# Status = time limit reached\n# Objective value = 1\nx 1\n",
+         "status 'time limit reached', neither optimal nor infeasible"),
+        ("# Objective value = 1\n# status = TIME_LIMIT\nx 1\n", "status 'TIME_LIMIT'"),
+        ("# Status = feasible\n# Objective value = 1\nx 1\n", "status 'feasible'"),
+        ("# Status = infeasible\n# Status = node_limit\n", "status 'node_limit'"),
     ], ids=["objective-unparsed", "objective-overflow", "objective-inf",
             "objective-minus-inf", "objective-nan", "inf", "minus-inf", "nan",
-            "binary-inf", "binary-nan", "named-twice"])
+            "binary-inf", "binary-nan", "named-twice", "status-time-limit",
+            "status-upper-case", "status-feasible", "status-infeasible-and-limit"])
     def test_malformed_file_is_a_solver_error(self, text, match):
         m = MilpModel()
         m.add_variable("x", 0.0, 5.0)
