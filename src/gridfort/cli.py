@@ -240,14 +240,8 @@ def design_to_dict(design: Design) -> dict:
     return {
         "built_lines": list(design.built_lines),
         "hardened_lines": list(design.hardened_lines),
-        "microgrid_steps": {g: n for g, n in design.microgrid_steps},
-        "cost": {
-            "new_lines": design.cost.new_lines,
-            "hardening": design.cost.hardening,
-            "microgrid_fixed": design.cost.microgrid_fixed,
-            "microgrid_capacity": design.cost.microgrid_capacity,
-            "total": design.cost.total,
-        },
+        "microgrid_steps": dict(design.microgrid_steps),
+        "cost": {**vars(design.cost), "total": design.cost.total},
     }
 
 
@@ -279,6 +273,8 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
     for gid, n in steps.items():
         if gid not in network.microgrids:
             raise ConfigError(f"{where}: 'microgrid_steps' names an unknown microgrid {gid!r}")
+        if network.microgrids[gid].is_existing:
+            raise ConfigError(f"{where}: 'microgrid_steps' names the existing microgrid {gid!r}")
         key, top = f"{where}: 'microgrid_steps.{gid}'", network.microgrids[gid].max_steps
         if not 0 <= _checked(n, int, key) <= top:
             raise ConfigError(f"{key} must lie in [0, {top}], got {n}")

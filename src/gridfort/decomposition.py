@@ -358,9 +358,14 @@ def distinct_damage(scenarios: list[DamageScenario]
                     ) -> dict[frozenset[str], DamageScenario]:
     """Each distinct damage set among ``scenarios`` -> its lowest-id
     scenario, the sets in the order of those ids: the scenario that stands
-    for its set wherever one is solved, verified or given a block or rows."""
+    for its set wherever one is solved, verified or given a block or rows.
+    A ValueError if two scenarios share an id."""
     groups: dict[frozenset[str], DamageScenario] = {}
+    last = None
     for scen in sorted(scenarios, key=lambda s: s.id):
+        if scen.id == last:
+            raise ValueError(f"duplicate scenario id {scen.id}")
+        last = scen.id
         groups.setdefault(scen.damaged_line_ids, scen)
     return groups
 
@@ -454,8 +459,6 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     and SolverError when a solve ends without a decisive answer.
     """
     options = options or SolverOptions()
-    if len({s.id for s in scenarios}) != len(scenarios):
-        raise ValueError("duplicate scenario ids")
     groups = distinct_damage(scenarios)
     state = SbdState()
 

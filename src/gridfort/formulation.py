@@ -15,7 +15,7 @@ model's ``var_names`` and ``row_names``):
 
     build:{line}            first-stage new-line decision
     harden:{line}           first-stage hardening decision
-    mgstep:{mg}:{m}         first-stage microgrid sizing step m (1-based)
+    mgstep:{mg}:{m}         first-stage sizing step m (1-based) of a new microgrid
     eline:{line}:s{S}       line energized in scenario S
     edir0/edir1:{line}:s{S} flow direction indicators (to->from / from->to)
     bline:{line}:s{S}       line available (built and switched in)
@@ -38,6 +38,10 @@ Rows carry the same scenario suffix; those of the damage rule are
 and the design master's island cover rows, on first-stage columns only, are
 
     cover:{i}               the i-th kept row, 0-based (``MasterProblem.add_cover_rows``)
+
+An existing microgrid is part of the network, not a decision: it has no
+``mgstep`` columns, and its full capacity is a constant of its bus's
+``gencap`` rows, as the substation's import is.
 
 Objective coefficients are expressed in k$ to keep the coefficient range
 tame; reported design costs are in dollars.
@@ -286,22 +290,15 @@ def make_design(network: Network, params: DesignParams, built, hardened, steps) 
 class FirstStage:
     build: dict[str, int] = field(default_factory=dict)    # candidate line -> var
     harden: dict[str, int] = field(default_factory=dict)   # hardenable line -> var
-    steps: dict[str, list[int]] = field(default_factory=dict)  # mg -> step vars
+    steps: dict[str, list[int]] = field(default_factory=dict)  # new mg -> step vars
 
 
 def microgrid_step_encoding(model: MilpModel,
                             mg: MicrogridCandidate) -> tuple[list[int], list[int]]:
-    """Ordered incremental sizing binaries u_1 >= u_2 >= ... for one unit.
-
-    Existing units are fully committed (every step fixed on). Returns the
-    step variable indexes and the ordering constraint ids.
-    """
-    vs: list[int] = []
-    for m in range(1, mg.max_steps + 1):
-        ix = model.add_variable(f"mgstep:{mg.id}:{m}", 0.0, 1.0, BINARY)
-        if mg.is_existing:
-            model.fix_variable(ix, 1.0)
-        vs.append(ix)
+    """Ordered incremental sizing binaries u_1 >= u_2 >= ... of a unit to
+    build: the step variable indexes and the ordering constraint ids."""
+    vs = [model.add_variable(f"mgstep:{mg.id}:{m}", 0.0, 1.0, BINARY)
+          for m in range(1, mg.max_steps + 1)]
     rows = [
         model.add_constraint({vs[m]: 1.0, vs[m + 1]: -1.0}, GREATER, 0.0,
                              name=f"mgorder:{mg.id}:{m + 1}")
@@ -319,7 +316,8 @@ def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
     for lid in sorted(network.hardenable_lines()):
         fs.harden[lid] = model.add_variable(f"harden:{lid}", 0.0, 1.0, BINARY)
     for gid in sorted(network.microgrids):
-        fs.steps[gid], _ = microgrid_step_encoding(model, network.microgrids[gid])
+        if not network.microgrids[gid].is_existing:
+            fs.steps[gid], _ = microgrid_step_encoding(model, network.microgrids[gid])
     return fs
 
 
@@ -506,7 +504,12 @@ class ScenarioFormulation:
         balance with from-oriented flow signs."""
         m, net = self.model, self.network
         bus = net.buses[bus_id]
-        mgs = net.microgrids_at(bus_id)
+        # generation capacity: a new unit's comes with its built steps, and
+        # an existing unit's in full is a constant, as the substation's is
+        units = [net.microgrids[g] for g in net.microgrids_at(bus_id)]
+        steps = {ux: -mg.step_capacity_pu
+                 for mg in units for ux in self.first_stage.steps.get(mg.id, ())}
+        existing = sum(mg.step_capacity_pu * mg.max_steps for mg in units if mg.is_existing)
         for k in bus.phases:
             tag = f"{bus_id}:{k.value}"
             for comp, sd in (("re", self.vars.sd_re), ("im", self.vars.sd_im)):
@@ -519,19 +522,14 @@ class ScenarioFormulation:
                     if dv != 0.0:
                         coeffs[self.vars.y[lid]] = coeffs.get(self.vars.y[lid], 0.0) - dv
                 m.add_constraint(coeffs, EQUAL, 0.0, f"load{comp}:{tag}")
-            if mgs:
-                cap_const_re = self._sub_cap_re if bus.is_substation else 0.0
-                cap_const_im = self._sub_cap_im if bus.is_substation else 0.0
-                for comp, sg, cap0 in (
-                    ("re", self.vars.sg_re, cap_const_re),
-                    ("im", self.vars.sg_im, cap_const_im),
+            if units:
+                for comp, sg, sub_cap in (
+                    ("re", self.vars.sg_re, self._sub_cap_re),
+                    ("im", self.vars.sg_im, self._sub_cap_im),
                 ):
-                    coeffs = {sg[(bus_id, k)]: 1.0}
-                    for gid in mgs:
-                        mg = net.microgrids[gid]
-                        for ux in self.first_stage.steps[gid]:
-                            coeffs[ux] = coeffs.get(ux, 0.0) - mg.step_capacity_pu
-                    m.add_constraint(coeffs, LESS, cap0, f"gencap{comp}:{tag}")
+                    cap = (sub_cap if bus.is_substation else 0.0) + existing
+                    m.add_constraint({sg[(bus_id, k)]: 1.0, **steps}, LESS, cap,
+                                     f"gencap{comp}:{tag}")
             for comp, sg, sd, flows in (
                 ("re", self.vars.sg_re, self.vars.sd_re, self.vars.p),
                 ("im", self.vars.sg_im, self.vars.sd_im, self.vars.q),
@@ -960,8 +958,6 @@ class MasterProblem:
         obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
         for gid, ixs in self.first_stage.steps.items():
             mg = self.network.microgrids[gid]
-            if mg.is_existing:
-                continue
             w = mg.step_capacity_kva * len(self.network.buses[mg.bus].phases)
             for ix in ixs:
                 obj[ix] = obj.get(ix, 0.0) + w
@@ -971,11 +967,8 @@ class MasterProblem:
         vals = solution.values
         built = [lid for lid, ix in self.first_stage.build.items() if vals[ix] > 0.5]
         hardened = [lid for lid, ix in self.first_stage.harden.items() if vals[ix] > 0.5]
-        steps = {
-            gid: int(sum(vals[ix] > 0.5 for ix in ixs))
-            for gid, ixs in self.first_stage.steps.items()
-            if not self.network.microgrids[gid].is_existing
-        }
+        steps = {gid: int(sum(vals[ix] > 0.5 for ix in ixs))
+                 for gid, ixs in self.first_stage.steps.items()}
         return make_design(self.network, self.params, built, hardened, steps)
 
     def operation_state(self, solution: Solution, scenario_id: int):
@@ -1007,19 +1000,14 @@ class MasterProblem:
 
 def _apply_fixed_design(model: MilpModel, network: Network, fs: FirstStage,
                         design: Design) -> None:
-    built = set(design.built_lines)
-    hardened = set(design.hardened_lines)
     steps = dict(design.microgrid_steps)
     for lid, ix in fs.build.items():
-        model.fix_variable(ix, 1.0 if lid in built else 0.0)
+        model.fix_variable(ix, float(lid in design.built_lines))
     for lid, ix in fs.harden.items():
-        model.fix_variable(ix, 1.0 if lid in hardened else 0.0)
+        model.fix_variable(ix, float(lid in design.hardened_lines))
     for gid, ixs in fs.steps.items():
-        if network.microgrids[gid].is_existing:
-            continue  # existing units stay fully committed
-        n = steps.get(gid, 0)
-        for m_, ix in enumerate(ixs, start=1):
-            model.fix_variable(ix, 1.0 if m_ <= n else 0.0)
+        for m_, ix in enumerate(ixs):
+            model.fix_variable(ix, float(m_ < steps.get(gid, 0)))
 
 
 def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
@@ -1031,16 +1019,11 @@ def _cost_coefficients(network: Network, params: DesignParams, fs: FirstStage):
         coeffs[ix] = params.line_harden_cost(network.lines[lid]) / 1000.0
     for gid, ixs in fs.steps.items():
         mg = network.microgrids[gid]
-        if mg.is_existing:
-            continue
-        n_ph = len(network.buses[mg.bus].phases)
-        step_cost = params.mg_step_cost(mg, n_ph) / 1000.0
-        for m_, ix in enumerate(ixs, start=1):
-            c = step_cost
-            if m_ == 1:
-                c += params.mg_fixed_cost(mg) / 1000.0
+        step_cost = params.mg_step_cost(mg, len(network.buses[mg.bus].phases)) / 1000.0
+        for m_, ix in enumerate(ixs):
+            c = step_cost + params.mg_fixed_cost(mg) / 1000.0 if m_ == 0 else step_cost
             if c != 0.0:
-                coeffs[ix] = coeffs.get(ix, 0.0) + c
+                coeffs[ix] = c
     return coeffs
 
 
@@ -1095,7 +1078,8 @@ def master_dimensions(network: Network, scenarios: list[DamageScenario],
     reduced = aggregate_parallel_edges(net)
     n_cand = sum(1 for l in net.lines.values() if l.is_candidate)
     n_hard = len(net.hardenable_lines())
-    n_steps = sum(g.max_steps for g in net.microgrids.values())
+    new_mgs = [g for g in net.microgrids.values() if not g.is_existing]
+    n_steps = sum(g.max_steps for g in new_mgs)
     line_phases = sum(len(l.phases) for l in net.lines.values())
     multi_line_phases = sum(
         len(l.phases) for l in net.lines.values() if len(l.phases) >= 2
@@ -1108,7 +1092,7 @@ def master_dimensions(network: Network, scenarios: list[DamageScenario],
     nl, ne, nload = len(net.buses), len(net.lines), len(net.loads)
 
     fs_vars = n_cand + n_hard + n_steps
-    fs_rows = sum(g.max_steps - 1 for g in net.microgrids.values())
+    fs_rows = sum(g.max_steps - 1 for g in new_mgs)
     scen_vars = 5 * ne + len(reduced.edges) + 2 * line_phases + 5 * bus_phases + nload
     s = len(scenarios)
     scen_rows = s * (

@@ -49,6 +49,8 @@ class FragilityParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.scenario_count < 1:
             raise ValueError("scenario_count must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # the Philox key's range
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def _uniforms(seed: int, scenario_index: int, n: int) -> np.ndarray:
     stream, so draws are independent of generation order, and the i-th
     variate always belongs to the i-th damageable line (canonical id order).
     """
-    bits = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
+    bits = np.random.Philox(key=seed)
     bits = bits.advance(scenario_index * (1 << 32))
     return np.random.Generator(bits).random(n)
 

@@ -160,8 +160,8 @@ class MicrogridCandidate:
     """A sited microgrid with incremental sizing steps.
 
     Capacity is per phase per step; total per-phase capacity is
-    step_capacity * (number of committed steps). Existing units carry no
-    cost and are treated as fully committed.
+    step_capacity * (number of committed steps). An existing unit is no
+    decision: it carries no cost, and its full capacity always serves.
     """
 
     id: str
@@ -427,12 +427,16 @@ _KINDS = {
          "is_critical", "is_existing"), ("true or false", lambda v: isinstance(v, bool))),
 }
 
-_REQUIRED = {  # fields each entry of a section needs; "bases" is one entry
-    "bases": ("base_kva", "base_kv"),
-    "buses": ("id", "phases"),
-    "lines": ("id", "from", "to", "phases", "impedance", "capacity_kva"),
-    "loads": ("id", "bus", "demand_kva"),
-    "microgrids": ("id", "bus", "step_capacity_kva", "max_steps"),
+_FIELDS = {  # the fields each entry of a section needs, and the others it
+    # may hold (docs/network_format.md); "bases" is one entry
+    "bases": (("base_kva", "base_kv"), ()),
+    "buses": (("id", "phases"), ("coords", "is_substation", "v_ref")),
+    "lines": (("id", "from", "to", "phases", "impedance", "capacity_kva"),
+              ("length_km", "status", "is_transformer", "has_switch", "damageable",
+               "hardenable", "construction_cost", "harden_cost")),
+    "loads": (("id", "bus", "demand_kva"), ("is_critical",)),
+    "microgrids": (("id", "bus", "step_capacity_kva", "max_steps"),
+                   ("fixed_cost", "variable_cost_rate", "is_existing")),
 }
 
 
@@ -458,16 +462,22 @@ def _network(doc) -> Network:
     """Validate a parsed network document, returning a per-unit Network."""
     if not isinstance(doc, dict):
         raise NetworkError("network document must be a JSON object")
-    for section, keys in _REQUIRED.items():
+    unknown = sorted(set(doc) - set(_FIELDS))
+    if unknown:
+        raise NetworkError(f"document has unknown section(s) {unknown}")
+    for section, (required, optional) in _FIELDS.items():
         if section not in doc:
             raise NetworkError(f"document missing section {section!r}")
         entries = [doc[section]] if section == "bases" else doc[section]
         if not isinstance(entries, list) or not all(isinstance(r, dict) for r in entries):
             raise NetworkError(f"section {section!r} must hold JSON objects")
         for i, raw in enumerate(entries):
-            missing = [k for k in keys if k not in raw]
+            missing = [k for k in required if k not in raw]
             if missing:
                 raise NetworkError(f"{section} entry {i}: missing field(s) {missing}")
+            unknown = sorted(set(raw) - set(required) - set(optional))
+            if unknown:
+                raise NetworkError(f"{section} entry {i}: unknown field(s) {unknown}")
             for key, value in raw.items():
                 kind, ok = _KINDS.get(key, (None, None))
                 if ok is not None and not ok(value):

@@ -108,9 +108,11 @@ def recompute_voltages(state: OperationState, network: Network):
     Substation-fed components anchor at the substation reference; islands
     anchor at their largest microgrid bus, using the state's value for that
     bus when available (the optimization does not pin island voltage levels)
-    and the substation reference otherwise. Returns (voltages keyed by
-    (bus, phase), max discrepancy against the state's voltages, flagged
-    islands without any source).
+    and the substation reference otherwise. Of parallel closed lines the
+    sweep goes on over the first; each other gives its far bus one more
+    voltage, for the discrepancy only. Returns (voltages keyed by (bus,
+    phase), max discrepancy against the state's voltages, flagged islands
+    without any source).
     """
     lines_between: dict[tuple[str, str], list[str]] = {}
     for lid in sorted(state.closed_lines):
@@ -120,6 +122,7 @@ def recompute_voltages(state: OperationState, network: Network):
     adj = adjacency(network.buses, lines_between)
 
     voltages: dict[tuple[str, Phase], float] = {}
+    swept: list[tuple[tuple[str, Phase], float]] = []  # over every closed line
     flagged: list[str] = []
     for component in components(adj):
         subs = sorted(b for b in component if network.buses[b].is_substation)
@@ -155,25 +158,23 @@ def recompute_voltages(state: OperationState, network: Network):
             for nb in sorted(adj[bid]):
                 if nb in seen:
                     continue
-                key = tuple(sorted((bid, nb)))
-                lid = lines_between[key][0]
-                line = network.lines[lid]
-                for k in line.phases:
-                    drop = 0.0
-                    for k2 in line.phases:
-                        z = rotated_impedance(line, k, k2)
-                        s = state.flows.get((lid, k2), 0j)
-                        drop += 2.0 * (z.real * s.real + z.imag * s.imag)
-                    # drop is V_from - V_to along the line's declared direction
-                    if line.from_bus == bid:
-                        voltages[(nb, k)] = voltages[(bid, k)] - drop
-                    else:
-                        voltages[(nb, k)] = voltages[(bid, k)] + drop
+                for lid in lines_between[tuple(sorted((bid, nb)))]:
+                    line = network.lines[lid]
+                    for k in line.phases:
+                        drop = 0.0
+                        for k2 in line.phases:
+                            z = rotated_impedance(line, k, k2)
+                            s = state.flows.get((lid, k2), 0j)
+                            drop += 2.0 * (z.real * s.real + z.imag * s.imag)
+                        # drop is V_from - V_to along the line's declared direction
+                        v = voltages[(bid, k)] + (-drop if line.from_bus == bid else drop)
+                        voltages.setdefault((nb, k), v)  # the sweep goes on from the first
+                        swept.append(((nb, k), v))
                 seen.add(nb)
                 queue.append(nb)
 
     discrepancy = 0.0
-    for key, v in voltages.items():
+    for key, v in [*voltages.items(), *swept]:
         if key in state.voltages:
             discrepancy = max(discrepancy, abs(v - state.voltages[key]))
     return voltages, discrepancy, flagged

@@ -104,6 +104,17 @@ class TestConfigKeys:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range_is_an_input_error(self, tmp_path, capsys, via,
+                                                           seed):
+        """Such a seed drew the scenarios of a seed inside [0, 2**64)."""
+        cfg = write_config(tmp_path, **({"seed": seed} if via == "config" else {}))
+        flag = ["--seed", str(seed)] if via == "flag" else []
+        assert main(["design", "--config", str(cfg), *flag]) == 2
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [None, ""])
     def test_empty_scenarios_file_means_sampled_scenarios(self, tmp_path, value):
         cfg = write_config(tmp_path, scenarios_file=value)
@@ -622,6 +633,24 @@ class TestDesignFile:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_existing_microgrid_is_an_input_error(self, tmp_path, capsys, command, steps):
+        """An existing unit is part of the network, not a decision: its
+        entry was read and then ignored."""
+        cfg = write_config(tmp_path)
+        doc = json.loads((tmp_path / "case5.json").read_text())
+        doc["microgrids"].append({"id": "mg_old", "bus": "c1", "step_capacity_kva": 7.0,
+                                  "max_steps": 3, "is_existing": True})
+        (tmp_path / "case5.json").write_text(json.dumps(doc))
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"microgrid_steps": {"mg_old": steps}}))
+        assert main([command, "--config", str(cfg), "--design", str(design)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "'microgrid_steps' names the existing microgrid 'mg_old'" in err
         assert not (tmp_path / "out").exists()
 
     def test_full_microgrid_is_accepted(self, tmp_path):

@@ -151,6 +151,34 @@ class TestSbd:
                                   DamageScenario(1, frozenset({"l1"})), EXACT)
         assert verdict.feasible
 
+    def test_existing_microgrid_beside_a_new_one(self):
+        """case5's c1 holds an existing 3 x 10 kVA unit and a new unit of
+        four 25 kVA steps. Islanded by damage on L1, c1's critical 80 kW
+        needs two new steps with the existing unit (three steps give 75 kW
+        without it), which is cheaper than hardening L1: the existing unit's
+        capacity counts in full, and costs nothing."""
+        doc = json.loads((FIXTURES / "case5.json").read_text())
+        doc["microgrids"] = [
+            {"id": "mg_c1", "bus": "c1", "step_capacity_kva": 25.0, "max_steps": 4,
+             "fixed_cost": 5000.0, "variable_cost_rate": 100.0},
+            {"id": "mg_old", "bus": "c1", "step_capacity_kva": 10.0, "max_steps": 3,
+             "is_existing": True},
+        ]
+        net = load_doc(doc)
+        scens = [BASELINE, DamageScenario(1, frozenset({"L1"})),
+                 DamageScenario(2, frozenset({"L3"})),
+                 DamageScenario(3, frozenset({"L1", "L3"}))]
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        template = ScenarioTemplate(net, params)
+        design, state = sbd_design(template, scens, EXACT)
+        assert (design.built_lines, design.hardened_lines) == ((), ())
+        assert design.microgrid_steps == (("mg_c1", 2),)
+        assert design.cost.total == 10_000.0
+        assert all(v.feasible for v in state.verdicts.values())
+        master = build_master(template, scens)
+        extensive = master.design_from_solution(solve_with_cycle_cuts(master, EXACT))
+        assert extensive == design
+
     def test_free_microgrids_leave_lines_unbuilt(self, case5):
         # with microgrid costs zeroed and positive line costs, an optimum with
         # no built or hardened lines exists whenever microgrids alone satisfy

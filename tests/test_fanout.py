@@ -171,6 +171,14 @@ class TestEvaluateDistinct:
             assert got[scen.id] == replace(toy_verdict(lowest[scen.damaged_line_ids]),
                                            scenario_id=scen.id)
 
+    @pytest.mark.parametrize("ids", [[0, 1, 1], [1, 0, 1], [0, 1, 2, 1]])
+    def test_repeated_id_is_an_error(self, ids):
+        """A repeated id would leave one verdict for two scenarios."""
+        scens = [DamageScenario(i, frozenset({f"L{n}"} if n else ()))
+                 for n, i in enumerate(ids)]
+        with pytest.raises(ValueError, match="^duplicate scenario id 1$"):
+            evaluate_distinct(scens, toy_verdict, 1)
+
     def test_raises_the_first_failure_in_id_order(self):
         def evaluate(scen):
             if scen.damaged_line_ids & {"L1", "L2"}:

@@ -567,6 +567,23 @@ class TestModelDimensions:
             assert master.model.num_constraints == dims["constraints"]
             assert master.model.kinds.count(BINARY) == dims["binaries"]
 
+    def test_formula_matches_built_model_with_an_existing_unit(self):
+        """An existing unit adds no first-stage column or row; its bus keeps
+        its gencap rows."""
+        doc = two_bus_doc()
+        doc["microgrids"] = [
+            {"id": "mg", "bus": "b1", "step_capacity_kva": 25.0, "max_steps": 3},
+            {"id": "old", "bus": "b1", "step_capacity_kva": 10.0, "max_steps": 4,
+             "is_existing": True}]
+        net = load_doc(doc)
+        scens = [BASELINE, DamageScenario(1, frozenset())]
+        master = build_master(ScenarioTemplate(net, DesignParams()), scens)
+        dims = master_dimensions(net, scens, DesignParams())
+        assert dims["first_stage_variables"] == 3
+        assert master.model.num_variables == dims["variables"]
+        assert master.model.num_constraints == dims["constraints"]
+        assert master.model.kinds.count(BINARY) == dims["binaries"]
+
     def test_golden_counts_case5(self, case5):
         dims = master_dimensions(case5, [BASELINE], DesignParams())
         assert dims == {
@@ -673,7 +690,14 @@ class TestMicrogridStepEncoding:
         assert cb.total == 0.0
 
     def test_existing_unit_fully_committed(self):
+        # an existing unit is no decision: it has no step columns or order
+        # rows, and its full capacity is the constant of its bus's gencap rows
         net = self._mg(existing=True)
-        model = MilpModel()
-        vs, _ = microgrid_step_encoding(model, net.microgrids["mg"])
-        assert all(model.lb[v] == model.ub[v] == 1.0 for v in vs)
+        master = build_master(ScenarioTemplate(net, DesignParams()), [BASELINE])
+        model = master.model
+        assert master.first_stage.steps == {}
+        assert not any(n.startswith("mgstep:") for n in model.var_names)
+        assert not any(n.startswith("mgorder:") for n in model.row_names)
+        hi = dict(zip(model.row_names, model.rows().hi))
+        full = 3 * net.microgrids["mg"].step_capacity_pu
+        assert hi["gencapre:b1:a:s0"] == hi["gencapim:b1:a:s0"] == full

@@ -111,6 +111,20 @@ class TestSampling:
             line_failure_prob_override=0.3, scenario_count=10, seed=2))
         assert [s.damaged_line_ids for s in a] != [s.damaged_line_ids for s in b]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**65 + 3])
+    def test_seed_outside_the_key_range_is_rejected(self, seed):
+        """The stream's key has 64 bits: seeds -1 and 2**64 - 1 drew the
+        same scenarios, and so did 0 and 2**64."""
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            FragilityParams(seed=seed)
+
+    def test_seeds_at_the_ends_of_the_key_range_draw_apart(self):
+        net = chain_network(n_lines=40)
+        a, b = (sample_scenarios(net, FragilityParams(
+            line_failure_prob_override=0.3, scenario_count=10, seed=seed))
+            for seed in (0, 2**64 - 1))
+        assert [s.damaged_line_ids for s in a] != [s.damaged_line_ids for s in b]
+
     @given(lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_monotone_coupling(self, lo, hi, seed):

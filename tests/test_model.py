@@ -128,6 +128,32 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError, match=f"{section} entry .*'{field}'"):
             load_doc(doc)
 
+    @pytest.mark.parametrize("section,field", [
+        ("bases", "base_kw"),
+        ("buses", "is_substaton"),
+        ("lines", "hardenabel"),
+        ("lines", "switch"),
+        ("loads", "critical"),
+        ("microgrids", "existing"),
+    ])
+    def test_unknown_field_names_the_entry_and_the_field(self, section, field):
+        """A misspelt field was read as absent: with "hardenabel": true a
+        line loaded as not hardenable."""
+        doc = two_bus_doc()
+        doc["microgrids"] = [{"id": "mg", "bus": "b1", "step_capacity_kva": 100.0,
+                              "max_steps": 1}]
+        entry = doc[section] if section == "bases" else doc[section][-1]
+        entry[field] = True
+        index = 0 if section == "bases" else len(doc[section]) - 1
+        with pytest.raises(NetworkError,
+                           match=rf"^{section} entry {index}: unknown field\(s\) \['{field}'\]$"):
+            load_doc(doc)
+
+    def test_unknown_section_is_named(self):
+        doc = two_bus_doc(switches=[])
+        with pytest.raises(NetworkError, match=r"^document has unknown section\(s\) \['switches'\]$"):
+            load_doc(doc)
+
     @pytest.mark.parametrize("v_ref", [0.0, 0, -1.0])
     def test_nonpositive_v_ref_names_the_bus(self, v_ref):
         """A zero v_ref was read as 1.0, and a negative one made every

@@ -313,6 +313,30 @@ class TestAudit:
             assert [v.element for v in flagged] == ["b1:a"]
             assert flagged[0].magnitude == pytest.approx(excess)
 
+    @pytest.mark.parametrize("loaded", ["la", "lb"])
+    def test_every_closed_parallel_line_is_checked(self, loaded):
+        """Two equal closed lines sub-b1, one of them carrying the load: the
+        state's voltage at b1 fits that line's drop and not the other's,
+        whichever of the two sorts first. The sweep followed the first line
+        alone, so the audit was clean when the loaded line sorted first."""
+        doc = two_bus_doc()
+        doc["bases"] = {"base_kva": 1000.0, "base_kv": 1.0}
+        doc["lines"] = [{"id": lid, "from": "sub", "to": "b1", "phases": "a",
+                         "length_km": 1.0, "impedance": z1(0.01, 0.02),
+                         "capacity_kva": 500.0} for lid in ("la", "lb")]
+        doc["loads"] = [{"id": "ld", "bus": "b1", "demand_kva": {"a": c(100.0, 50.0)}}]
+        net = load_doc(doc)
+        params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
+        # drop on the loaded line: 2 (0.01*0.1 + 0.02*0.05) = 0.004
+        state = state_for(net, closed={"la", "lb"},
+                          flows={(loaded, A): 0.1 + 0.05j},
+                          voltages={("sub", A): 1.0, ("b1", A): 0.996},
+                          served={"ld"}, dispatch={("sub", A): 0.1 + 0.05j})
+        report = audit(state, net, params, make_design(net, params, [], [], {}))
+        assert [(v.kind, v.element) for v in report.violations] == [
+            ("voltage_mismatch", "network")]
+        assert report.violations[0].magnitude == pytest.approx(0.004, abs=1e-12)
+
     def test_report_serializes(self, case5):
         params = DesignParams(critical_fraction=0.98, total_fraction=0.0)
         design = make_design(case5, params, [], ["L1"], {})
