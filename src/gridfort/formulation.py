@@ -121,9 +121,10 @@ class DesignParams:
             raise ValueError("total_fraction must lie in [0, 1]")
         if not (0.0 < self.vmin_sq < self.vmax_sq):
             raise ValueError("need 0 < vmin_sq < vmax_sq")
-        for b in (self.beta_transformer, self.beta_line):
-            if not (0.0 < b <= 1.0):
-                raise ValueError("imbalance beta must lie in (0, 1]")
+        for key in ("beta_transformer", "beta_line"):
+            value = getattr(self, key)
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{key} must lie in (0, 1], got {value}")
         for key in ("mg_fixed_cost_override", "mg_rate_override", "line_cost_scale",
                     "harden_cost_scale"):
             value = getattr(self, key)
@@ -293,18 +294,15 @@ class FirstStage:
     steps: dict[str, list[int]] = field(default_factory=dict)  # new mg -> step vars
 
 
-def microgrid_step_encoding(model: MilpModel,
-                            mg: MicrogridCandidate) -> tuple[list[int], list[int]]:
+def microgrid_step_encoding(model: MilpModel, mg: MicrogridCandidate) -> list[int]:
     """Ordered incremental sizing binaries u_1 >= u_2 >= ... of a unit to
-    build: the step variable indexes and the ordering constraint ids."""
+    build: the step variable indexes, ordered by ``mgorder`` rows."""
     vs = [model.add_variable(f"mgstep:{mg.id}:{m}", 0.0, 1.0, BINARY)
           for m in range(1, mg.max_steps + 1)]
-    rows = [
+    for m in range(mg.max_steps - 1):
         model.add_constraint({vs[m]: 1.0, vs[m + 1]: -1.0}, GREATER, 0.0,
                              name=f"mgorder:{mg.id}:{m + 1}")
-        for m in range(mg.max_steps - 1)
-    ]
-    return vs, rows
+    return vs
 
 
 def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
@@ -317,7 +315,7 @@ def _build_first_stage(model: MilpModel, network: Network) -> FirstStage:
         fs.harden[lid] = model.add_variable(f"harden:{lid}", 0.0, 1.0, BINARY)
     for gid in sorted(network.microgrids):
         if not network.microgrids[gid].is_existing:
-            fs.steps[gid], _ = microgrid_step_encoding(model, network.microgrids[gid])
+            fs.steps[gid] = microgrid_step_encoding(model, network.microgrids[gid])
     return fs
 
 
@@ -355,11 +353,10 @@ def rotated_impedance(line: Line, k: Phase, k2: Phase) -> complex:
     """Sequence-rotated series impedance seen by phase k from phase k2 flow.
 
     The own-phase term is the plain impedance; coupling to the next phase in
-    abc order rotates by +120 degrees, to the previous phase by -120.
+    abc order rotates by +120 degrees, to the previous phase by -120. Both
+    phases are the line's, so the loader has given the pair an entry.
     """
-    z = line.z_pu.get((k, k2))
-    if z is None:
-        return 0j
+    z = line.z_pu[(k, k2)]
     if k2 == k:
         return z
     if k2 == _NEXT[k]:
@@ -998,8 +995,7 @@ class MasterProblem:
         )
 
 
-def _apply_fixed_design(model: MilpModel, network: Network, fs: FirstStage,
-                        design: Design) -> None:
+def _apply_fixed_design(model: MilpModel, fs: FirstStage, design: Design) -> None:
     steps = dict(design.microgrid_steps)
     for lid, ix in fs.build.items():
         model.fix_variable(ix, float(lid in design.built_lines))
@@ -1043,7 +1039,7 @@ def build_master(template: ScenarioTemplate, scenarios: list[DamageScenario], *,
     model = MilpModel(name="upgrade")
     template.add_first_stage(model)
     if fixed_design is not None:
-        _apply_fixed_design(model, network, fs, fixed_design)
+        _apply_fixed_design(model, fs, fixed_design)
     master = MasterProblem(model, template, {})
     for scen in scenarios:
         master.add_scenario(scen)

@@ -101,16 +101,15 @@ class SolverError(RuntimeError):
 class SolverOptions:
     time_limit: float | None = None
     rel_gap: float = 1e-4
-    int_tol: float = 1e-6
     backend: str = "builtin"  # or "external"
     external_command: str | None = None
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        # written so that NaN fails each test
-        if not (self.rel_gap >= 0 and self.int_tol > 0):
-            raise ValueError("tolerances must be positive")
-        # HiGHS would reject a negative limit on every solve and run without one
+        # HiGHS would reject a negative gap or limit on every solve and run
+        # without one; written so that NaN fails each test
+        if not self.rel_gap >= 0:
+            raise ValueError(f"solver rel_gap must not be negative, got {self.rel_gap}")
         for key in ("time_limit", "node_limit"):
             value = getattr(self, key)
             if value is not None and not value >= 0:
@@ -263,9 +262,8 @@ class MilpModel:
         if not math.isfinite(rhs):
             raise ValueError(f"constraint {name!r} has non-finite rhs")
         cleaned: dict[int, float] = {}
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         n = self.num_variables
-        for ix, c in items:
+        for ix, c in coeffs.items():
             if not 0 <= ix < n:
                 raise ValueError(f"constraint {name!r} references unknown variable {ix}")
             if c != 0.0:
@@ -304,8 +302,7 @@ class MilpModel:
             rows.hi[row] = rhs
 
     def set_objective(self, coeffs) -> None:
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        self.objective = {ix: float(c) for ix, c in items if c != 0.0}
+        self.objective = {ix: float(c) for ix, c in coeffs.items() if c != 0.0}
         for ix in self.objective:
             if not 0 <= ix < self.num_variables:
                 raise ValueError(f"objective references unknown variable {ix}")
@@ -718,17 +715,17 @@ def _finite(raw: str, lineno: int) -> float:
     return value
 
 
-def parse_external_solution(text: str, model: MilpModel,
-                            options: SolverOptions | None = None) -> Solution:
+def parse_external_solution(text: str, model: MilpModel) -> Solution:
     """Parse the adapter solution format.
 
     Accepted format: '#'-prefixed comment lines, one of which must state
     ``Objective value = <float>``; every other nonempty line is
     ``<variable name> <value>``, the name as ``write_model`` spells it
     (``_mps_names``). Variables absent from the file default to 0.
-    Binary values must be integral within the integrality tolerance and are
-    rounded. A comment line ``# Status = infeasible`` instead reports a
-    model proven infeasible, whatever else the file holds, and
+    Binary values must be integral within ``_MIP_FEASIBILITY_TOL``, the
+    tolerance the builtin route's HiGHS keeps, and are rounded. A comment
+    line ``# Status = infeasible`` instead reports a model proven
+    infeasible, whatever else the file holds, and
     ``# Status = optimal`` changes nothing; both are read in any case. A
     file that breaks these rules raises ``SolverError``, and so does one
     whose objective or any value is not a finite float, that names a
@@ -743,7 +740,6 @@ def parse_external_solution(text: str, model: MilpModel,
                           "neither optimal nor infeasible")
     if any(s.lower() == "infeasible" for s in statuses):
         return Solution("infeasible")
-    options = options or SolverOptions()
     objective: float | None = None
     values = np.zeros(model.num_variables)
     mps_to_ix = {v: i for i, v in enumerate(_mps_names(model.var_names))}
@@ -770,7 +766,7 @@ def parse_external_solution(text: str, model: MilpModel,
         v = _finite(raw, lineno)
         if model.kinds[ix] == BINARY:
             r = round(v)
-            if abs(v - r) > options.int_tol:
+            if abs(v - r) > _MIP_FEASIBILITY_TOL:
                 raise SolverError(
                     f"binary variable {name!r} value {v} violates integrality tolerance"
                 )
@@ -800,4 +796,4 @@ def _solve_external(model: MilpModel, options: SolverOptions) -> Solution:
             )
         if not sol_path.exists():
             raise SolverError("external solver produced no solution file")
-        return parse_external_solution(sol_path.read_text(), model, options)
+        return parse_external_solution(sol_path.read_text(), model)

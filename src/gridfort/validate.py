@@ -110,9 +110,9 @@ def recompute_voltages(state: OperationState, network: Network):
     bus when available (the optimization does not pin island voltage levels)
     and the substation reference otherwise. Of parallel closed lines the
     sweep goes on over the first; each other gives its far bus one more
-    voltage, for the discrepancy only. Returns (voltages keyed by (bus,
-    phase), max discrepancy against the state's voltages, flagged islands
-    without any source).
+    voltage, for the discrepancy only. An island without a source gets no
+    voltage. Returns (voltages keyed by (bus, phase), max discrepancy
+    against the state's voltages).
     """
     lines_between: dict[tuple[str, str], list[str]] = {}
     for lid in sorted(state.closed_lines):
@@ -123,7 +123,6 @@ def recompute_voltages(state: OperationState, network: Network):
 
     voltages: dict[tuple[str, Phase], float] = {}
     swept: list[tuple[tuple[str, Phase], float]] = []  # over every closed line
-    flagged: list[str] = []
     for component in components(adj):
         subs = sorted(b for b in component if network.buses[b].is_substation)
         if subs:
@@ -133,11 +132,6 @@ def recompute_voltages(state: OperationState, network: Network):
         else:
             anchor = _island_anchor(component, network)
             if anchor is None:
-                has_closed_line = any(
-                    key[0] in component and key[1] in component for key in lines_between
-                )
-                if has_closed_line:
-                    flagged.extend(sorted(component))
                 continue  # de-energized island: no physical voltage
             # islands carry no absolute reference in the optimization; anchor
             # at the state's own level (per phase) so the sweep checks the
@@ -177,7 +171,7 @@ def recompute_voltages(state: OperationState, network: Network):
     for key, v in [*voltages.items(), *swept]:
         if key in state.voltages:
             discrepancy = max(discrepancy, abs(v - state.voltages[key]))
-    return voltages, discrepancy, flagged
+    return voltages, discrepancy
 
 
 def served_fractions(state: OperationState, network: Network) -> tuple[float, float]:
@@ -255,9 +249,9 @@ def audit(state: OperationState, network: Network, params: DesignParams,
                     )
 
     vmin_mag, vmax_mag = math.sqrt(params.vmin_sq), math.sqrt(params.vmax_sq)
-    # de-energized islands reported by recompute_voltages are legal states
-    # (forced-closed lines downstream of damage); they carry no voltage checks
-    recomputed, discrepancy, _ = recompute_voltages(state, network)
+    # de-energized islands are legal states (forced-closed lines downstream
+    # of damage); recompute_voltages gives them no voltage to check
+    recomputed, discrepancy = recompute_voltages(state, network)
     if discrepancy > VOLTAGE_MATCH_TOL:
         violations.append(Violation("voltage_mismatch", "network", discrepancy))
     v_lo, v_hi = math.inf, -math.inf
@@ -269,8 +263,6 @@ def audit(state: OperationState, network: Network, params: DesignParams,
                 Violation("voltage_band", f"{bid}:{k.value}",
                           max(vmin_mag - mag, mag - vmax_mag))
             )
-    if not recomputed:
-        v_lo = v_hi = 1.0
 
     steps = dict(design.microgrid_steps)
     for bid in sorted(network.buses):

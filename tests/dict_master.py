@@ -132,7 +132,7 @@ class DictMaster:
         self.network, self.params = network, params
         self.first_stage = fs = _build_first_stage(self.model, network)
         if fixed_design is not None:
-            _apply_fixed_design(self.model, network, fs, fixed_design)
+            _apply_fixed_design(self.model, fs, fixed_design)
         self.reduced = aggregate_parallel_edges(network)
         self.blocks: dict[int, ScenarioFormulation] = {}
         for scen in scenarios:

@@ -17,12 +17,14 @@ from gridfort import (
     FragilityParams,
     ScenarioTemplate,
     SolverOptions,
+    build_master,
+    load_network_file,
     sample_scenarios,
     save_scenarios,
 )
 from gridfort.cli import main
 from gridfort.decomposition import Verdict
-from gridfort.validate import audit
+from gridfort.validate import Violation, audit
 
 from conftest import FIXTURES, c, two_bus_doc, z1
 
@@ -95,9 +97,16 @@ class TestConfigKeys:
         ({"solver": {"node_limit": -1}}, "node_limit"),
         # the top-level seed is the only seed key
         ({"seed": 1, "fragility": {"seed": 5, "scenario_count": 4}}, "['seed']"),
+        ({"solver": {"rel_gap": -1}}, "solver rel_gap must not be negative, got -1"),
+        # binaries are read within HiGHS's feasibility tolerance, with no knob
+        ({"solver": {"int_tol": 1e-6}}, "['int_tol']"),
+        ({"design": {"beta_line": 0}}, "beta_line must lie in (0, 1], got 0"),
+        ({"design": {"beta_transformer": 1.5}},
+         "beta_transformer must lie in (0, 1], got 1.5"),
     ], ids=["misspelled-section", "removed-vns-section", "misspelled-sweep-key",
             "zero-jobs", "sweep-not-an-object", "negative-time-limit",
-            "negative-node-limit", "fragility-seed"])
+            "negative-node-limit", "fragility-seed", "negative-rel-gap",
+            "removed-int-tol", "beta-line-zero", "beta-transformer-above-one"])
     def test_bad_key_is_an_input_error(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)
         assert main(["design", "--config", str(cfg)]) == 2
@@ -267,6 +276,25 @@ class TestDesignCommand:
         # the twin's row restates the master's point for 2
         assert rows[3] == {**rows[2], "scenario_id": 3}
 
+    def test_audit_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        """An audit that flags the points with L3 damaged fails scenarios 2
+        and 3, which share them; the outputs are written all the same."""
+        write_scenarios(tmp_path / "scens.json", [[], ["L1"], ["L3"], ["L3"]])
+        cfg = write_config(tmp_path, scenarios_file="scens.json")
+
+        def flagging(state, network, params, design):
+            report = audit(state, network, params, design)
+            if "L3" in state.damaged_lines:
+                report.violations.append(Violation("thermal", "L2:a", 0.5))
+            return report
+
+        monkeypatch.setattr(gridfort.cli, "audit", flagging)
+        assert main(["design", "--config", str(cfg)]) == 1
+        assert "audit violations in 2 scenario(s)" in capsys.readouterr().err
+        rows = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert [r["scenario_id"] for r in rows if r["violations"]] == [2, 3]
+        assert (tmp_path / "out" / "design.json").exists()
+
     def test_design_audit_equals_validate_audit(self, tmp_path):
         """Outside the final master's damage sets, ``design`` audits the
         final verification's points, which ``validate`` solves again; on
@@ -296,6 +324,40 @@ class TestDesignCommand:
         assert 0 < len(outside) < len(damage)
         assert all(a == b for a, b in outside)
         assert all(r["radial"] and not r["violations"] for r in designed + validated)
+
+
+class TestLoadOnSomePhases:
+    """case30 with all of crit_t4's demand on phase a of its three-phase
+    bus: the load enters the delivered-power rows of phase a alone."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        doc = json.loads((FIXTURES / "case30.json").read_text())
+        [load] = [l for l in doc["loads"] if l["id"] == "crit_t4"]
+        load["demand_kva"] = {"a": c(90.0, 31.5)}
+        (tmp_path / "case30a.json").write_text(json.dumps(doc))
+        return write_config(
+            tmp_path, network="case30a.json", seed=3,
+            fragility={"line_failure_prob_override": 0.2, "scenario_count": 20},
+            design={"critical_fraction": 0.98, "total_fraction": 0.3})
+
+    def test_design_audits_clean(self, tmp_path, config):
+        assert main(["design", "--config", str(config)]) == 0
+        rows = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert len(rows) == 21 and not any(r["violations"] for r in rows)
+
+    def test_only_phase_a_rows_hold_the_load(self, tmp_path, config):
+        network = load_network_file(tmp_path / "case30a.json")
+        template = ScenarioTemplate(network, gridfort.cli.load_config(config).design)
+        model = build_master(template, [DamageScenario(0, frozenset())]).model
+        rows = model.rows()
+        load_rows = {name: rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
+                     for i, name in enumerate(model.row_names)
+                     if name.startswith(("loadre:t4:", "loadim:t4:"))}
+        assert len(load_rows) == 6  # re and im on each of t4's phases
+        served = model.var_names.index("served:crit_t4:s0")
+        assert {name for name, cols in load_rows.items() if served in cols} == {
+            "loadre:t4:a:s0", "loadim:t4:a:s0"}
 
 
 def _line(lid, frm, to, **fields):
@@ -514,6 +576,29 @@ class TestSolverFailures:
         assert main(["design", "--config", str(cfg), "--solver", "external"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("solver failure:") for line in err), err
+        assert not (tmp_path / "out" / "design.json").exists()
+
+    @pytest.mark.parametrize("script,message", [
+        ("import sys\nsys.exit(3)\n", "external solver failed (exit 3)"),
+        ("", "external solver produced no solution file"),
+        (textwrap.dedent("""\
+            import subprocess, sys
+            fake, model, solution = sys.argv[1:]
+            subprocess.run([sys.executable, fake, model, solution], check=True)
+            open(solution, "a").write("stray line here\\n")
+        """), "expected 'name value', got 'stray line here'"),
+    ], ids=["nonzero-exit", "no-solution-file", "line-not-name-value"])
+    def test_external_command_failure_exits_4(self, tmp_path, capsys, script, message):
+        """Each stub is given tests/fake_solver.py and the two paths."""
+        stub = tmp_path / "stub.py"
+        stub.write_text(script)
+        fake = Path(__file__).parent / "fake_solver.py"
+        cfg = write_config(tmp_path, solver={
+            "rel_gap": 1e-6,
+            "external_command": f"{sys.executable} {stub} {fake} {{model}} {{solution}}"})
+        assert main(["design", "--config", str(cfg), "--solver", "external"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and message in err, err
         assert not (tmp_path / "out" / "design.json").exists()
 
     def test_removed_feasibility_tolerance_is_an_input_error(self, tmp_path):
@@ -793,6 +878,9 @@ class TestMalformedInput:
          "line 'L1': field 'capacity_kva' names unknown phase 'x'"),
         (_case5_with(lambda doc: doc["loads"][0].update(demand_kva={"x": c(1.0, 0.0)})),
          "load 'crit_c1': field 'demand_kva' names unknown phase 'x'"),
+        (_case5_with(lambda doc: doc["microgrids"][0].update(max_steps=0)),
+         "microgrid 'mg_c1': max_steps must be >= 1"),
+        (lambda _: {"network": "absent.json"}, "absent.json"),
     ], ids=["config-jobs", "config-seed", "config-network", "config-fragility",
             "config-sweep-axis", "network-bus-phases", "network-base-kva",
             "network-null-base-kva", "solver-time-limit", "solver-rel-gap",
@@ -807,7 +895,8 @@ class TestMalformedInput:
             "design-mg-rate-nan", "design-harden-cost-scale-inf", "network-null",
             "network-number", "network-harden-cost-nan", "network-capacity-inf",
             "network-capacity-map-inf", "network-demand-nan", "network-impedance-inf",
-            "network-capacity-phase", "network-demand-phase"])
+            "network-capacity-phase", "network-demand-phase", "network-max-steps",
+            "network-file-missing"])
     def test_is_an_input_error(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides(tmp_path))
         assert main(["design", "--config", str(cfg)]) == 2
@@ -817,8 +906,8 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cls,key", [
-        (SolverOptions, "rel_gap"), (SolverOptions, "int_tol"),
-        (SolverOptions, "time_limit"), (DesignParams, "line_cost_scale"),
+        (SolverOptions, "rel_gap"), (SolverOptions, "time_limit"),
+        (DesignParams, "line_cost_scale"),
         (DesignParams, "mg_rate_override"), (DesignParams, "harden_cost_scale"),
         (DesignParams, "mg_fixed_cost_override"),
     ])
@@ -1332,6 +1421,22 @@ class TestSweepCommand:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
         assert all(row.split(",")[2] == "infeasible" for row in lines[1:])
+
+    def test_solver_error_cells_are_recorded(self, tmp_path):
+        """A time limit of 0 stops every cell's first master solve: each
+        cell is written with its message, and the sweep itself succeeds."""
+        cfg = write_config(tmp_path, solver={"rel_gap": 1e-6, "time_limit": 0},
+                           sweep={"total_fractions": [0.0, 0.5],
+                                  "mg_variable_cost_rates": [100.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        cells = sorted((tmp_path / "out" / "cells").glob("cell_*.json"))
+        assert [p.name for p in cells] == ["cell_g0_r0.json", "cell_g1_r0.json"]
+        for path in cells:
+            cell = json.loads(path.read_text())
+            assert cell["status"] == "solver_error"
+            assert "ended feasible_limit, not optimal" in cell["message"]
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["solver_error"] * 2
 
     def test_external_backend_through_env_command(self, tmp_path, monkeypatch):
         import sys

@@ -666,8 +666,9 @@ class TestMicrogridStepEncoding:
     def test_ordering_enforced(self):
         net = self._mg()
         model = MilpModel()
-        vs, rows = microgrid_step_encoding(model, net.microgrids["mg"])
-        assert len(vs) == 3 and len(rows) == 2
+        vs = microgrid_step_encoding(model, net.microgrids["mg"])
+        assert len(vs) == 3
+        assert model.row_names == ["mgorder:mg:1", "mgorder:mg:2"]
         model.fix_variable(vs[0], 1.0)
         model.fix_variable(vs[1], 0.0)
         model.fix_variable(vs[2], 1.0)  # skipping a step is invalid

@@ -199,6 +199,91 @@ class TestLoadNetwork:
         assert net.lines["l1"].length_km == 1.0
 
 
+def loader_doc():
+    """``two_bus_doc`` with a candidate tie beside ``l1`` and a new
+    microgrid at ``b1``: one entry of each kind the loader checks."""
+    doc = two_bus_doc()
+    doc["lines"].append({"id": "t1", "from": "sub", "to": "b1", "phases": "a",
+                         "length_km": 1.0, "impedance": z1(0.1, 0.2),
+                         "capacity_kva": 500.0, "status": "candidate_new",
+                         "construction_cost": 1000.0})
+    doc["microgrids"] = [{"id": "mg", "bus": "b1", "step_capacity_kva": 100.0,
+                          "max_steps": 2, "fixed_cost": 10.0, "variable_cost_rate": 1.0}]
+    return doc
+
+
+def _set(section, index, **fields):
+    return lambda doc: doc[section][index].update(fields)
+
+
+def _duplicate(section):
+    return lambda doc: doc[section].append(dict(doc[section][0]))
+
+
+class TestLoaderErrors:
+    """Each mutation of ``loader_doc`` is a NetworkError whose message
+    names the entry it breaks."""
+
+    def test_fixture_document_loads(self):
+        net = load_doc(loader_doc())
+        assert sorted(net.lines) == ["l1", "t1"] and list(net.microgrids) == ["mg"]
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_set("buses", 1, phases="x"), "bus 'b1': unknown phase 'x' (expected a/b/c)"),
+        (_set("buses", 1, phases="aa"), "bus 'b1': duplicate phase 'a'"),
+        (_set("buses", 1, phases=""), "bus 'b1': empty phase set"),
+        (_set("lines", 0, impedance=[None] * 8),
+         "line 'l1': impedance must be a 9-entry row-major list"),
+        (lambda doc: doc["lines"][0]["impedance"].__setitem__(1, c(0.1, 0.2)),
+         "line 'l1': impedance entry given for undeclared phase pair ab"),
+        (lambda doc: doc["lines"][0].pop("length_km"),
+         "line 'l1': no length_km and endpoint coordinates missing"),
+        (lambda doc: doc.pop("loads"), "document missing section 'loads'"),
+        (lambda doc: doc.update(loads=["ld1"]), "section 'loads' must hold JSON objects"),
+        (_set("buses", 1, v_ref=1.0), "bus 'b1': v_ref only allowed on substations"),
+        (_set("lines", 1, id="l1"), "duplicate line id 'l1'"),
+        (_duplicate("loads"), "duplicate load id 'ld1'"),
+        (_duplicate("microgrids"), "duplicate microgrid id 'mg'"),
+        (_set("lines", 0, capacity_kva={"b": 500.0}),
+         "line 'l1': capacity phases do not match declared phases"),
+        (_set("loads", 0, bus="b9"), "load 'ld1': unknown bus 'b9'"),
+        (_set("microgrids", 0, bus="b9"), "microgrid 'mg': unknown bus 'b9'"),
+        (_set("lines", 0, length_km=-1.0), "line 'l1': negative length"),
+        (_set("lines", 1, damageable=True), "line 't1': candidate lines are not damageable"),
+        (_set("lines", 0, construction_cost=5.0),
+         "line 'l1': existing lines have zero construction cost"),
+        (_set("lines", 0, hardenable=True, harden_cost=-1.0),
+         "line 'l1': negative harden cost"),
+        (_set("loads", 0, demand_kva={"b": c(1.0)}),
+         "load 'ld1': demand phases outside bus 'b1' phases"),
+        (_set("loads", 0, demand_kva={"a": c(-1.0)}),
+         "load 'ld1': negative real demand on phase a"),
+        (_set("microgrids", 0, step_capacity_kva=0.0),
+         "microgrid 'mg': step capacity must be positive"),
+        (_set("microgrids", 0, max_steps=0), "microgrid 'mg': max_steps must be >= 1"),
+        (_set("microgrids", 0, is_existing=True),
+         "microgrid 'mg': existing units carry no cost"),
+        (_set("buses", 0, is_substation=False), "network has no substation bus"),
+    ], ids=["unknown-phase", "duplicate-phase", "empty-phase", "impedance-length",
+            "impedance-undeclared-pair", "no-length", "missing-section",
+            "section-not-objects", "v-ref-off-substation", "duplicate-line",
+            "duplicate-load", "duplicate-microgrid", "capacity-phases",
+            "load-unknown-bus", "microgrid-unknown-bus", "negative-length",
+            "damageable-candidate", "existing-line-cost", "negative-harden-cost",
+            "demand-phase", "negative-demand", "zero-step-capacity", "zero-max-steps",
+            "existing-unit-cost", "no-substation"])
+    def test_names_the_entry(self, mutate, message):
+        doc = loader_doc()
+        mutate(doc)
+        with pytest.raises(NetworkError) as info:
+            load_doc(doc)
+        assert str(info.value) == message
+
+    def test_text_that_is_not_json(self):
+        with pytest.raises(NetworkError, match="^document is not valid JSON: "):
+            load_network('{"bases": ')
+
+
 class TestPerUnit:
     def test_power_ratio(self):
         units = UnitSystem(base_kva=1000.0, base_kv=12.47)

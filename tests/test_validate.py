@@ -87,9 +87,8 @@ class TestRecomputeVoltages:
             net, closed={"l1", "l2"},
             flows={("l1", A): 0.1 + 0.05j, ("l2", A): 0.1 + 0.05j},
         )
-        volts, disc, flagged = recompute_voltages(state, net)
+        volts, disc = recompute_voltages(state, net)
         assert volts[("b2", A)] == pytest.approx(1.0)
-        assert flagged == []
 
     def test_single_line_drop(self):
         net = three_bus_net()
@@ -97,7 +96,7 @@ class TestRecomputeVoltages:
             net, closed={"l1", "l2"},
             flows={("l1", A): 0.1 + 0.05j, ("l2", A): 0.1 + 0.05j},
         )
-        volts, disc, _ = recompute_voltages(state, net)
+        volts, disc = recompute_voltages(state, net)
         # drop per line: 2 (0.01*0.1 + 0.02*0.05) = 0.004
         assert volts[("b1", A)] == pytest.approx(1.0 - 0.004, abs=1e-12)
         assert volts[("b2", A)] == pytest.approx(1.0 - 0.008, abs=1e-12)
@@ -108,15 +107,15 @@ class TestRecomputeVoltages:
         verdict = evaluate_design(design, ScenarioTemplate(case30, params),
                                   DamageScenario(1, frozenset({"T1"})), EXACT)
         assert verdict.feasible
-        _, disc, _ = recompute_voltages(verdict.state, case30)
+        _, disc = recompute_voltages(verdict.state, case30)
         assert disc <= 1e-6
 
-    def test_island_without_source_flagged(self):
+    def test_island_without_source_gets_no_voltage(self):
         net = three_bus_net()
         state = state_for(net, closed={"l2"},
                           flows={("l2", A): 0j})
-        _, _, flagged = recompute_voltages(state, net)
-        assert set(flagged) == {"b1", "b2"}
+        volts, _ = recompute_voltages(state, net)
+        assert list(volts) == [("sub", A)]
 
     def test_microgrid_island_anchored_at_state_level(self):
         doc = two_bus_doc()
@@ -142,8 +141,7 @@ class TestRecomputeVoltages:
             voltages={("b2", A): 1.02, ("b1", A): 1.02 - 0.001},
             served={"ld"}, dispatch={("b2", A): 0.05 + 0j},
         )
-        volts, disc, flagged = recompute_voltages(state, net)
-        assert flagged == []
+        volts, disc = recompute_voltages(state, net)
         assert volts[("b2", A)] == pytest.approx(1.02)
         assert disc <= 1e-9
 
@@ -346,3 +344,69 @@ class TestAudit:
         text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
         assert '"radial": true' in text
         assert json.loads(text) == report.to_dict()
+
+
+class TestViolationKinds:
+    """Each hand-made state breaks one rule and is reported under that
+    rule's kind, element and magnitude alone."""
+
+    NO_TARGETS = DesignParams(critical_fraction=0.0, total_fraction=0.0)
+
+    def _violations(self, net, state, params=NO_TARGETS, built=()):
+        design = make_design(net, params, list(built), [], {})
+        return audit(state, net, params, design).violations
+
+    def test_radiality(self):
+        doc = two_bus_doc()
+        doc["buses"].append({"id": "b2", "phases": "a"})
+        doc["lines"] += [
+            {"id": lid, "from": frm, "to": to, "phases": "a", "length_km": 1.0,
+             "impedance": z1(0.1, 0.2), "capacity_kva": 500.0, "has_switch": True}
+            for lid, frm, to in (("l2", "b1", "b2"), ("l3", "b2", "sub"))]
+        net = load_doc(doc)
+        state = state_for(net, closed={"l1", "l2", "l3"})
+        report = audit(state, net, self.NO_TARGETS,
+                       make_design(net, self.NO_TARGETS, [], [], {}))
+        _, witness = check_radiality(state, net)
+        assert sorted(witness) == [("b1", "b2"), ("b1", "sub"), ("b2", "sub")]
+        assert not report.radial
+        assert report.violations == [Violation("radiality", f"cycle:{witness}", 3.0)]
+
+    @pytest.mark.parametrize("built", [[], ["t"]])
+    def test_unbuilt_line_closed(self, built):
+        doc = two_bus_doc()
+        doc["lines"].append({"id": "t", "from": "sub", "to": "b1", "phases": "a",
+                             "length_km": 1.0, "impedance": z1(0.1, 0.2),
+                             "capacity_kva": 500.0, "status": "candidate_new",
+                             "construction_cost": 1000.0})
+        net = load_doc(doc)
+        state = state_for(net, closed={"l1", "t"})
+        want = [] if built else [Violation("unbuilt_line_closed", "t", 1.0)]
+        assert self._violations(net, state, built=built) == want
+
+    def test_flow_on_open_line(self):
+        """The open switched line carries the load's power from the
+        substation, so every bus balances and only the open line fails."""
+        doc = two_bus_doc()
+        doc["lines"][0]["has_switch"] = True
+        net = load_doc(doc)
+        s = net.loads["ld1"].demand_pu[A]
+        state = state_for(net, closed=set(), flows={("l1", A): s}, served={"ld1"},
+                          dispatch={("sub", A): s})
+        [violation] = self._violations(net, state)
+        assert (violation.kind, violation.element) == ("flow_on_open_line", "l1:a")
+        assert violation.magnitude == pytest.approx(abs(s))
+
+    def test_voltage_band(self):
+        """The state of ``test_single_line_drop``: squared voltages 0.996 at
+        b1 and 0.992 at b2, against a lower band edge of 0.994."""
+        net = three_bus_net()
+        state = state_for(
+            net, closed={"l1", "l2"},
+            flows={("l1", A): 0.1 + 0.05j, ("l2", A): 0.1 + 0.05j},
+            served={"ld"}, dispatch={("sub", A): 0.1 + 0.05j},
+        )
+        params = DesignParams(critical_fraction=0.0, total_fraction=0.0, vmin_sq=0.994)
+        [violation] = self._violations(net, state, params)
+        assert (violation.kind, violation.element) == ("voltage_band", "b2:a")
+        assert violation.magnitude == pytest.approx(0.994 ** 0.5 - 0.992 ** 0.5)
