@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import statistics
 import sys
@@ -39,7 +38,7 @@ from gridfort.fragility import (
     save_scenarios,
 )
 from gridfort.milp import ENV_SOLVER_CMD, SolverError, SolverOptions
-from gridfort.model import Network, load_network_file, read_json, save_network
+from gridfort.model import Network, _is_number, load_network_file, read_json, save_network
 from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -96,13 +95,14 @@ _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(
 
 def _checked(value, hint, where: str):
     """``value`` if it is a JSON value of type ``hint`` (a type or a union
-    of them), else a ConfigError naming ``where``. Python's ``json`` reads
-    ``NaN`` and ``Infinity`` as floats; neither is accepted."""
+    of them), else a ConfigError naming ``where``. A float-typed value must
+    be a number a float holds (``model._is_number``): not ``NaN`` or
+    ``Infinity``, which Python's ``json`` reads, nor a huge int."""
     kinds = typing.get_args(hint) or (hint,)
     accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} has a malformed value: {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if float in kinds and value is not None and not _is_number(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return value
 
@@ -194,6 +194,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     )
     if flags.get("out") is not None:
         cfg.output_dir = Path(flags["out"])
+    if flags.get("scenarios"):  # an empty flag, like an empty file name, names no file
+        cfg.scenarios_file = Path(flags["scenarios"])
     if flags.get("jobs") is not None:
         cfg.jobs = flags["jobs"]
     if flags.get("solver") is not None:
@@ -250,8 +252,8 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
     not fit ``network`` is a ConfigError naming it."""
     doc = read_json(path, "design file")
     where = f"design file {path}"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+    # cost is recomputed from the rest, never read
+    _check_keys(doc, ("built_lines", "hardened_lines", "microgrid_steps", "cost"), where)
 
     def line_ids(key: str, allowed: set[str], what: str) -> list[str]:
         ids = doc.get(key, [])
@@ -374,20 +376,19 @@ def cmd_design(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _evaluated(cfg: RunConfig, design_path: Path, scenario_path: Path | None):
+def _evaluated(cfg: RunConfig, design_path: Path):
     """(network, design, verdicts): the design file's design and every
-    scenario's verdict under it (``_verdicts``), the scenarios read from
-    ``scenario_path`` when given, else as ``design`` reads them."""
+    scenario's verdict under it (``_verdicts``), the scenarios read as
+    ``design`` reads them."""
     network = load_network_file(cfg.network)
     design = design_from_file(design_path, network, cfg.design)
-    scens = (load_scenarios_file(scenario_path, network) if scenario_path
-             else _load_scenarios(cfg, network))
+    scens = _load_scenarios(cfg, network)
     _output_dir(cfg.output_dir)
     return network, design, _verdicts(design, network, scens, cfg)
 
 
-def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) -> int:
-    _, _, verdicts = _evaluated(cfg, design_path, scenario_path)
+def cmd_evaluate(cfg: RunConfig, design_path: Path) -> int:
+    _, _, verdicts = _evaluated(cfg, design_path)
     _dump_json([v.to_dict() for v in verdicts], cfg.output_dir / "evaluation.json")
     # a feasible verdict's served fractions are one arbitrary feasible
     # point's, so the summary reports shortfalls only
@@ -399,8 +400,8 @@ def cmd_evaluate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) 
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig, design_path: Path, scenario_path: Path | None) -> int:
-    network, design, verdicts = _evaluated(cfg, design_path, scenario_path)
+def cmd_validate(cfg: RunConfig, design_path: Path) -> int:
+    network, design, verdicts = _evaluated(cfg, design_path)
     reports = _audit_all(design, network, verdicts, cfg.design)
     _dump_json([r.to_dict() for r in reports], cfg.output_dir / "audit.json")
     dirty = [r for r in reports if not r.clean]
@@ -586,11 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "design":
             return cmd_design(cfg)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, Path(args.design),
-                                Path(args.scenarios) if args.scenarios else None)
+            return cmd_evaluate(cfg, Path(args.design))
         if args.command == "validate":
-            return cmd_validate(cfg, Path(args.design),
-                                Path(args.scenarios) if args.scenarios else None)
+            return cmd_validate(cfg, Path(args.design))
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -155,7 +155,7 @@ def separate_cycles(solution: Solution, master: MasterProblem,
     """
     blk = master.blocks[scenario_id]
     used = [key for key, ix in blk.vars.bredge.items() if solution.values[ix] > 0.5]
-    return _independent_cycles(master.reduced.nodes, used)
+    return _independent_cycles(master.template.reduced.nodes, used)
 
 
 def _not_proven(what: str, sol: Solution) -> SolverError:
@@ -469,7 +469,7 @@ def sbd_design(template: ScenarioTemplate, scenarios: list[DamageScenario],
     t0 = time.monotonic()
     covers = _cover_rows(template, groups)
     master = build_master(template, added)
-    master.pool_cycles(_independent_cycles(master.reduced.nodes, master.reduced.edges))
+    master.pool_cycles(_independent_cycles(template.reduced.nodes, template.reduced.edges))
     cover_rows = master.add_cover_rows(covers)
     build_time = time.monotonic() - t0
     pooled = solves = 0

@@ -115,12 +115,12 @@ class DesignParams:
     harden_cost_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.critical_fraction <= 1.0):
-            raise ValueError("critical_fraction must lie in [0, 1]")
-        if not (0.0 <= self.total_fraction <= 1.0):
-            raise ValueError("total_fraction must lie in [0, 1]")
+        for key in ("critical_fraction", "total_fraction"):
+            value = getattr(self, key)
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"{key} must lie in [0, 1], got {value}")
         if not (0.0 < self.vmin_sq < self.vmax_sq):
-            raise ValueError("need 0 < vmin_sq < vmax_sq")
+            raise ValueError(f"need 0 < vmin_sq < vmax_sq, got {self.vmin_sq} and {self.vmax_sq}")
         for key in ("beta_transformer", "beta_line"):
             value = getattr(self, key)
             if not (0.0 < value <= 1.0):
@@ -864,22 +864,6 @@ class MasterProblem:
     cycles: list[tuple[tuple[str, str], ...]] = field(default_factory=list)
     solves: int = 0  # solves of the model, cut rounds included
 
-    @property
-    def network(self) -> Network:
-        return self.template.network
-
-    @property
-    def params(self) -> DesignParams:
-        return self.template.params
-
-    @property
-    def reduced(self) -> ReducedGraph:
-        return self.template.reduced
-
-    @property
-    def first_stage(self) -> FirstStage:
-        return self.template.first_stage
-
     def add_scenario(self, scenario: DamageScenario) -> None:
         """Append one scenario's block after every row already in the model,
         followed by a cut of every pooled cycle in it, in pool order."""
@@ -941,7 +925,7 @@ class MasterProblem:
         for blk in self.blocks.values():
             for row in blk.resilience_rows:
                 self.model.set_rhs(row, 0.0)
-        self.model.set_objective(_served_objective(self.network, self.blocks))
+        self.model.set_objective(_served_objective(self.template.network, self.blocks))
 
     def minimize_microgrid_kw(self, cost_budget: float) -> None:
         """Least installed microgrid kW among designs that cost at most
@@ -950,23 +934,23 @@ class MasterProblem:
         later leave them valid. An epsilon cost term (far below the 100 kW
         step granularity) keeps every upgrade binary objective-bearing so
         the search stays guided, without ever changing the kW ranking."""
-        cost = _cost_coefficients(self.network, self.params, self.first_stage)
+        net, fs = self.template.network, self.template.first_stage
+        cost = _cost_coefficients(net, self.template.params, fs)
         self.model.add_constraint(cost, LESS, cost_budget, "cost_budget")
         obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
-        for gid, ixs in self.first_stage.steps.items():
-            mg = self.network.microgrids[gid]
-            w = mg.step_capacity_kva * len(self.network.buses[mg.bus].phases)
+        for gid, ixs in fs.steps.items():
+            mg = net.microgrids[gid]
+            w = mg.step_capacity_kva * len(net.buses[mg.bus].phases)
             for ix in ixs:
                 obj[ix] = obj.get(ix, 0.0) + w
         self.model.set_objective(obj)
 
     def design_from_solution(self, solution: Solution) -> Design:
-        vals = solution.values
-        built = [lid for lid, ix in self.first_stage.build.items() if vals[ix] > 0.5]
-        hardened = [lid for lid, ix in self.first_stage.harden.items() if vals[ix] > 0.5]
-        steps = {gid: int(sum(vals[ix] > 0.5 for ix in ixs))
-                 for gid, ixs in self.first_stage.steps.items()}
-        return make_design(self.network, self.params, built, hardened, steps)
+        vals, fs = solution.values, self.template.first_stage
+        built = [lid for lid, ix in fs.build.items() if vals[ix] > 0.5]
+        hardened = [lid for lid, ix in fs.harden.items() if vals[ix] > 0.5]
+        steps = {gid: int(sum(vals[ix] > 0.5 for ix in ixs)) for gid, ixs in fs.steps.items()}
+        return make_design(self.template.network, self.template.params, built, hardened, steps)
 
     def operation_state(self, solution: Solution, scenario_id: int):
         from gridfort.validate import OperationState

@@ -48,7 +48,7 @@ class FragilityParams:
             if p is not None and not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.scenario_count < 1:
-            raise ValueError("scenario_count must be >= 1")
+            raise ValueError(f"scenario_count must be >= 1, got {self.scenario_count}")
         if not 0 <= self.seed < 2 ** 64:  # the Philox key's range
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 

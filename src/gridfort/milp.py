@@ -103,17 +103,14 @@ class SolverOptions:
     rel_gap: float = 1e-4
     backend: str = "builtin"  # or "external"
     external_command: str | None = None
-    node_limit: int | None = None
 
     def __post_init__(self) -> None:
         # HiGHS would reject a negative gap or limit on every solve and run
         # without one; written so that NaN fails each test
         if not self.rel_gap >= 0:
             raise ValueError(f"solver rel_gap must not be negative, got {self.rel_gap}")
-        for key in ("time_limit", "node_limit"):
-            value = getattr(self, key)
-            if value is not None and not value >= 0:
-                raise ValueError(f"solver {key} must not be negative, got {value}")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"solver time_limit must not be negative, got {self.time_limit}")
         if self.backend not in ("builtin", "external"):
             raise ValueError(f"solver backend must be 'builtin' or 'external', "
                              f"got {self.backend!r}")
@@ -124,7 +121,7 @@ class Solution:
     """A solve's outcome. ``bound`` is a proven lower bound on the objective:
     HiGHS's ``mip_dual_bound``, or the objective of an optimum reported
     without one. It is None when HiGHS reports none for a solve that is not
-    optimal, as it may at a time or node limit."""
+    optimal, as it may at a time limit."""
 
     status: str  # optimal | infeasible | unbounded | feasible_limit | error
     values: np.ndarray | None = None
@@ -267,7 +264,7 @@ class MilpModel:
             if not 0 <= ix < n:
                 raise ValueError(f"constraint {name!r} references unknown variable {ix}")
             if c != 0.0:
-                cleaned[ix] = cleaned.get(ix, 0.0) + c
+                cleaned[ix] = c
         rhs = float(rhs)
         self._pending.append((cleaned, -math.inf if sense == LESS else rhs,
                               math.inf if sense == GREATER else rhs))
@@ -522,8 +519,8 @@ def _free_columns(lp: _Compiled, tol: float) -> tuple[_Compiled, np.ndarray, flo
 
 def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
     """HiGHS branch-and-cut on the model's free columns, in process. A time
-    or node limit ends the solve: its status is ``feasible_limit`` and its
-    bound whatever HiGHS proved by then."""
+    limit ends the solve: its status is ``feasible_limit`` and its bound
+    whatever HiGHS proved by then."""
     full = _compile(model)
     reduced = _free_columns(full, _MIP_FEASIBILITY_TOL)
     if reduced is None:
@@ -536,8 +533,6 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
                   _NO_FEASIBILITY_JUMP: False}
     if options.time_limit is not None:
         highs_opts["time_limit"] = options.time_limit
-    if options.node_limit is not None:
-        highs_opts["node_limit"] = options.node_limit
     with _stdout_silenced():
         res = scipy_milp(
             lp.c,
@@ -549,9 +544,7 @@ def _solve_highs(model: MilpModel, options: SolverOptions) -> Solution:
     nodes = int(res.mip_node_count or 0)
     if res.status == 0:
         status = "optimal"
-    # scipy reports HiGHS's node limit ("solution limit reached") under its
-    # catch-all status 4, and time and iteration limits as status 1
-    elif res.status == 1 or (res.status == 4 and "limit reached" in res.message):
+    elif res.status == 1:  # scipy's status for a time or iteration limit
         status = "feasible_limit"
     else:
         status = {2: "infeasible", 3: "unbounded"}.get(res.status, "error")
@@ -791,9 +784,10 @@ def _solve_external(model: MilpModel, options: SolverOptions) -> Solution:
         cmd = template.format(model=model_path, solution=sol_path)
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SolverError(
-                f"external solver failed (exit {proc.returncode}): {proc.stderr.strip()[:500]}"
-            )
+            # many solvers print their errors to stdout
+            said = (proc.stderr.strip() or proc.stdout.strip())[:500]
+            raise SolverError(f"external solver failed (exit {proc.returncode})"
+                              + (f": {said}" if said else ""))
         if not sol_path.exists():
             raise SolverError("external solver produced no solution file")
         return parse_external_solution(sol_path.read_text(), model)

@@ -409,6 +409,8 @@ def _line_length_km(raw: dict, buses: dict[str, Bus], owner: str) -> float:
 # the JSON value each typed field takes wherever it appears, as a description
 # and a check (docs/network_format.md)
 _KINDS = {
+    **dict.fromkeys(("id", "from", "to", "bus", "phases"),
+                    ("a string", lambda v: isinstance(v, str))),
     **dict.fromkeys(
         ("base_kva", "base_kv", "construction_cost", "harden_cost", "step_capacity_kva",
          "fixed_cost", "variable_cost_rate"), ("a finite number", _is_number)),
@@ -489,7 +491,7 @@ def _network(doc) -> Network:
 
     buses: dict[str, Bus] = {}
     for raw in doc["buses"]:
-        bid = str(raw["id"])
+        bid = raw["id"]
         if bid in buses:
             raise NetworkError(f"duplicate bus id {bid!r}")
         is_sub = bool(raw.get("is_substation", False))
@@ -501,7 +503,7 @@ def _network(doc) -> Network:
         coords = raw.get("coords")
         buses[bid] = Bus(
             id=bid,
-            phases=parse_phases(str(raw["phases"]), owner=f"bus {bid!r}"),
+            phases=parse_phases(raw["phases"], owner=f"bus {bid!r}"),
             coords=tuple(float(c) for c in coords) if coords is not None else None,
             is_substation=is_sub,
             v_ref=v_ref,
@@ -509,14 +511,14 @@ def _network(doc) -> Network:
 
     lines: dict[str, Line] = {}
     for raw in doc["lines"]:
-        lid = str(raw["id"])
+        lid = raw["id"]
         owner = f"line {lid!r}"
         if lid in lines:
             raise NetworkError(f"duplicate line id {lid!r}")
         for end in ("from", "to"):
-            if str(raw[end]) not in buses:
+            if raw[end] not in buses:
                 raise NetworkError(f"{owner}: unknown bus {raw[end]!r}")
-        phases = parse_phases(str(raw["phases"]), owner=owner)
+        phases = parse_phases(raw["phases"], owner=owner)
         status = LineStatus(raw.get("status", "existing"))
         length = _line_length_km(raw, buses, owner)
         z_per_km = _impedance_from_doc(raw["impedance"], phases, owner)
@@ -533,8 +535,8 @@ def _network(doc) -> Network:
         damageable = bool(raw.get("damageable", not is_candidate))
         line = Line(
             id=lid,
-            from_bus=str(raw["from"]),
-            to_bus=str(raw["to"]),
+            from_bus=raw["from"],
+            to_bus=raw["to"],
             phases=phases,
             length_km=length,
             impedance_ohm_per_km=z_per_km,
@@ -555,17 +557,17 @@ def _network(doc) -> Network:
 
     loads: dict[str, Load] = {}
     for raw in doc["loads"]:
-        lid = str(raw["id"])
+        lid = raw["id"]
         owner = f"load {lid!r}"
         if lid in loads:
             raise NetworkError(f"duplicate load id {lid!r}")
-        if str(raw["bus"]) not in buses:
+        if raw["bus"] not in buses:
             raise NetworkError(f"{owner}: unknown bus {raw['bus']!r}")
         demand = {_phase_of(k, owner, "demand_kva"): _complex_from_doc(v, owner, "demand_kva")
                   for k, v in raw["demand_kva"].items()}
         loads[lid] = Load(
             id=lid,
-            bus=str(raw["bus"]),
+            bus=raw["bus"],
             demand_kva=demand,
             is_critical=bool(raw.get("is_critical", False)),
             demand_pu={p: units.to_pu(d, "power") for p, d in demand.items()},
@@ -573,15 +575,15 @@ def _network(doc) -> Network:
 
     grids: dict[str, MicrogridCandidate] = {}
     for raw in doc["microgrids"]:
-        gid = str(raw["id"])
+        gid = raw["id"]
         owner = f"microgrid {gid!r}"
         if gid in grids:
             raise NetworkError(f"duplicate microgrid id {gid!r}")
-        if str(raw["bus"]) not in buses:
+        if raw["bus"] not in buses:
             raise NetworkError(f"{owner}: unknown bus {raw['bus']!r}")
         grids[gid] = MicrogridCandidate(
             id=gid,
-            bus=str(raw["bus"]),
+            bus=raw["bus"],
             step_capacity_kva=float(raw["step_capacity_kva"]),
             max_steps=int(raw["max_steps"]),
             fixed_cost=float(raw.get("fixed_cost", 0.0)),

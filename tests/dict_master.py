@@ -179,8 +179,6 @@ class DictMaster:
         obj = {ix: 1e-4 * coef for ix, coef in cost.items()}
         for gid, ixs in fs.steps.items():
             mg = net.microgrids[gid]
-            if mg.is_existing:
-                continue
             w = mg.step_capacity_kva * len(net.buses[mg.bus].phases)
             for ix in ixs:
                 obj[ix] = obj.get(ix, 0.0) + w

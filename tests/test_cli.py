@@ -94,7 +94,8 @@ class TestConfigKeys:
         ({"jobs": 0}, "jobs"),
         ({"sweep": ["total_fractions"]}, "sweep"),
         ({"solver": {"time_limit": -1}}, "time_limit"),
-        ({"solver": {"node_limit": -1}}, "node_limit"),
+        # a solve's one limit is time_limit
+        ({"solver": {"node_limit": 5}}, "['node_limit']"),
         # the top-level seed is the only seed key
         ({"seed": 1, "fragility": {"seed": 5, "scenario_count": 4}}, "['seed']"),
         ({"solver": {"rel_gap": -1}}, "solver rel_gap must not be negative, got -1"),
@@ -103,10 +104,19 @@ class TestConfigKeys:
         ({"design": {"beta_line": 0}}, "beta_line must lie in (0, 1], got 0"),
         ({"design": {"beta_transformer": 1.5}},
          "beta_transformer must lie in (0, 1], got 1.5"),
+        ({"design": {"critical_fraction": 1.5}},
+         "critical_fraction must lie in [0, 1], got 1.5"),
+        ({"design": {"total_fraction": -0.1}}, "total_fraction must lie in [0, 1], got -0.1"),
+        ({"design": {"vmin_sq": 1.2}}, "need 0 < vmin_sq < vmax_sq, got 1.2 and 1.1025"),
+        ({"fragility": {"scenario_count": 0}}, "scenario_count must be >= 1, got 0"),
+        ({"fragility": {"line_failure_prob_override": 1.5}},
+         "line_failure_prob_override must lie in [0, 1], got 1.5"),
     ], ids=["misspelled-section", "removed-vns-section", "misspelled-sweep-key",
             "zero-jobs", "sweep-not-an-object", "negative-time-limit",
-            "negative-node-limit", "fragility-seed", "negative-rel-gap",
-            "removed-int-tol", "beta-line-zero", "beta-transformer-above-one"])
+            "removed-node-limit", "fragility-seed", "negative-rel-gap",
+            "removed-int-tol", "beta-line-zero", "beta-transformer-above-one",
+            "critical-fraction-above-one", "negative-total-fraction", "vmin-above-vmax",
+            "zero-scenario-count", "failure-probability-above-one"])
     def test_bad_key_is_an_input_error(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)
         assert main(["design", "--config", str(cfg)]) == 2
@@ -579,7 +589,11 @@ class TestSolverFailures:
         assert not (tmp_path / "out" / "design.json").exists()
 
     @pytest.mark.parametrize("script,message", [
-        ("import sys\nsys.exit(3)\n", "external solver failed (exit 3)"),
+        # the line shows stderr, else stdout, where many solvers print their
+        # errors, and nothing after a silent exit
+        ("import sys\nsys.exit(3)\n", "external solver failed (exit 3)\n"),
+        ("import sys\nprint('license expired')\nsys.exit(3)\n",
+         "external solver failed (exit 3): license expired\n"),
         ("", "external solver produced no solution file"),
         (textwrap.dedent("""\
             import subprocess, sys
@@ -587,7 +601,8 @@ class TestSolverFailures:
             subprocess.run([sys.executable, fake, model, solution], check=True)
             open(solution, "a").write("stray line here\\n")
         """), "expected 'name value', got 'stray line here'"),
-    ], ids=["nonzero-exit", "no-solution-file", "line-not-name-value"])
+    ], ids=["nonzero-exit", "nonzero-exit-stdout", "no-solution-file",
+            "line-not-name-value"])
     def test_external_command_failure_exits_4(self, tmp_path, capsys, script, message):
         """Each stub is given tests/fake_solver.py and the two paths."""
         stub = tmp_path / "stub.py"
@@ -669,6 +684,31 @@ class TestEvaluateAndValidate:
                      "--scenarios", str(tmp_path / "fresh" / "scenarios.json")])
         assert code == 0
 
+    @pytest.mark.parametrize("command,output", [
+        ("evaluate", "evaluation.json"), ("validate", "audit.json")])
+    def test_scenarios_flag_is_the_scenarios_file(self, tmp_path, command, output):
+        """``--scenarios FILE`` reads what ``scenarios_file: FILE`` reads, and
+        an empty flag samples, as an empty ``scenarios_file`` does."""
+        cfg, design = self._designed(tmp_path)
+        damage = write_scenarios(tmp_path / "damage.json", [[], ["L1"], ["L1", "L3"]])
+        with_file = tmp_path / "with_file.json"
+        with_file.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                         "scenarios_file": "damage.json"}))
+        written = {}
+        for name, config, flag in [("flag", cfg, ["--scenarios", str(damage)]),
+                                   ("file", with_file, []),
+                                   ("empty-flag", cfg, ["--scenarios", ""]),
+                                   ("sampled", cfg, [])]:
+            out = tmp_path / name
+            # validate exits 1 where the design leaves a scenario short
+            code = main([command, "--config", str(config), "--design", str(design),
+                         "--out", str(out), *flag])
+            assert code in (0, 1)
+            written[name] = code, (out / output).read_text()
+        assert written["flag"] == written["file"]
+        assert written["empty-flag"] == written["sampled"]
+        assert written["flag"] != written["sampled"]
+
     def test_validate_clean_design_exits_0(self, tmp_path):
         cfg, design = self._designed(tmp_path)
         assert main(["validate", "--config", str(cfg),
@@ -705,11 +745,12 @@ class TestDesignFile:
         ({"hardened_lines": [1]}, "hardened_lines"),
         ({"hardened_lines": ["NOPE"]}, "hardened_lines"),
         ({"hardened_lines": ["L2"]}, "hardened_lines"),
+        ({"hardend_lines": ["L1"]}, "has unknown keys: ['hardend_lines']"),
     ], ids=["list", "steps-list", "steps-empty-list", "steps-zero", "steps-false",
             "steps-empty-string", "steps-null", "steps-above-max", "steps-fraction", "steps-flag",
             "steps-negative", "unknown-microgrid", "built-string", "built-unknown",
             "built-existing", "hardened-number", "hardened-unknown",
-            "hardened-undamageable"])
+            "hardened-undamageable", "misspelt-key"])
     def test_is_an_input_error(self, tmp_path, capsys, command, doc, field):
         cfg = write_config(tmp_path)
         design = tmp_path / "design.json"
@@ -862,6 +903,14 @@ class TestMalformedInput:
         (lambda _: {"design": {"line_cost_scale": math.nan}}, "line_cost_scale"),
         (lambda _: {"design": {"mg_rate_override": math.nan}}, "mg_rate_override"),
         (lambda _: {"design": {"harden_cost_scale": math.inf}}, "harden_cost_scale"),
+        # nor does a float hold an int this large: it ended in a traceback
+        # inside scipy or the cost model
+        (lambda _: {"solver": {"rel_gap": 10 ** 400}},
+         "config key 'solver.rel_gap' must be a finite number, got 1000"),
+        (lambda _: {"solver": {"time_limit": 10 ** 400}},
+         "config key 'solver.time_limit' must be a finite number, got 1000"),
+        (lambda _: {"design": {"line_cost_scale": 10 ** 400}},
+         "config key 'design.line_cost_scale' must be a finite number, got 1000"),
         (_case5_with(lambda doc: "null"), "network document must be a JSON object"),
         (_case5_with(lambda doc: "5"), "network document must be a JSON object"),
         (_case5_with(lambda doc: doc["lines"][0].update(harden_cost=math.nan)),
@@ -892,7 +941,8 @@ class TestMalformedInput:
             "config-sweep-false", "solver-unknown-backend", "scenario-null-id",
             "scenario-fractional-id", "scenario-bool-id", "scenario-nested-line-id",
             "solver-rel-gap-nan", "solver-time-limit-nan", "design-line-cost-scale-nan",
-            "design-mg-rate-nan", "design-harden-cost-scale-inf", "network-null",
+            "design-mg-rate-nan", "design-harden-cost-scale-inf", "solver-rel-gap-huge",
+            "solver-time-limit-huge", "design-line-cost-scale-huge", "network-null",
             "network-number", "network-harden-cost-nan", "network-capacity-inf",
             "network-capacity-map-inf", "network-demand-nan", "network-impedance-inf",
             "network-capacity-phase", "network-demand-phase", "network-max-steps",

@@ -388,7 +388,7 @@ class TestCycleCut:
         net = triangle_net()
         params = DesignParams(critical_fraction=0.0)
         master = build_master(ScenarioTemplate(net, params), [BASELINE])
-        cycle = tuple(sorted(master.reduced.edges))
+        cycle = tuple(sorted(master.template.reduced.edges))
         cid = master.add_cycle_cut(cycle, 0)
         rows = master.model.rows()
         assert (rows.lo[cid], rows.hi[cid]) == (-math.inf, 2.0)
@@ -402,7 +402,7 @@ class TestCycleCut:
         for lid in ("l1", "l2", "l3"):
             master.model.fix_variable(blk.vars.bs[lid], 1.0)
         assert solve(master.model, EXACT).status == "optimal"
-        master.add_cycle_cut(tuple(sorted(master.reduced.edges)), 0)
+        master.add_cycle_cut(tuple(sorted(master.template.reduced.edges)), 0)
         assert solve(master.model, EXACT).status == "infeasible"
 
     def test_parallel_pair_links_to_one_reduced_edge(self):
@@ -410,8 +410,8 @@ class TestCycleCut:
         params = DesignParams(critical_fraction=0.0)
         master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
-        key = master.reduced.edge_of_line("l3")
-        assert key == master.reduced.edge_of_line("l3b")
+        key = master.template.reduced.edge_of_line("l3")
+        assert key == master.template.reduced.edge_of_line("l3b")
         sol_model = master.model
         bredge_ix = blk.vars.bredge[key]
         sol_model.fix_variable(blk.vars.bs["l3b"], 1.0)
@@ -423,9 +423,24 @@ class TestCycleCut:
         net = triangle_net()
         params = DesignParams(critical_fraction=0.0)
         master = build_master(ScenarioTemplate(net, params), [BASELINE])
-        edges = sorted(master.reduced.edges)
+        edges = sorted(master.template.reduced.edges)
         with pytest.raises(ValueError):
             master.add_cycle_cut(edges[:2], 0)
+
+    @pytest.mark.parametrize("cycle,message", [
+        ([("a0", "a1"), ("a1", "a2"), ("a0", "b0")], "unknown reduced edge ('a0', 'b0')"),
+        ([("a0", "a1"), ("a1", "a2"), ("a2", "a3")],
+         "edge set is not a simple cycle (node degree != 2)"),
+        ([(f"{r}{i}", f"{r}{(i + 1) % 4}") for r in "ab" for i in range(4)],
+         "edge set is not a single connected cycle"),
+    ], ids=["unknown-edge", "open-path", "two-rings"])
+    def test_pool_rejects_what_is_not_one_cycle(self, cycle, message):
+        net = load_doc(two_rings_doc())
+        master = build_master(ScenarioTemplate(net, DesignParams()), [BASELINE])
+        with pytest.raises(ValueError) as info:
+            master.pool_cycles([cycle])
+        assert str(info.value) == message
+        assert master.cycles == []
 
     def test_fully_closed_four_cycle_violates_cut_by_one(self):
         doc = two_bus_doc()
@@ -444,7 +459,7 @@ class TestCycleCut:
             master.model.fix_variable(blk.vars.bs[lid], 1.0)
         sol = solve(master.model, EXACT)
         assert sol.status == "optimal"
-        cycle = tuple(sorted(master.reduced.edges))
+        cycle = tuple(sorted(master.template.reduced.edges))
         lhs = sum(sol.values[blk.vars.bredge[e]] for e in cycle)
         assert lhs - (len(cycle) - 1) == pytest.approx(1.0)
 
@@ -456,7 +471,7 @@ class TestSwitchingDamage:
         master = build_master(ScenarioTemplate(case5, params), scens)
         blk = master.blocks[1]
         if fix_harden is not None:
-            master.model.fix_variable(master.first_stage.harden["L1"], fix_harden)
+            master.model.fix_variable(master.template.first_stage.harden["L1"], fix_harden)
         return master, blk
 
     def test_damaged_unhardened_line_forced_open(self, case5):
@@ -480,7 +495,7 @@ class TestSwitchingDamage:
         params = DesignParams(critical_fraction=0.0, total_fraction=0.0)
         master = build_master(ScenarioTemplate(net, params), [BASELINE])
         blk = master.blocks[0]
-        master.model.fix_variable(master.first_stage.build["c1"], 0.0)
+        master.model.fix_variable(master.template.first_stage.build["c1"], 0.0)
         master.model.fix_variable(blk.vars.e["c1"], 1.0)
         assert solve(master.model, EXACT).status == "infeasible"
 
@@ -629,6 +644,14 @@ class TestAddScenario:
 
         assert rows(a) == rows(b)
 
+    def test_duplicate_id_is_rejected(self, case5):
+        master = build_master(ScenarioTemplate(case5, DesignParams()), [BASELINE])
+        rows = master.model.num_constraints
+        with pytest.raises(ValueError) as info:
+            master.add_scenario(DamageScenario(0, frozenset({"L1"})))
+        assert str(info.value) == "duplicate scenario id 0"
+        assert master.model.num_constraints == rows
+
 
 class TestCosts:
     def test_npv_single_period(self):
@@ -696,7 +719,7 @@ class TestMicrogridStepEncoding:
         net = self._mg(existing=True)
         master = build_master(ScenarioTemplate(net, DesignParams()), [BASELINE])
         model = master.model
-        assert master.first_stage.steps == {}
+        assert master.template.first_stage.steps == {}
         assert not any(n.startswith("mgstep:") for n in model.var_names)
         assert not any(n.startswith("mgorder:") for n in model.row_names)
         hi = dict(zip(model.row_names, model.rows().hi))

@@ -129,11 +129,6 @@ class TestSolve:
         assert sol.status == "feasible_limit"
         assert sol.bound == highs_bound
 
-    def test_node_limit_reports_feasible_limit(self, monkeypatch):
-        sol, highs_bound = self.solve_to_limit(monkeypatch, SolverOptions(node_limit=0))
-        assert sol.status == "feasible_limit"
-        assert sol.bound == highs_bound
-
     def test_optimal_solution_satisfies_all_constraints(self):
         rng = random.Random(11)
         for _ in range(5):

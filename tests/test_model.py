@@ -264,6 +264,16 @@ class TestLoaderErrors:
         (_set("microgrids", 0, is_existing=True),
          "microgrid 'mg': existing units carry no cost"),
         (_set("buses", 0, is_substation=False), "network has no substation bus"),
+        # ids, references and phases are strings, never coerced to one
+        (_set("loads", 0, id=None), "loads entry 0: field 'id' must be a string, got None"),
+        (_set("loads", 0, id=7), "loads entry 0: field 'id' must be a string, got 7"),
+        (_set("lines", 0, id=["x"]),
+         "lines entry 0: field 'id' must be a string, got ['x']"),
+        (_set("lines", 0, **{"from": 12}),
+         "lines entry 0: field 'from' must be a string, got 12"),
+        (_set("microgrids", 0, bus=1), "microgrids entry 0: field 'bus' must be a string, got 1"),
+        (_set("buses", 1, phases=["a"]),
+         "buses entry 1: field 'phases' must be a string, got ['a']"),
     ], ids=["unknown-phase", "duplicate-phase", "empty-phase", "impedance-length",
             "impedance-undeclared-pair", "no-length", "missing-section",
             "section-not-objects", "v-ref-off-substation", "duplicate-line",
@@ -271,7 +281,8 @@ class TestLoaderErrors:
             "load-unknown-bus", "microgrid-unknown-bus", "negative-length",
             "damageable-candidate", "existing-line-cost", "negative-harden-cost",
             "demand-phase", "negative-demand", "zero-step-capacity", "zero-max-steps",
-            "existing-unit-cost", "no-substation"])
+            "existing-unit-cost", "no-substation", "null-id", "number-id", "list-id",
+            "number-from", "number-bus", "list-phases"])
     def test_names_the_entry(self, mutate, message):
         doc = loader_doc()
         mutate(doc)
