@@ -61,7 +61,6 @@ from gridfort.model import (
     aggregate_parallel_edges,
     load_network,
     load_network_file,
-    save_network,
 )
 from gridfort.fragility import (
     DamageScenario,
@@ -152,7 +151,6 @@ __all__ = [
     "parse_external_solution",
     "recompute_voltages",
     "sample_scenarios",
-    "save_network",
     "save_scenarios",
     "sbd_design",
     "separate_cycles",

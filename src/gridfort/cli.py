@@ -38,7 +38,7 @@ from gridfort.fragility import (
     save_scenarios,
 )
 from gridfort.milp import ENV_SOLVER_CMD, SolverError, SolverOptions
-from gridfort.model import Network, _is_number, load_network_file, read_json, save_network
+from gridfort.model import Network, _is_number, load_network_file, read_json
 from gridfort.validate import AuditReport, audit
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -48,10 +48,6 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _usable_cpus() -> int:
@@ -82,10 +78,10 @@ SWEEP_KEYS = ("total_fractions", "mg_variable_cost_rates")
 
 def _check_keys(raw: dict, allowed, where: str) -> None:
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        raise ConfigError(f"{where} has unknown keys: {unknown}")
+        raise ValueError(f"{where} has unknown keys: {unknown}")
 
 
 # the JSON values a dataclass field of each type accepts; a JSON true or
@@ -95,15 +91,15 @@ _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), type(None): (type(
 
 def _checked(value, hint, where: str):
     """``value`` if it is a JSON value of type ``hint`` (a type or a union
-    of them), else a ConfigError naming ``where``. A float-typed value must
+    of them), else a ValueError naming ``where``. A float-typed value must
     be a number a float holds (``model._is_number``): not ``NaN`` or
     ``Infinity``, which Python's ``json`` reads, nor a huge int."""
     kinds = typing.get_args(hint) or (hint,)
     accepted = tuple(t for kind in kinds for t in _JSON_TYPES[kind])
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where} has a malformed value: {value!r}")
+        raise ValueError(f"{where} has a malformed value: {value!r}")
     if float in kinds and value is not None and not _is_number(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
@@ -123,19 +119,19 @@ def _pick(doc: dict, cls, section: str, **defaults):
 
 
 def _check_command_template(template: str, where: str) -> None:
-    """A ConfigError naming ``where`` unless ``template`` formats with the
+    """A ValueError naming ``where`` unless ``template`` formats with the
     ``{model}`` and ``{solution}`` paths alone, as every external solve
     formats it."""
     try:
         template.format(model=Path("model.mps"), solution=Path("model.sol"))
     except KeyError as exc:
-        raise ConfigError(f"{where} names an unknown placeholder {{{exc.args[0]}}}; "
-                          "only {model} and {solution} are filled in") from None
+        raise ValueError(f"{where} names an unknown placeholder {{{exc.args[0]}}}; "
+                         "only {model} and {solution} are filled in") from None
     except IndexError:
-        raise ConfigError(f"{where} has a positional placeholder; "
-                          "only {model} and {solution} are filled in") from None
+        raise ValueError(f"{where} has a positional placeholder; "
+                         "only {model} and {solution} are filled in") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not a valid command template: {exc}") from None
+        raise ValueError(f"{where} is not a valid command template: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
@@ -143,20 +139,17 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     try:
         doc = read_json(path, "config file")
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ValueError(f"config file not found: {path}") from None
     _check_keys(doc, CONFIG_KEYS, "config")
     if "network" not in doc:
-        raise ConfigError("config must name a network file")
+        raise ValueError("config must name a network file")
     base = path.parent
     flags = vars(overrides) if overrides is not None else {}  # this subcommand's flags
 
     seed = _checked(doc.get("seed", 0), int, "config key 'seed'")
-    try:
-        fragility = _pick(doc, FragilityParams, "fragility", seed=seed)
-        design = _pick(doc, DesignParams, "design")
-        solver = _pick(doc, SolverOptions, "solver")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    fragility = _pick(doc, FragilityParams, "fragility", seed=seed)
+    design = _pick(doc, DesignParams, "design")
+    solver = _pick(doc, SolverOptions, "solver")
     if flags.get("seed") is not None:
         # an explicit flag beats any configured seed
         fragility = replace(fragility, seed=flags["seed"])
@@ -169,13 +162,13 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         where = f"config key 'sweep.{key}'"
         values = sweep.get(key, [])
         if not isinstance(values, list):
-            raise ConfigError(f"{where} has a malformed value: {values!r}")
+            raise ValueError(f"{where} has a malformed value: {values!r}")
         values = [float(_checked(x, float, where)) for x in values]
         try:
             for x in values:
                 replace(design, **{param: x})
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         return values
 
     scenarios_file = _checked(doc.get("scenarios_file"), str | None,
@@ -201,7 +194,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
     if flags.get("solver") is not None:
         cfg.solver = replace(cfg.solver, backend=flags["solver"])
     if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
     if cfg.solver.backend == "external":
         # the external route reads the configured command, else the
         # environment's; with neither, the first solve fails (exit 4)
@@ -211,7 +204,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
         elif os.environ.get(ENV_SOLVER_CMD):
             _check_command_template(os.environ[ENV_SOLVER_CMD], f"${ENV_SOLVER_CMD}")
     if not cfg.network.exists():
-        raise ConfigError(f"network file not found: {cfg.network}")
+        raise ValueError(f"network file not found: {cfg.network}")
     return cfg
 
 
@@ -221,14 +214,14 @@ def load_config(path: str | Path, overrides: argparse.Namespace | None = None) -
 
 
 def _output_dir(path: Path) -> Path:
-    """``path``, created with its parents; a ConfigError naming it if it
+    """``path``, created with its parents; a ValueError naming it if it
     cannot be (it or a parent is a regular file, or no permission). Each
     command calls this once its inputs are read, before its first solve."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory "
-                          f"'{path}': {exc.strerror or exc}") from None
+        raise ValueError(f"cannot create output directory "
+                         f"'{path}': {exc.strerror or exc}") from None
     return path
 
 
@@ -249,7 +242,7 @@ def design_to_dict(design: Design) -> dict:
 
 def design_from_file(path: Path, network: Network, params: DesignParams) -> Design:
     """The design a ``design.json`` document describes; any field that does
-    not fit ``network`` is a ConfigError naming it."""
+    not fit ``network`` is a ValueError naming it."""
     doc = read_json(path, "design file")
     where = f"design file {path}"
     # cost is recomputed from the rest, never read
@@ -258,10 +251,10 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
     def line_ids(key: str, allowed: set[str], what: str) -> list[str]:
         ids = doc.get(key, [])
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-            raise ConfigError(f"{where}: '{key}' must be a list of line ids")
+            raise ValueError(f"{where}: '{key}' must be a list of line ids")
         bad = sorted(set(ids) - allowed)
         if bad:
-            raise ConfigError(f"{where}: '{key}' names lines that are not {what}: {bad}")
+            raise ValueError(f"{where}: '{key}' names lines that are not {what}: {bad}")
         return ids
 
     lines = network.lines.values()
@@ -271,15 +264,15 @@ def design_from_file(path: Path, network: Network, params: DesignParams) -> Desi
                         "hardenable, damageable existing lines")
     steps = doc.get("microgrid_steps", {})
     if not isinstance(steps, dict):
-        raise ConfigError(f"{where}: 'microgrid_steps' must map microgrid ids to step counts")
+        raise ValueError(f"{where}: 'microgrid_steps' must map microgrid ids to step counts")
     for gid, n in steps.items():
         if gid not in network.microgrids:
-            raise ConfigError(f"{where}: 'microgrid_steps' names an unknown microgrid {gid!r}")
+            raise ValueError(f"{where}: 'microgrid_steps' names an unknown microgrid {gid!r}")
         if network.microgrids[gid].is_existing:
-            raise ConfigError(f"{where}: 'microgrid_steps' names the existing microgrid {gid!r}")
+            raise ValueError(f"{where}: 'microgrid_steps' names the existing microgrid {gid!r}")
         key, top = f"{where}: 'microgrid_steps.{gid}'", network.microgrids[gid].max_steps
         if not 0 <= _checked(n, int, key) <= top:
-            raise ConfigError(f"{key} must lie in [0, {top}], got {n}")
+            raise ValueError(f"{key} must lie in [0, {top}], got {n}")
     return make_design(network, params, built, hardened, steps)
 
 
@@ -449,26 +442,26 @@ SWEEP_COLUMNS = ("gamma", "mg_cost_per_kw", "status", "total_cost", "microgrid_k
 
 
 def _check_finished_cell(path: Path, gamma: float, rate: float) -> None:
-    """A ConfigError unless the cell file at ``path`` holds the cell of
+    """A ValueError unless the cell file at ``path`` holds the cell of
     ``gamma`` and ``rate``: a rerun into the same directory resumes only
     the same sweep axes."""
     row = read_json(path, "sweep cell")
     found = (row.get("gamma"), row.get("mg_cost_per_kw")) if isinstance(row, dict) else None
     if found != (gamma, rate):
-        raise ConfigError(
+        raise ValueError(
             f"sweep cell {path} holds gamma, mg_cost_per_kw {found}, not the "
             f"configured {(gamma, rate)}; sweep into another output directory")
 
 
-def _sweep_inputs(cfg: RunConfig, network: Network, scens) -> dict:
+def _sweep_inputs(cfg: RunConfig, scens) -> dict:
     """What every cell of a sweep directory shares: a digest of the seed,
-    the network, the scenarios and the design params other than the two
-    axes, which each cell sets itself."""
+    the network document as read, the scenarios and the design params
+    other than the two axes, which each cell sets itself."""
     design = dataclasses.asdict(cfg.design)
     del design["total_fraction"], design["mg_rate_override"]
     shared = {
         "seed": cfg.fragility.seed,
-        "network": save_network(network),
+        "network": read_json(cfg.network, "network file"),
         "scenarios": [[s.id, sorted(s.damaged_line_ids)] for s in scens],
         "design": design,
     }
@@ -477,27 +470,27 @@ def _sweep_inputs(cfg: RunConfig, network: Network, scens) -> dict:
 
 
 def _check_sweep_inputs(path: Path, inputs: dict, cells_dir: Path) -> None:
-    """A ConfigError unless the sweep directory's ``sweep_inputs.json`` at
+    """A ValueError unless the sweep directory's ``sweep_inputs.json`` at
     ``path`` records ``inputs``, or it is absent and so are the cells: a
     rerun into the same directory resumes only a sweep of the same inputs."""
     if path.exists():
         if read_json(path, "sweep inputs file") != inputs:
-            raise ConfigError(
+            raise ValueError(
                 f"{path} records other sweep inputs (seed, network, scenarios or "
                 f"design params besides the axes); sweep into another output directory")
     elif any(cells_dir.glob("cell_*.json")):
-        raise ConfigError(f"{cells_dir} holds cells but {path} is missing, so their "
-                          f"inputs are unknown; sweep into another output directory")
+        raise ValueError(f"{cells_dir} holds cells but {path} is missing, so their "
+                         f"inputs are unknown; sweep into another output directory")
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_total_fractions or not cfg.sweep_mg_rates:
-        raise ConfigError("sweep requires nonempty total_fractions and "
-                          "mg_variable_cost_rates axes")
+        raise ValueError("sweep requires nonempty total_fractions and "
+                         "mg_variable_cost_rates axes")
     network = load_network_file(cfg.network)
     scens = _load_scenarios(cfg, network)
     out = _output_dir(cfg.output_dir)
-    inputs = _sweep_inputs(cfg, network, scens)
+    inputs = _sweep_inputs(cfg, scens)
     _check_sweep_inputs(out / "sweep_inputs.json", inputs, out / "cells")
     cells_dir = _output_dir(out / "cells")
     tasks = [
@@ -592,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate(cfg, Path(args.design))
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        raise ValueError(f"unknown command {args.command!r}")
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,10 +2,10 @@
 
 The network document is a JSON file with top-level sections ``bases``,
 ``buses``, ``lines``, ``loads``, ``microgrids`` (see docs/network_format.md
-for the full schema and a validating example). All electrical quantities are
-stored both in the document's physical units and, after loading, in per-unit
-on the network-wide (base_kva, base_kv) bases; the rest of the engine works
-exclusively in per-unit.
+for the full schema and a validating example). Powers are stored both in
+the document's physical units and, after loading, in per-unit on the
+network-wide (base_kva, base_kv) bases, and line impedances in per-unit only;
+the rest of the engine works exclusively in per-unit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "cycle_basis",
     "load_network",
     "load_network_file",
-    "save_network",
 ]
 
 
@@ -115,10 +114,9 @@ class Bus:
 class Line:
     """A line or transformer between two buses.
 
-    ``impedance_ohm_per_km`` holds the declared phase-pair entries only;
-    missing pairs are absent, never zero. ``z_pu`` is the total series
-    impedance (scaled by length, converted to per-unit); ``capacity_pu``
-    the per-phase apparent-power limit.
+    ``z_pu`` is the total series impedance (scaled by length, converted to
+    per-unit) of the declared phase pairs only; missing pairs are absent,
+    never zero. ``capacity_pu`` is the per-phase apparent-power limit.
     """
 
     id: str
@@ -126,7 +124,6 @@ class Line:
     to_bus: str
     phases: tuple[Phase, ...]
     length_km: float
-    impedance_ohm_per_km: dict[tuple[Phase, Phase], complex]
     capacity_kva: dict[Phase, float]
     status: LineStatus = LineStatus.EXISTING
     is_transformer: bool = False
@@ -135,7 +132,7 @@ class Line:
     hardenable: bool = False
     construction_cost: float = 0.0
     harden_cost: float = 0.0
-    z_pu: dict[tuple[Phase, Phase], complex] = field(default_factory=dict, compare=False)
+    z_pu: dict[tuple[Phase, Phase], complex] = field(default_factory=dict)
     capacity_pu: dict[Phase, float] = field(default_factory=dict, compare=False)
 
     @property
@@ -182,7 +179,6 @@ class Network:
     lines: dict[str, Line]
     loads: dict[str, Load]
     microgrids: dict[str, MicrogridCandidate]
-    units: UnitSystem
 
     def __post_init__(self) -> None:
         self._loads_at: dict[str, tuple[str, ...]] = {}
@@ -330,7 +326,7 @@ def cycle_basis(adj: dict[str, dict[str, None]]) -> list[list[tuple[str, str]]]:
 
 
 # ---------------------------------------------------------------------------
-# document I/O
+# document reading
 # ---------------------------------------------------------------------------
 
 _PAIR_ORDER: tuple[tuple[Phase, Phase], ...] = tuple(
@@ -362,10 +358,6 @@ def _phase_of(name: str, owner: str, key: str) -> Phase:
                            f"(expected a/b/c)") from None
 
 
-def _complex_to_doc(z: complex) -> dict:
-    return {"im": z.imag, "re": z.real}
-
-
 def _impedance_from_doc(entries, phases: tuple[Phase, ...], owner: str):
     """Read a 9-entry row-major impedance matrix; nulls mark absent pairs."""
     if not isinstance(entries, list) or len(entries) != 9:
@@ -388,10 +380,6 @@ def _impedance_from_doc(entries, phases: tuple[Phase, ...], owner: str):
             )
         z[(p1, p2)] = _complex_from_doc(cell, owner, "impedance")
     return z
-
-
-def _impedance_to_doc(z: dict[tuple[Phase, Phase], complex]) -> list:
-    return [_complex_to_doc(z[pair]) if pair in z else None for pair in _PAIR_ORDER]
 
 
 def _line_length_km(raw: dict, buses: dict[str, Bus], owner: str) -> float:
@@ -447,7 +435,7 @@ def read_json(path: str | Path, what: str):
     ``what`` and the path when the file is not valid JSON."""
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, or an int past the digit limit
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
@@ -455,7 +443,7 @@ def load_network(text: str) -> Network:
     """Parse and validate a network document, returning a per-unit Network."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise NetworkError(f"document is not valid JSON: {exc}") from exc
     return _network(doc)
 
@@ -539,7 +527,6 @@ def _network(doc) -> Network:
             to_bus=raw["to"],
             phases=phases,
             length_km=length,
-            impedance_ohm_per_km=z_per_km,
             capacity_kva=cap,
             status=status,
             is_transformer=bool(raw.get("is_transformer", False)),
@@ -592,7 +579,7 @@ def _network(doc) -> Network:
             step_capacity_pu=units.to_pu(float(raw["step_capacity_kva"]), "power"),
         )
 
-    net = Network(buses=buses, lines=lines, loads=loads, microgrids=grids, units=units)
+    net = Network(buses=buses, lines=lines, loads=loads, microgrids=grids)
     _validate(net)
     return net
 
@@ -679,67 +666,3 @@ def _validate(net: Network) -> None:
     if loops:
         buses = sorted({b for edge in loops[0] for b in edge})
         raise NetworkError(f"existing lines without a switch close a loop over buses {buses}")
-
-
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def save_network(net: Network) -> str:
-    """Serialize back to the document form with canonical field ordering."""
-    doc = {
-        "bases": {"base_kv": net.units.base_kv, "base_kva": net.units.base_kva},
-        "buses": [
-            {
-                "coords": list(b.coords) if b.coords is not None else None,
-                "id": b.id,
-                "is_substation": b.is_substation,
-                "phases": phases_text(b.phases),
-                "v_ref": b.v_ref,
-            }
-            for b in sorted(net.buses.values(), key=lambda b: b.id)
-        ],
-        "lines": [
-            {
-                "capacity_kva": {p.value: c for p, c in sorted(l.capacity_kva.items())},
-                "construction_cost": l.construction_cost,
-                "damageable": l.damageable,
-                "from": l.from_bus,
-                "harden_cost": l.harden_cost,
-                "hardenable": l.hardenable,
-                "has_switch": l.has_switch,
-                "id": l.id,
-                "impedance": _impedance_to_doc(l.impedance_ohm_per_km),
-                "is_transformer": l.is_transformer,
-                "length_km": l.length_km,
-                "phases": phases_text(l.phases),
-                "status": l.status.value,
-                "to": l.to_bus,
-            }
-            for l in sorted(net.lines.values(), key=lambda l: l.id)
-        ],
-        "loads": [
-            {
-                "bus": l.bus,
-                "demand_kva": {
-                    p.value: _complex_to_doc(d) for p, d in sorted(l.demand_kva.items())
-                },
-                "id": l.id,
-                "is_critical": l.is_critical,
-            }
-            for l in sorted(net.loads.values(), key=lambda l: l.id)
-        ],
-        "microgrids": [
-            {
-                "bus": g.bus,
-                "fixed_cost": g.fixed_cost,
-                "id": g.id,
-                "is_existing": g.is_existing,
-                "max_steps": g.max_steps,
-                "step_capacity_kva": g.step_capacity_kva,
-                "variable_cost_rate": g.variable_cost_rate,
-            }
-            for g in sorted(net.microgrids.values(), key=lambda g: g.id)
-        ],
-    }
-    return _canonical(doc)

@@ -1017,9 +1017,17 @@ class TestUnparsableInputFile:
     """An input file that is not valid JSON is an input error naming its
     path, so a run reading several files tells which one is broken."""
 
-    @pytest.mark.parametrize("name", ["config", "network", "scenarios", "design",
-                                      "sweep cell", "sweep inputs"])
-    def test_names_its_path(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name,damage", [
+        *(pytest.param(name, "truncated", id=name) for name in (
+            "config", "network", "scenarios", "design", "sweep cell", "sweep inputs")),
+        # json reads an integer past Python's int digit limit, and a file
+        # that is not UTF-8 fails to decode, with a plain ValueError, not a
+        # JSONDecodeError
+        *(pytest.param(name, "5000-digits", id=f"{name}-5000-digits") for name in (
+            "config", "network", "scenarios", "design")),
+        pytest.param("config", "not-utf8", id="config-not-utf8"),
+    ])
+    def test_names_its_path(self, tmp_path, capsys, name, damage):
         cfg = write_config(tmp_path, sweep={"total_fractions": [0.0],
                                             "mg_variable_cost_rates": [100.0]})
         design = tmp_path / "design.json"
@@ -1036,7 +1044,13 @@ class TestUnparsableInputFile:
             argv = ["evaluate", "--design", str(design), "--scenarios", str(scens)]
         else:
             argv = ["design"]
-        bad.write_text(bad.read_text()[:20])
+        text = bad.read_text()
+        if damage == "truncated":
+            bad.write_text(text[:20])
+        elif damage == "5000-digits":
+            bad.write_text(text.replace("{", '{"seed": 1' + "0" * 5000 + ", ", 1))
+        else:
+            bad.write_bytes(text.encode().replace(b"{", b'{"seed": \xff, ', 1))
         capsys.readouterr()
         assert main([*argv, "--config", str(cfg), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
@@ -1315,11 +1329,14 @@ class TestSweepCommand:
         assert str(old) in err and str(new) in err
         assert (tmp_path / "out" / "sweep.csv").read_text() == csv
 
-    @pytest.mark.parametrize("change", ["seed", "scenarios", "network", "design", "none"])
+    @pytest.mark.parametrize("change", ["seed", "scenarios", "network", "network-reordered",
+                                        "design", "none", "network-reformatted"])
     def test_rerun_of_other_inputs_is_an_input_error(self, tmp_path, capsys, monkeypatch,
                                                      change):
-        """A sweep directory resumes only the seed, network, scenarios and
-        non-axis design params it was made from; the axes alone stay free."""
+        """A sweep directory resumes only the seed, network document,
+        scenarios and non-axis design params it was made from; the axes
+        alone stay free. The network is the document as parsed: reordered
+        entries are another input, new whitespace is not."""
         sweep = {"total_fractions": [0.0], "mg_variable_cost_rates": [100.0]}
         fragility = {"line_failure_prob_override": 0.2, "scenario_count": 2}
         cfg = write_config(tmp_path, fragility=fragility, sweep=sweep)
@@ -1343,12 +1360,19 @@ class TestSweepCommand:
             doc = json.loads((tmp_path / "case5.json").read_text())
             doc["lines"][0]["harden_cost"] += 1.0
             (tmp_path / "case5.json").write_text(json.dumps(doc))
+        elif change == "network-reordered":
+            doc = json.loads((tmp_path / "case5.json").read_text())
+            doc["lines"].reverse()
+            (tmp_path / "case5.json").write_text(json.dumps(doc, indent=2))
+        elif change == "network-reformatted":
+            doc = json.loads((tmp_path / "case5.json").read_text())
+            (tmp_path / "case5.json").write_text(json.dumps(doc, indent=4))
         elif change == "design":
             write_config(tmp_path, fragility=fragility, sweep=sweep,
                          design={"critical_fraction": 0.9, "total_fraction": 0.0})
         code = main(argv)
         err = capsys.readouterr().err
-        if change == "none":
+        if change in ("none", "network-reformatted"):
             assert (code, err) == (0, "")
         else:
             assert code == 2
